@@ -123,6 +123,13 @@ class SearchBudget:
     max_evals: int = 20000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.random_starts < 0 or self.max_evals < 0:
+            raise InputError(
+                f"search budget needs random_starts >= 0 and max_evals >= 0, "
+                f"got {self.random_starts} and {self.max_evals}"
+            )
+
 
 SMALL_BUDGET = SearchBudget(random_starts=1, max_evals=400, seed=0)
 
@@ -437,19 +444,117 @@ def _pure_two_qubit_value(phi: PureState, m: MonotoneSpec) -> float:
 # Numeric EoA oracle
 
 
-def _povm_from_params(x: np.ndarray, n_c: int):
-    """Map an unconstrained parameter block to 4 rank-1 POVM vectors.
+# scipy's non-adaptive Nelder-Mead (rho, chi, psi, sigma) = (1, 2, 1/2, 1/2)
+# places each trial point at c * xbar - d * x_worst, xbar the centroid of the
+# other vertices; these (c, d) reproduce scipy's arithmetic bit for bit.
+_NM_REFLECT = (2.0, 1.0)
+_NM_EXPAND = (3.0, 2.0)
+_NM_CONTRACT_OUT = (1.5, 0.5)
+_NM_CONTRACT_IN = (0.5, -0.5)
+_NM_SHRINK = 0.5
 
-    Columns of the returned (n_c, 4) matrix W satisfy sum_x w_x w_x^dag = I.
+
+def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
+    """The simplices with their vertices ordered by value, best first."""
+    order = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, order], fsim[rows, order]
+
+
+def _lockstep_nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> np.ndarray:
+    """Minimize ``fun`` from every row of ``x0`` at once; return each start's best vertex.
+
+    Start k follows scipy's ``minimize(fun_k, x0[k], method="Nelder-Mead",
+    options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})`` step for
+    step, and row k of the result is its ``x``: the same initial simplex
+    (each coordinate stepped by 5%, or to 0.00025 where it is zero), the same
+    coefficients and convergence test, ``maxfev`` evaluations per start, and
+    the same handling of a budget that runs out inside an iteration (the
+    pending update is dropped; shrunk vertices beyond the budget keep their
+    old values).  ``fun`` maps a stack (M, N) of points to their M values.
+    Each phase of an iteration makes one call over every start still running:
+    the reflection, then the expansion or contraction, then the shrink.
     """
-    b = x[: x.size // 2] + 1j * x[x.size // 2 :]
-    b = b.reshape(n_c, 4)
-    sigma = b @ b.conj().T
-    evals, evecs = np.linalg.eigh(sigma)
-    if evals[0] < 1e-12:
-        return None
-    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    return inv_sqrt @ b
+
+    def evaluate(points):
+        return fun(points) if len(points) else np.empty(0)
+
+    k_starts, n = x0.shape
+    diag = np.arange(n)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full((k_starts, n + 1), np.inf)
+    n_init = min(n + 1, maxfev)
+    fsim[:, :n_init] = evaluate(sim[:, :n_init].reshape(-1, n)).reshape(k_starts, n_init)
+    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim))  # scipy sorts twice here
+    if maxfev <= n + 1:  # the budget ends with the initial simplex
+        return sim[:, 0]
+    nfev = np.full(k_starts, n_init)
+    ids = np.arange(k_starts)
+    best = np.empty_like(x0)
+    while True:
+        done = (nfev >= maxfev) | (
+            (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
+            & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)
+        )
+        if done.any():
+            best[ids[done]] = sim[done, 0]
+            going = ~done
+            ids, sim, fsim, nfev = ids[going], sim[going], fsim[going], nfev[going]
+            if ids.size == 0:
+                return best
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = _NM_REFLECT[0] * xbar - _NM_REFLECT[1] * worst
+        fxr = evaluate(xr)
+        nfev += 1
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = fxr < fsim[:, -1]  # picks the contraction where neither holds
+        coef = np.where(
+            expand[:, None],
+            _NM_EXPAND,
+            np.where(outside[:, None], _NM_CONTRACT_OUT, _NM_CONTRACT_IN),
+        )
+        probe = coef[:, :1] * xbar - coef[:, 1:] * worst
+        second = ~accept & (nfev < maxfev)
+        fprobe = np.full(ids.size, np.nan)  # NaN fails every comparison below
+        fprobe[second] = evaluate(probe[second])
+        nfev += second
+        better = np.where(
+            expand, fprobe < fxr, np.where(outside, fprobe <= fxr, fprobe < fsim[:, -1])
+        )
+        take_xr = accept | (second & expand & ~better)
+        shrink = second & ~expand & ~better
+        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
+        sim[better, -1], fsim[better, -1] = probe[better], fprobe[better]
+
+        if shrink.any():
+            ss, fs = sim[shrink], fsim[shrink]
+            ss[:, 1:] = ss[:, :1] + _NM_SHRINK * (ss[:, 1:] - ss[:, :1])
+            evaluated = diag < (maxfev - nfev[shrink])[:, None]
+            fs[:, 1:][evaluated] = evaluate(ss[:, 1:][evaluated])
+            nfev[shrink] += evaluated.sum(axis=1)
+            sim[shrink], fsim[shrink] = ss, fs
+        sim, fsim = _sorted_simplices(sim, fsim)
+
+
+def _povm_vectors(x: np.ndarray, n_c: int):
+    """Map parameter rows to rank-1 POVM vectors by the Loewdin map.
+
+    Row k holds the real then the imaginary parts of an (n_c, 4) block B; the
+    columns of W = (B B^dag)^(-1/2) B satisfy sum_x w_x w_x^dag = I.  Returns
+    the stack of W, shape (K, n_c, 4), and the mask of rows whose B B^dag is
+    singular (smallest eigenvalue below 1e-12), which have no valid W.
+    """
+    pairs = np.ascontiguousarray(x.reshape(len(x), 2, -1).transpose(0, 2, 1))
+    b = pairs.view(complex).reshape(-1, n_c, 4)
+    evals, evecs = np.linalg.eigh(b @ b.conj().transpose(0, 2, 1))
+    singular = evals[:, 0] < 1e-12
+    scale = 1.0 / np.sqrt(np.maximum(evals, 1e-12))
+    inv_sqrt = (evecs * scale[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    return inv_sqrt @ b, singular
 
 
 def _params_from_vectors(vectors: np.ndarray, n_c: int) -> np.ndarray:
@@ -459,28 +564,49 @@ def _params_from_vectors(vectors: np.ndarray, n_c: int) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag])
 
 
-def _povm_objective(w: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -> float:
-    total = 0.0
-    for x in range(w.shape[1]):
-        v = psi_mat @ w[:, x].conj()
-        p = float(np.real(np.vdot(v, v)))
-        if p < 1e-14:
-            continue
-        det = abs(np.linalg.det(v.reshape(2, 2))) ** 2
-        disc = max(0.0, 1.0 - 4.0 * det / (p * p))
-        lam = 0.5 * (1.0 - np.sqrt(disc))
-        total += p * m.eigenvalue_fn(lam)
-    return total
+def _povm_objective_batch(x: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -> np.ndarray:
+    """Negated average post-measurement entanglement of each parameter row, (K, 8 n_c) -> (K,).
+
+    Outcome x of row k leaves AB in the unnormalized pure state
+    v_x = psi_mat @ conj(w_x), read as the 2x2 amplitude matrix M, with
+    probability p = |v_x|^2.  The eigenvalues of rho = M M^dag multiply to
+    |det M|^2, and the larger is (p + gap) / 2 with
+    gap^2 = (rho_00 - rho_11)^2 + 4 |rho_01|^2, so the Schmidt minimum is
+    lam = 2 |det M|^2 / (p (p + gap)).  Neither step cancels: the textbook
+    (1 - sqrt(1 - 4 |det M|^2 / p^2)) / 2 turns rounding noise near lam = 1/2
+    into errors of ~1e-8.  Branches with p < 1e-14 contribute nothing;
+    singular rows score the penalty 1.0.
+    """
+    w, singular = _povm_vectors(x, psi_mat.shape[1])
+    # conj(M) for every row and outcome, indexed [k, a, b, x]; conjugation
+    # leaves p, gap and |det M| unchanged.
+    u = (psi_mat.conj() @ w).reshape(len(x), 2, 2, 4)
+    rho_diag = (u * u.conj()).real.sum(axis=2)
+    rho_01 = (u[:, 0] * u[:, 1].conj()).sum(axis=1)
+    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+    p = rho_diag[:, 0] + rho_diag[:, 1]
+    gap = np.sqrt((rho_diag[:, 0] - rho_diag[:, 1]) ** 2 + 4.0 * (rho_01 * rho_01.conj()).real)
+    live = p >= 1e-14
+    p_live = np.where(live, p, 1.0)
+    lam = 2.0 * (det * det.conj()).real / (p_live * (p_live + gap))
+    total = np.sum(p * m.eigenvalue_values(lam), axis=1, where=live)
+    return np.where(singular, 1.0, -total)
 
 
-def _informed_candidates(psi: PureState):
-    """Projective bases worth seeding the POVM search with."""
+def _informed_starts(psi: PureState, m: MonotoneSpec):
+    """Projective bases worth seeding the POVM search with, and the Theorem-1 candidate.
+
+    The candidate is the Theorem-1 measurement with its value under ``m``, or
+    None where that construction does not apply.
+    """
     n_c = psi.dims[2]
     cands = [np.eye(n_c, dtype=complex)]
+    theorem1 = None
     if n_c == 2:
         cands.append(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
         try:
             meas, _ = theorem1_measurement(psi)
+            theorem1 = average_post_measurement(psi, meas, m), meas
             if len(meas.elements) == 2:
                 cands.append(
                     np.column_stack([_principal_vector(e) for e in meas.elements])
@@ -489,52 +615,44 @@ def _informed_candidates(psi: PureState):
                 cands.append(commuting_charlie_basis(psi, side).basis)
         except (ArithmeticError, InputError):
             pass
-    return cands
+    return cands, theorem1
 
 
 def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None):
     """Best found average entanglement over rank-1 POVMs on Charlie (<= 4 outcomes).
 
-    Multi-start derivative-free ascent seeded with the constructive bases; the
-    result is a certified lower bound on the entanglement of assistance.
+    Multi-start derivative-free search seeded with the constructive bases, all
+    starts advanced in lockstep by one Nelder-Mead; the result is a certified
+    lower bound on the entanglement of assistance.  The Theorem-1 measurement
+    counts at the value ``average_post_measurement`` gives it, so the result
+    is never below the constructive value ``analyze`` reports.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
     budget = budget or SearchBudget()
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
-
-    def neg(x):
-        w = _povm_from_params(x, n_c)
-        if w is None:
-            return 1.0
-        return -_povm_objective(w, psi_mat, m)
-
-    starts = [_params_from_vectors(c, n_c) for c in _informed_candidates(psi)]
+    cands, theorem1 = _informed_starts(psi, m)
     rng = np.random.default_rng(budget.seed)
-    for _ in range(budget.random_starts):
-        starts.append(rng.standard_normal(8 * n_c))
+    x0 = np.array(
+        [_params_from_vectors(c, n_c) for c in cands]
+        + [rng.standard_normal(8 * n_c) for _ in range(budget.random_starts)]
+    )
 
-    best_val, best_w = -np.inf, None
-    for x0 in starts:
-        w0 = _povm_from_params(x0, n_c)
-        if w0 is not None:
-            v0 = _povm_objective(w0, psi_mat, m)
-            if v0 > best_val:
-                best_val, best_w = v0, w0
-        res = minimize(
-            neg,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": budget.max_evals, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        w = _povm_from_params(res.x, n_c)
-        if w is None:
-            continue
-        val = _povm_objective(w, psi_mat, m)
-        if val > best_val:
-            best_val, best_w = val, w
+    def objective(x):
+        return _povm_objective_batch(x, psi_mat, m)
 
+    x_end = _lockstep_nelder_mead(objective, x0, budget.max_evals, xatol=1e-10, fatol=1e-12)
+    # Each start's initial point, then its end point; a singular row scores -1,
+    # below every valid average, so the first maximum is the first best POVM.
+    candidates = np.stack([x0, x_end], axis=1).reshape(-1, 8 * n_c)
+    values = -objective(candidates)
+    best = int(np.argmax(values))
+    best_val = float(values[best])
+    if theorem1 is not None and theorem1[0] >= best_val:
+        return theorem1
+
+    best_w = _povm_vectors(candidates[best : best + 1], n_c)[0][0]
     keep = [x for x in range(4) if np.vdot(best_w[:, x], best_w[:, x]).real > 1e-14]
     elems = []
     for x in keep:
@@ -544,7 +662,7 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     evals, evecs = np.linalg.eigh(total)
     fix = (evecs / np.sqrt(np.clip(evals, 1e-300, None))) @ evecs.conj().T
     elems = [e @ fix for e in elems]
-    return float(best_val), Measurement(subsystem=2, elements=tuple(elems))
+    return best_val, Measurement(subsystem=2, elements=tuple(elems))
 
 
 # ---------------------------------------------------------------------------

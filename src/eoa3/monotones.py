@@ -56,21 +56,23 @@ class MonotoneSpec:
 
     def eigenvalue_fn(self, lam: float) -> float:
         """f(lambda_min) for a two-level Schmidt spectrum (lam, 1 - lam)."""
-        lam = float(np.clip(lam, 0.0, 0.5))
+        return float(self.eigenvalue_values(np.array([lam], dtype=float))[0])
+
+    def eigenvalue_values(self, lam: np.ndarray) -> np.ndarray:
+        """f elementwise over an array of two-level Schmidt minima, clipped to [0, 1/2]."""
+        lam = np.minimum(np.maximum(lam, 0.0), 0.5)
         if self.kind == "e2":
             return 2.0 * lam
         if self.kind == "kyfan":
             if self.k == 1:
-                return 1.0
+                return np.ones_like(lam)
             return lam
         if self.kind in ("concurrence", "gconc"):
             return 2.0 * np.sqrt(lam * (1.0 - lam))
-        if self.kind == "s0":
-            return 0.0 if lam < S0_RANK_TOL else 1.0
-        # entropy
-        if self.alpha < S0_RANK_TOL:
-            return 0.0 if lam < S0_RANK_TOL else 1.0
-        return _entropy_of_spectrum(np.array([lam, 1.0 - lam]), self.alpha)
+        if self.kind == "s0" or self.alpha < S0_RANK_TOL:
+            return np.where(lam < S0_RANK_TOL, 0.0, 1.0)
+        # entropy of (lam, 1 - lam); eigenvalues at or below 1e-15 contribute nothing
+        return _entropy_of_spectrum(np.stack([lam, 1.0 - lam]), self.alpha)
 
     def label(self) -> str:
         if self.kind == "kyfan":
@@ -102,11 +104,13 @@ ENTROPY_1 = MonotoneSpec("entropy", alpha=1.0)
 CONCURRENCE = MonotoneSpec("concurrence")
 
 
-def _entropy_of_spectrum(spectrum: np.ndarray, alpha: float) -> float:
-    spectrum = spectrum[spectrum > 1e-15]
+def _entropy_of_spectrum(spectrum: np.ndarray, alpha: float) -> np.ndarray:
+    """Renyi-alpha entropy (base 2) of the spectra along axis 0, ignoring entries <= 1e-15."""
+    kept = spectrum > 1e-15
+    safe = np.where(kept, spectrum, 1.0)
     if abs(alpha - 1.0) < 1e-9:
-        return float(-np.sum(spectrum * np.log2(spectrum)))
-    return float(np.log2(np.sum(spectrum**alpha)) / (1.0 - alpha))
+        return -np.sum(np.where(kept, safe * np.log2(safe), 0.0), axis=0)
+    return np.log2(np.sum(np.where(kept, safe**alpha, 0.0), axis=0)) / (1.0 - alpha)
 
 
 def _two_qubit_marginal_spectrum(phi: PureState) -> np.ndarray:
@@ -137,7 +141,7 @@ def entropy_alpha(phi: PureState, alpha: float) -> float:
     if alpha < S0_RANK_TOL:
         lam_min = spectrum[-1] if len(spectrum) > 1 else 0.0
         return 0.0 if lam_min < S0_RANK_TOL else 1.0
-    return _entropy_of_spectrum(spectrum, alpha)
+    return float(_entropy_of_spectrum(spectrum, alpha))
 
 
 def concurrence_pure(phi: PureState) -> float:

@@ -8,6 +8,7 @@ three qubits), and amplitudes are stored as flat complex vectors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ class PureState:
                 f"amplitude vector length {amps.size} does not match dims {dims}"
             )
         nrm = np.linalg.norm(amps)
+        if not math.isfinite(nrm):  # a NaN or infinite amplitude makes the norm so
+            raise InputError("state amplitudes must be finite")
         if abs(nrm - 1.0) > 1e-10:
             raise InputError(f"state norm {nrm} is not 1")
         if abs(nrm - 1.0) > TOL.norm:
@@ -96,7 +99,10 @@ class DensityMatrix:
         m = _frozen_array(self.entries)
         if m.shape != (self.dim, self.dim):
             raise InputError(f"entries shape {m.shape} does not match dim {self.dim}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        asymmetry = np.max(np.abs(m - m.conj().T))
+        if not math.isfinite(asymmetry):  # a NaN or infinite entry makes it so
+            raise InputError("matrix entries must be finite")
+        if asymmetry > 1e-10:
             raise InputError("matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
             raise InputError("matrix trace is not 1")

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize, rosen
 
 from eoa3.assistance import (
     Measurement,
     SearchBudget,
     VerificationError,
+    _informed_starts,
+    _lockstep_nelder_mead,
+    _params_from_vectors,
+    _povm_objective_batch,
     average_post_measurement,
     commuting_charlie_basis,
     corollary_check,
@@ -17,7 +22,7 @@ from eoa3.assistance import (
     unital_fixed_point_check,
     verify_theorem1,
 )
-from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, cut_entanglement
+from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, cut_entanglement
 from eoa3.qcore import (
     DensityMatrix,
     InputError,
@@ -151,6 +156,114 @@ def test_eoa_numeric_matches_constructive():
     assert val == pytest.approx(1.0, abs=1e-6)
     val, _ = eoa_numeric(w_state(), E2, SearchBudget(random_starts=1, max_evals=300))
     assert val == pytest.approx(2 / 3, abs=1e-5)
+
+
+def _rosen_rows(x):
+    return np.array([rosen(row) for row in x])
+
+
+@pytest.mark.parametrize("maxfev", [0, 3, 6, 40, 400, 5000])
+def test_lockstep_nelder_mead_matches_scipy(maxfev):
+    # Start 0 sits on the minimum and converges long before the others; the
+    # all-zero start takes the 0.00025 initial steps.  maxfev 0 and 3 end
+    # inside the initial simplex (N + 1 = 6).
+    x0 = np.vstack(
+        [np.ones(5), np.zeros(5), np.random.default_rng(4).standard_normal((4, 5))]
+    )
+    got = _lockstep_nelder_mead(_rosen_rows, x0, maxfev, xatol=1e-10, fatol=1e-12)
+    options = {"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-12}
+    for k, start in enumerate(x0):
+        expected = minimize(rosen, start, method="Nelder-Mead", options=options).x
+        np.testing.assert_array_equal(got[k], expected)
+
+
+def _reference_povm_from_params(x, n_c):
+    b = x[: x.size // 2] + 1j * x[x.size // 2 :]
+    b = b.reshape(n_c, 4)
+    sigma = b @ b.conj().T
+    evals, evecs = np.linalg.eigh(sigma)
+    if evals[0] < 1e-12:
+        return None
+    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    return inv_sqrt @ b
+
+
+def _reference_povm_objective(x, psi_mat, m):
+    """The per-column loop the batched kernel replaces, with its 1.0 penalty."""
+    w = _reference_povm_from_params(x, psi_mat.shape[1])
+    if w is None:
+        return 1.0
+    total = 0.0
+    for col in range(w.shape[1]):
+        v = psi_mat @ w[:, col].conj()
+        p = float(np.real(np.vdot(v, v)))
+        if p < 1e-14:
+            continue
+        det = abs(np.linalg.det(v.reshape(2, 2))) ** 2
+        disc = max(0.0, 1.0 - 4.0 * det / (p * p))
+        lam = 0.5 * (1.0 - np.sqrt(disc))
+        total += p * m.eigenvalue_fn(lam)
+    return -total
+
+
+MONOTONE_KINDS = ("e2", "ek:1", "ek:2", "concurrence", "gconc", "s0", "entropy:0", "entropy:0.5", "entropy:1")
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [haar_random_pure((2, 2, 2), seed) for seed in range(5)]
+    + [ghz_state(), product_state(), haar_random_pure((2, 2, 3), 0), haar_random_pure((2, 2, 4), 0)],
+)
+def test_povm_objective_batch_matches_loop(psi):
+    # Random rows, the informed starts (on the product state their empty
+    # columns take the p < 1e-14 branch) and an all-zero, singular block.
+    # The loop's (1 - sqrt(1 - 4|det|^2/p^2)) / 2 rounds differently from the
+    # kernel's form (up to 3e-15 apart on these rows, and the loop itself
+    # sits up to 2.9e-15 from a 40-digit evaluation on GHZ), so the two must
+    # agree to 64 ulp of 1.
+    n_c = psi.dims[2]
+    psi_mat = psi.amplitudes.reshape(4, n_c)
+    cands, _ = _informed_starts(psi, E2)
+    rows = np.vstack(
+        [np.random.default_rng(0).standard_normal((20, 8 * n_c))]
+        + [_params_from_vectors(c, n_c) for c in cands]
+        + [np.zeros(8 * n_c)]
+    )
+    for kind in MONOTONE_KINDS:
+        m = MonotoneSpec.parse(kind)
+        got = _povm_objective_batch(rows, psi_mat, m)
+        expected = [_reference_povm_objective(x, psi_mat, m) for x in rows]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=64 * np.finfo(float).eps)
+        assert got[-1] == 1.0
+
+
+def test_povm_objective_batch_full_precision_at_half():
+    # |Phi+>|0>: every POVM outcome leaves a Bell pair, so every row scores
+    # exactly f(1/2).  The loop's formula misses E2 = 1 here by up to 2.5e-8.
+    psi_mat = bell_times_c().amplitudes.reshape(4, 2)
+    rows = np.random.default_rng(5).standard_normal((200, 16))
+    for kind in ("e2", "ek:2", "concurrence", "entropy:1"):
+        m = MonotoneSpec.parse(kind)
+        got = -_povm_objective_batch(rows, psi_mat, m)
+        np.testing.assert_allclose(got, m.eigenvalue_fn(0.5), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_c", [3, 4])
+def test_eoa_numeric_qudit_helper_below_min_cut(n_c):
+    for seed in range(3):
+        psi = haar_random_pure((2, 2, n_c), seed)
+        val, meas = eoa_numeric(psi, E2, SearchBudget(random_starts=1, max_evals=400, seed=seed))
+        mincut = min(cut_entanglement(psi, "A|BC", E2), cut_entanglement(psi, "B|AC", E2))
+        assert 0.0 < val <= mincut + 1e-6
+        assert meas.dim == n_c
+
+
+def test_search_budget_rejects_negative_values():
+    with pytest.raises(InputError):
+        SearchBudget(random_starts=-1)
+    with pytest.raises(InputError):
+        SearchBudget(max_evals=-3)
+    assert SearchBudget(random_starts=0, max_evals=0).max_evals == 0
 
 
 def test_eoa_numeric_w_entropy_gap():

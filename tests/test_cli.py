@@ -118,3 +118,27 @@ def test_out_file_written(capsys, tmp_path):
     assert out == ""
     payload = json.loads(out_path.read_text())
     assert payload["verdict"] == "lossy"
+
+
+def test_analyze_non_finite_state_exit_2(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(state_to_json(ghz_state()).replace("0.0", "NaN", 1))
+    code, _, err = run(capsys, "analyze", "--state", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_analyze_negative_budget_exit_2(capsys):
+    code, _, err = run(capsys, "analyze", "--family", "w", "--budget", "-3")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("monotone, seed", [("ek:2", "2500024"), ("e2", "3500080")])
+def test_analyze_numeric_not_below_constructive(capsys, monotone, seed):
+    code, out, _ = run(
+        capsys, "analyze", "--family", "haar", "--monotone", monotone, "--seed", seed, "--budget", "200"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["eoaNumeric"] >= payload["eoaConstructive"]

@@ -150,6 +150,41 @@ def test_eigenvalue_fn_vanishes_at_zero():
         assert spec.eigenvalue_fn(0.0) == 0.0
 
 
+def _reference_eigenvalue_fn(spec, lam):
+    """The scalar f(lambda_min) formulas, one branch per monotone kind."""
+    lam = float(np.clip(lam, 0.0, 0.5))
+    if spec.kind == "e2":
+        return 2.0 * lam
+    if spec.kind == "kyfan":
+        return 1.0 if spec.k == 1 else lam
+    if spec.kind in ("concurrence", "gconc"):
+        return 2.0 * np.sqrt(lam * (1.0 - lam))
+    if spec.kind == "s0" or spec.alpha < 1e-10:
+        return 0.0 if lam < 1e-10 else 1.0
+    spectrum = np.array([lam, 1.0 - lam])
+    spectrum = spectrum[spectrum > 1e-15]
+    if abs(spec.alpha - 1.0) < 1e-9:
+        return float(-np.sum(spectrum * np.log2(spectrum)))
+    return float(np.log2(np.sum(spectrum**spec.alpha)) / (1.0 - spec.alpha))
+
+
+@pytest.mark.parametrize(
+    "text", ["e2", "ek:1", "ek:2", "concurrence", "gconc", "s0", "entropy:0", "entropy:0.5", "entropy:1"]
+)
+def test_eigenvalue_values_equal_scalar_formulas(text):
+    spec = MonotoneSpec.parse(text)
+    grid = np.concatenate(
+        [
+            [0.0, 1e-16, 1e-15, 2e-15, 1e-10, 0.5, -1e-300, -1e-12, -0.25, 0.5 + 1e-12, 0.75, 1.0],
+            np.geomspace(1e-18, 0.5, 200),
+            np.linspace(0.0, 0.5, 201),
+        ]
+    )
+    expected = np.array([_reference_eigenvalue_fn(spec, lam) for lam in grid])
+    assert np.all(spec.eigenvalue_values(grid) == expected)
+    assert all(spec.eigenvalue_fn(lam) == e for lam, e in zip(grid, expected))
+
+
 def test_wootters_rejects_wrong_dimension():
     with pytest.raises(InputError):
         wootters_concurrence(random_density_matrix(2, 2, 0))

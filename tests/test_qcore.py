@@ -196,3 +196,14 @@ def test_density_matrix_validation():
         DensityMatrix.from_matrix(np.array([[1.0, 0.5], [0.2, 0.0]]))
     with pytest.raises(InputError):
         DensityMatrix.from_matrix(np.diag([2.0, -1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_rejected(bad):
+    amps = np.array([bad, 0, 0, 1.0], dtype=complex)
+    with pytest.raises(InputError, match="finite"):
+        PureState((2, 2), amps)
+    entries = np.diag([0.5, 0.5]).astype(complex)
+    entries[0, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        DensityMatrix.from_matrix(entries)
