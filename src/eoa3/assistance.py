@@ -34,6 +34,7 @@ from .qcore import (
     PureState,
     bloch_vector,
     eig_hermitian,
+    min_marginal_eigenvalue,
     reduced_density,
 )
 
@@ -593,29 +594,36 @@ def _povm_objective_batch(x: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -
     return np.where(singular, 1.0, -total)
 
 
-def _informed_starts(psi: PureState, m: MonotoneSpec):
-    """Projective bases worth seeding the POVM search with, and the Theorem-1 candidate.
+def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
+    """The Theorem-1 measurement as (its value under ``m``, measurement), or
+    None where that construction does not apply."""
+    if psi.dims[2] != 2:
+        return None
+    try:
+        meas, _ = theorem1_measurement(psi)
+        return average_post_measurement(psi, meas, m), meas
+    except (ArithmeticError, InputError):
+        return None
 
-    The candidate is the Theorem-1 measurement with its value under ``m``, or
-    None where that construction does not apply.
-    """
+
+def _informed_starts(psi: PureState, theorem1):
+    """Projective bases worth seeding the POVM search with, given the Theorem-1 candidate."""
     n_c = psi.dims[2]
     cands = [np.eye(n_c, dtype=complex)]
-    theorem1 = None
-    if n_c == 2:
-        cands.append(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
-        try:
-            meas, _ = theorem1_measurement(psi)
-            theorem1 = average_post_measurement(psi, meas, m), meas
-            if len(meas.elements) == 2:
-                cands.append(
-                    np.column_stack([_principal_vector(e) for e in meas.elements])
-                )
-            for side in ("A", "B"):
-                cands.append(commuting_charlie_basis(psi, side).basis)
-        except (ArithmeticError, InputError):
-            pass
-    return cands, theorem1
+    if n_c != 2:
+        return cands
+    cands.append(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+    if theorem1 is None:
+        return cands
+    meas = theorem1[1]
+    if len(meas.elements) == 2:
+        cands.append(np.column_stack([_principal_vector(e) for e in meas.elements]))
+    try:
+        for side in ("A", "B"):
+            cands.append(commuting_charlie_basis(psi, side).basis)
+    except (ArithmeticError, InputError):
+        pass
+    return cands
 
 
 def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None):
@@ -629,10 +637,15 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
-    budget = budget or SearchBudget()
+    return _eoa_search(psi, m, budget or SearchBudget(), _theorem1_candidate(psi, m))
+
+
+def _eoa_search(psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1):
+    """The search of ``eoa_numeric`` from a given Theorem-1 candidate (see
+    ``_theorem1_candidate``); ``analyze`` passes the one it has already built."""
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
-    cands, theorem1 = _informed_starts(psi, m)
+    cands = _informed_starts(psi, theorem1)
     rng = np.random.default_rng(budget.seed)
     x0 = np.array(
         [_params_from_vectors(c, n_c) for c in cands]
@@ -675,34 +688,22 @@ class Theorem1Report:
     cut_b: float
     constructive: float
     gap: float
-    numeric: float | None
 
 
-def verify_theorem1(
-    psi: PureState, tol: float, check_numeric: bool = False, budget=None
-) -> Theorem1Report:
+def verify_theorem1(psi: PureState, tol: float) -> Theorem1Report:
     """Check the constructive measurement saturates the min-cut E2 bound."""
     meas, avg = theorem1_measurement(psi)
     cut_a = cut_entanglement(psi, "A|BC", E2)
     cut_b = cut_entanglement(psi, "B|AC", E2)
     mincut = min(cut_a, cut_b)
     gap = abs(avg - mincut)
-    numeric = None
-    if check_numeric:
-        numeric, _ = eoa_numeric(psi, E2, budget or SMALL_BUDGET)
-        if numeric > mincut + tol:
-            raise VerificationError(
-                f"numeric EoA {numeric} exceeds min-cut {mincut}",
-                state=psi,
-                gap=numeric - mincut,
-            )
     if gap > tol:
         raise VerificationError(
             f"constructive average {avg} misses min-cut {mincut} by {gap:.3e}",
             state=psi,
             gap=gap,
         )
-    return Theorem1Report(cut_a=cut_a, cut_b=cut_b, constructive=avg, gap=gap, numeric=numeric)
+    return Theorem1Report(cut_a=cut_a, cut_b=cut_b, constructive=avg, gap=gap)
 
 
 def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> LosslessVerdict:
@@ -974,13 +975,7 @@ def eoa_density(rho: DensityMatrix) -> float:
     """
     psi = purify_with_qubit(rho)
     meas, avg = theorem1_measurement(psi)
-    rho_a = np.linalg.eigvalsh(
-        rho.entries.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    )
-    rho_b = np.linalg.eigvalsh(
-        rho.entries.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-    )
-    expected = 2.0 * min(rho_a[0], rho_b[0])
+    expected = 2.0 * min_marginal_eigenvalue(rho.entries)
     if abs(avg - expected) > 1e-8:
         raise VerificationError(
             f"assistance value {avg} misses 2*min marginal eigenvalue {expected}",
@@ -1036,7 +1031,7 @@ def analyze(
     cut_b = cut_entanglement(psi, "B|AC", m)
     meas, _ = theorem1_measurement(psi)
     constructive = average_post_measurement(psi, meas, m)
-    numeric, _ = eoa_numeric(psi, m, budget or SMALL_BUDGET)
+    numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, (constructive, meas))
     eoc = eoc_lower_bound_search(psi, m, budget) if with_eoc else None
     cut = "A|BC" if cut_a <= cut_b else "B|AC"
     verdict = lossless_classifier(psi, cut, tol=1e-7)

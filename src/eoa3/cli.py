@@ -13,37 +13,12 @@ import sys
 
 import numpy as np
 
-from . import assistance, ensembles, monotones, states
-from .assistance import (
-    Measurement,
-    SearchBudget,
-    VerificationError,
-    corollary_check,
-    eoa_density,
-    lossless_classifier,
-    unital_fixed_point_check,
-    verify_theorem1,
-)
-from .monotones import (
-    MonotoneSpec,
-    pure_cut_concurrence,
-    three_tangle,
-    wootters_concurrence,
-)
-from .qcore import (
-    DensityMatrix,
-    InputError,
-    PureState,
-    density_from_json,
-    haar_random_pure,
-    haar_random_unitary,
-    random_density_matrix,
-    reduced_density,
-    state_from_json,
-    state_to_json,
-)
+from . import assistance, ensembles, monotones, states, verify
+from .assistance import Measurement, SearchBudget
+from .monotones import MonotoneSpec
+from .qcore import InputError, PureState, density_from_json, state_from_json, state_to_json
 
-VERIFY_TARGETS = ("thm1", "thm2", "prop2", "corollary", "appendixB", "ckw", "eq37")
+VERIFY_TARGETS = tuple(verify.TRIALS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,18 +34,16 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--monotone", default="e2")
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--budget", type=int, default=2000)
-    analyze.add_argument("--tol", type=float, default=1e-7)
     analyze.add_argument("--out")
     analyze.add_argument("--format", choices=("json", "csv"), default="json")
 
-    verify = sub.add_parser("verify", help="Monte Carlo verification suites")
-    verify.add_argument("target", choices=VERIFY_TARGETS)
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=1e-7)
-    verify.add_argument("--budget", type=int, default=400)
-    verify.add_argument("--out")
-    verify.add_argument("--format", choices=("json", "csv"), default="json")
+    verify_parser = sub.add_parser("verify", help="Monte Carlo verification suites")
+    verify_parser.add_argument("target", choices=VERIFY_TARGETS)
+    verify_parser.add_argument("--trials", type=int, default=100)
+    verify_parser.add_argument("--seed", type=int, default=0)
+    verify_parser.add_argument("--tol", type=float, default=1e-7)
+    verify_parser.add_argument("--out")
+    verify_parser.add_argument("--format", choices=("json", "csv"), default="json")
 
     decompose = sub.add_parser("decompose", help="ensemble decompositions of a density matrix")
     decompose.add_argument("--rho", required=True, help="path to a density-matrix JSON file")
@@ -115,151 +88,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verification suites.  Each trial function returns (ok, row_dict); row_dict
-# holds the per-trial values for CSV output and counterexample reporting.
-
-
-def _trial_thm1(seed, tol, budget):
-    psi = haar_random_pure((2, 2, 2), seed)
-    try:
-        rep = verify_theorem1(psi, tol)
-        return True, {"gap": rep.gap, "mincut": min(rep.cut_a, rep.cut_b)}, psi
-    except VerificationError as exc:
-        return False, {"gap": exc.gap}, psi
-
-
-def _trial_thm2(seed, tol, budget):
-    psi = states.generate(states.FamilySpec(kind="thm2", seed=seed))
-    verdict = lossless_classifier(psi, "A|BC", tol=max(tol, 1e-8))
-    ok = verdict.kind in ("lossless", "decoupled")
-    return ok, {"verdict": verdict.kind, "objective": verdict.objective}, psi
-
-
-def _random_prop2_instance(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 4))
-    probs = rng.uniform(0.1, 1.0, n)
-    probs /= probs.sum()
-    if seed % 2 == 0:
-        v = haar_random_unitary(2, seed)
-        h_evals = np.sort(rng.uniform(0.0, 1.0, 2))[::-1]
-        h = v @ np.diag(h_evals).astype(complex) @ v.conj().T
-        us = [np.eye(2, dtype=complex)] + [
-            v @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))) @ v.conj().T
-            for _ in range(n - 1)
-        ]
-    else:
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = 0.5 * (g + g.conj().T)
-        us = [np.eye(2, dtype=complex)] + [
-            haar_random_unitary(2, int(rng.integers(2**32))) for _ in range(n - 1)
-        ]
-    return h, probs, us
-
-
-def _trial_prop2(seed, tol, budget):
-    h, probs, us = _random_prop2_instance(seed)
-    preserved, commutes = unital_fixed_point_check(h, probs, us)
-    ok = preserved == commutes
-    if ok and preserved:
-        # Shared-eigenvector consistency: each rotated copy keeps H's principal
-        # eigenvector as an eigenvector.
-        _, evecs = np.linalg.eigh(h)
-        v = evecs[:, -1]
-        for u in us:
-            term = u @ h @ u.conj().T
-            resid = term @ v - (v.conj() @ term @ v) * v
-            if np.linalg.norm(resid) > 1e-9:
-                ok = False
-    return ok, {"preserved": preserved, "commutes": commutes}, None
-
-
-def _trial_corollary(seed, tol, budget):
-    rng = np.random.default_rng(seed)
-    spec = states.FamilySpec(
-        kind="eq21",
-        p=float(rng.uniform(0.1, 0.9)),
-        overlap=complex(rng.uniform(-0.95, 0.95)),
-    )
-    sym = states.generate(spec)
-    rep = corollary_check(sym, max(tol, 1e-6))
-    ok = rep.i and rep.ii and rep.iii
-    haar = haar_random_pure((2, 2, 2), seed + 10**9)
-    rep2 = corollary_check(haar, max(tol, 1e-6), check_swap=False)
-    ok = ok and (rep2.i == rep2.iii)
-    return ok, {"symmetric_all": rep.i and rep.ii and rep.iii, "haar_i": rep2.i, "haar_iii": rep2.iii}, sym
-
-
-def _trial_appendix_b(seed, tol, budget):
-    rho = _mixed_marginal_density(seed)
-    ens = ensembles.entangled_decomposition(rho)
-    concs = [monotones.concurrence_pure(s) for _, s in ens.elements]
-    mix = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in ens.elements)
-    recon = float(np.max(np.abs(mix - rho.entries)))
-    ok = min(concs) > 0 and recon <= 1e-10 and ensembles.s0_assistance(rho) == 1.0
-    return ok, {"min_concurrence": min(concs), "reconstruction": recon}, None
-
-
-def _mixed_marginal_density(seed) -> DensityMatrix:
-    rank = 2 + seed % 3
-    bump = 0
-    while True:
-        rho = random_density_matrix(4, rank, seed + bump * 10**7)
-        red_a = rho.entries.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        red_b = rho.entries.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-        if min(np.linalg.eigvalsh(red_a)[0], np.linalg.eigvalsh(red_b)[0]) > 1e-6:
-            return rho
-        bump += 1
-
-
-def _trial_ckw(seed, tol, budget):
-    psi = haar_random_pure((2, 2, 2), seed)
-    tau = three_tangle(psi)
-    c_ac = wootters_concurrence(reduced_density(psi, (0, 2)))
-    c_bc = wootters_concurrence(reduced_density(psi, (1, 2)))
-    lhs = c_ac**2 - c_bc**2
-    rhs = pure_cut_concurrence(psi, "A|BC") ** 2 - pure_cut_concurrence(psi, "B|AC") ** 2
-    ok = tau >= -1e-9 and abs(lhs - rhs) <= 1e-8
-    return ok, {"tau": tau, "difference_identity": abs(lhs - rhs)}, psi
-
-
-def _trial_eq37(seed, tol, budget):
-    psi = haar_random_pure((2, 2, 2), seed)
-    rho = reduced_density(psi, (0, 1))
-    try:
-        value = eoa_density(rho)
-        red_a = rho.entries.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        red_b = rho.entries.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-        expected = 2.0 * min(np.linalg.eigvalsh(red_a)[0], np.linalg.eigvalsh(red_b)[0])
-        ok = abs(value - expected) <= max(tol, 1e-8)
-        return ok, {"value": value, "expected": expected}, psi
-    except VerificationError as exc:
-        return False, {"gap": exc.gap}, psi
-
-
-_TRIALS = {
-    "thm1": _trial_thm1,
-    "thm2": _trial_thm2,
-    "prop2": _trial_prop2,
-    "corollary": _trial_corollary,
-    "appendixB": _trial_appendix_b,
-    "ckw": _trial_ckw,
-    "eq37": _trial_eq37,
-}
-
-
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise InputError("trials must be >= 1")
     if args.tol <= 0:
         raise InputError("tol must be positive")
-    trial_fn = _TRIALS[args.target]
+    trial_fn = verify.TRIALS[args.target]
     rows = []
     failures = 0
     first_counterexample = None
     for i in range(args.trials):
-        ok, row, witness = trial_fn(args.seed + i, args.tol, args.budget)
+        ok, row, witness = trial_fn(args.seed + i, args.tol)
         row = {"trial": i, "seed": args.seed + i, "ok": ok, **row}
         rows.append(row)
         if not ok:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .monotones import wootters_concurrence
-from .qcore import SIGMA_Y, DensityMatrix, InputError, PureState
+from .qcore import SIGMA_Y, DensityMatrix, InputError, PureState, min_marginal_eigenvalue
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -292,9 +292,7 @@ def entangled_decomposition(rho: DensityMatrix) -> Ensemble:
     """Decomposition with every element entangled; needs both marginals mixed."""
     if rho.dim != 4:
         raise InputError("expected a two-qubit density matrix")
-    red_a = rho.entries.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    red_b = rho.entries.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-    if np.linalg.eigvalsh(red_a)[0] <= 1e-9 or np.linalg.eigvalsh(red_b)[0] <= 1e-9:
+    if min_marginal_eigenvalue(rho.entries) <= 1e-9:
         raise InputError(
             "a reduced state is pure; no fully entangled decomposition exists"
         )
@@ -351,9 +349,7 @@ def s0_assistance(rho: DensityMatrix) -> float:
     """Assisted value of the rank step measure: 1 iff an all-entangled ensemble exists."""
     if rho.dim != 4:
         raise InputError("expected a two-qubit density matrix")
-    red_a = rho.entries.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    red_b = rho.entries.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-    lam = min(np.linalg.eigvalsh(red_a)[0], np.linalg.eigvalsh(red_b)[0])
+    lam = min_marginal_eigenvalue(rho.entries)
     if rho.purity() > 1.0 - 1e-10:
         verdict = 1.0 if wootters_concurrence(rho) > 1e-9 else 0.0
     elif lam > 1e-9:

@@ -16,8 +16,6 @@ from .qcore import (
     DensityMatrix,
     InputError,
     PureState,
-    bloch_vector,
-    eig_hermitian,
     reduced_density,
     schmidt_decompose,
 )
@@ -30,8 +28,10 @@ S0_RANK_TOL = 1e-10
 class MonotoneSpec:
     """Tagged choice of entanglement monotone.
 
-    kind is one of "e2", "kyfan", "entropy", "s0", "concurrence", "gconc";
-    ``k`` applies to Ky-Fan, ``alpha`` to the entropy family.
+    kind is one of "e2", "kyfan", "entropy", "s0", "concurrence";
+    ``k`` applies to Ky-Fan, ``alpha`` to the entropy family.  On two-level
+    spectra the G-concurrence equals the concurrence, so ``parse`` reads
+    "gconc" as "concurrence".
     """
 
     kind: str
@@ -39,7 +39,7 @@ class MonotoneSpec:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("e2", "kyfan", "entropy", "s0", "concurrence", "gconc"):
+        if self.kind not in ("e2", "kyfan", "entropy", "s0", "concurrence"):
             raise InputError(f"unknown monotone kind {self.kind!r}")
         if self.kind == "kyfan" and (self.k is None or self.k < 1):
             raise InputError("Ky-Fan monotone needs k >= 1")
@@ -52,7 +52,7 @@ class MonotoneSpec:
     def strictly_concave(self) -> bool:
         if self.kind == "entropy":
             return self.alpha > 0.0
-        return self.kind in ("concurrence", "gconc")
+        return self.kind == "concurrence"
 
     def eigenvalue_fn(self, lam: float) -> float:
         """f(lambda_min) for a two-level Schmidt spectrum (lam, 1 - lam)."""
@@ -67,7 +67,7 @@ class MonotoneSpec:
             if self.k == 1:
                 return np.ones_like(lam)
             return lam
-        if self.kind in ("concurrence", "gconc"):
+        if self.kind == "concurrence":
             return 2.0 * np.sqrt(lam * (1.0 - lam))
         if self.kind == "s0" or self.alpha < S0_RANK_TOL:
             return np.where(lam < S0_RANK_TOL, 0.0, 1.0)
@@ -88,10 +88,8 @@ class MonotoneSpec:
             return MonotoneSpec("e2")
         if text == "s0":
             return MonotoneSpec("s0")
-        if text == "concurrence":
+        if text in ("concurrence", "gconc"):
             return MonotoneSpec("concurrence")
-        if text == "gconc":
-            return MonotoneSpec("gconc")
         if text.startswith("ek:"):
             return MonotoneSpec("kyfan", k=int(text[3:]))
         if text.startswith("entropy:"):
@@ -113,17 +111,21 @@ def _entropy_of_spectrum(spectrum: np.ndarray, alpha: float) -> np.ndarray:
     return np.log2(np.sum(np.where(kept, safe**alpha, 0.0), axis=0)) / (1.0 - alpha)
 
 
-def _two_qubit_marginal_spectrum(phi: PureState) -> np.ndarray:
+def _schmidt_min(psi: PureState, cut) -> float:
+    """Smallest squared Schmidt coefficient across ``cut | rest`` (0 for a one-term form)."""
+    sf = schmidt_decompose(psi, cut=cut)
+    return float(sf.coefficients[-1]) if len(sf.coefficients) > 1 else 0.0
+
+
+def _two_qubit_schmidt_min(phi: PureState) -> float:
     if phi.dims != (2, 2):
         raise InputError("expected a two-qubit pure state")
-    m = phi.amplitudes.reshape(2, 2)
-    evals, _ = eig_hermitian(m @ m.conj().T)
-    return np.clip(evals, 0.0, 1.0)
+    return _schmidt_min(phi, (0,))
 
 
 def e2(phi: PureState) -> float:
     """Twice the smallest marginal eigenvalue; the optimal Bell-conversion probability."""
-    return float(2.0 * _two_qubit_marginal_spectrum(phi)[-1])
+    return E2.eigenvalue_fn(_two_qubit_schmidt_min(phi))
 
 
 def ky_fan(phi: PureState, k: int) -> float:
@@ -145,17 +147,12 @@ def entropy_alpha(phi: PureState, alpha: float) -> float:
 
 
 def concurrence_pure(phi: PureState) -> float:
-    """2 sqrt(lam_min (1 - lam_min)), computed as 2|det| for full precision."""
-    if phi.dims != (2, 2):
-        raise InputError("expected a two-qubit pure state")
-    m = phi.amplitudes.reshape(2, 2)
-    return float(2.0 * abs(np.linalg.det(m)))
+    """2 sqrt(lam_min (1 - lam_min)) of a two-qubit pure state."""
+    return CONCURRENCE.eigenvalue_fn(_two_qubit_schmidt_min(phi))
 
 
-def g_concurrence(phi: PureState) -> float:
-    m = phi.amplitudes.reshape(2, 2)
-    det = np.linalg.det(m @ m.conj().T).real
-    return float(2.0 * np.sqrt(max(det, 0.0)))
+# The G-concurrence 2 sqrt(det rho_A) of a two-qubit pure state is its concurrence.
+g_concurrence = concurrence_pure
 
 
 def spin_flip(rho_entries: np.ndarray) -> np.ndarray:
@@ -195,16 +192,12 @@ def cut_entanglement(psi: PureState, cut: str, m: MonotoneSpec) -> float:
     """Evaluate the monotone across a bipartite cut of a three-party pure state."""
     if cut not in _CUTS:
         raise InputError(f"cut must be one of {sorted(_CUTS)}")
-    sf = schmidt_decompose(psi, cut=_CUTS[cut])
-    lam_min = float(sf.coefficients[-1]) if len(sf.coefficients) > 1 else 0.0
-    return m.eigenvalue_fn(lam_min)
+    return m.eigenvalue_fn(_schmidt_min(psi, _CUTS[cut]))
 
 
 def pure_cut_concurrence(psi: PureState, cut: str) -> float:
     """Concurrence of a single party versus the remaining two, 2 sqrt(det rho)."""
-    rho = reduced_density(psi, _CUTS[cut])
-    det = np.linalg.det(rho.entries).real
-    return float(2.0 * np.sqrt(max(det, 0.0)))
+    return CONCURRENCE.eigenvalue_fn(_schmidt_min(psi, _CUTS[cut]))
 
 
 def three_tangle(psi: PureState) -> float:

@@ -18,21 +18,8 @@ class InputError(ValueError):
     """Raised when an argument violates an operation's precondition."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerances used across the package."""
-
-    norm: float = 1e-12
-    hermitian: float = 1e-12
-    psd: float = 1e-12
-    trace: float = 1e-12
-    schmidt: float = 1e-10
-    bloch: float = 1e-12
-    commutator: float = 1e-9
-    rank: float = 1e-10
-
-
-TOL = Tolerances()
+# A state whose norm is off by more than this is renormalized on construction.
+NORM_TOL = 1e-12
 
 # Pauli matrices, used throughout for qubit geometry.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -68,7 +55,7 @@ class PureState:
             raise InputError("state amplitudes must be finite")
         if abs(nrm - 1.0) > 1e-10:
             raise InputError(f"state norm {nrm} is not 1")
-        if abs(nrm - 1.0) > TOL.norm:
+        if abs(nrm - 1.0) > NORM_TOL:
             amps = _frozen_array(amps / nrm)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -82,10 +69,6 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix.from_matrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def reduced(self, keep) -> "DensityMatrix":
-        """Reduced density matrix on the kept subsystems."""
-        return reduced_density(self, keep)
 
 
 @dataclass(frozen=True)
@@ -194,6 +177,14 @@ def reduced_density(psi: PureState, keep) -> DensityMatrix:
     return DensityMatrix.from_matrix(mat @ mat.conj().T)
 
 
+def min_marginal_eigenvalue(entries: np.ndarray) -> float:
+    """Smaller of the two single-qubit marginals' minimum eigenvalues of a 4x4 two-qubit matrix."""
+    t = entries.reshape(2, 2, 2, 2)
+    red_a = t.trace(axis1=1, axis2=3)
+    red_b = t.trace(axis1=0, axis2=2)
+    return float(min(np.linalg.eigvalsh(red_a)[0], np.linalg.eigvalsh(red_b)[0]))
+
+
 def schmidt_decompose(psi: PureState, cut) -> SchmidtForm:
     """SVD of the amplitude matrix across the bipartition ``cut | rest``."""
     if psi.num_subsystems < 2:
@@ -287,21 +278,6 @@ def _eig_hermitian_2x2(h: np.ndarray):
     v0 /= np.linalg.norm(v0)
     v1 = np.array([-np.conj(v0[1]), np.conj(v0[0])], dtype=complex)
     return evals, np.column_stack([v0, v1])
-
-
-def lambda_min(rho: DensityMatrix) -> float:
-    evals, _ = eig_hermitian(rho.entries)
-    return float(evals[-1])
-
-
-def canonical_phase(amplitudes: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible amplitude is real > 0."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    idx = np.argmax(np.abs(amps) > 1e-12)
-    a = amps[idx]
-    if abs(a) < 1e-12:
-        return amps.copy()
-    return amps * (np.conj(a) / abs(a))
 
 
 def fidelity(a: PureState, b: PureState) -> float:

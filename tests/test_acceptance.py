@@ -10,36 +10,22 @@ import numpy as np
 
 from eoa3.assistance import (
     SearchBudget,
-    VerificationError,
     corollary_check,
-    eoa_density,
     eoa_numeric,
     lossless_classifier,
     theorem1_measurement,
-    unital_fixed_point_check,
-    verify_theorem1,
 )
-from eoa3.cli import _mixed_marginal_density, _random_prop2_instance
-from eoa3.ensembles import (
-    convex_roof_concurrence,
-    entangled_decomposition,
-    s0_assistance,
-)
+from eoa3.ensembles import convex_roof_concurrence
 from eoa3.monotones import (
     E2,
     ENTROPY_1,
-    concurrence_pure,
     cut_entanglement,
-    pure_cut_concurrence,
     three_tangle,
     wootters_concurrence,
 )
-from eoa3.qcore import (
-    haar_random_pure,
-    random_density_matrix,
-    reduced_density,
-)
+from eoa3.qcore import haar_random_pure, random_density_matrix
 from eoa3.states import FamilySpec, generate, ghz_state, w_state
+from eoa3.verify import TRIALS
 
 FAST_BUDGET = SearchBudget(random_starts=1, max_evals=200)
 
@@ -58,13 +44,10 @@ def test_criterion_01_theorem1_saturation():
     worst = 0.0
     ok = True
     for seed in range(10_000):
-        psi = haar_random_pure((2, 2, 2), seed)
-        try:
-            rep = verify_theorem1(psi, 1e-7)
-        except VerificationError:
-            ok = False
+        ok, row, _ = TRIALS["thm1"](seed, 1e-7)
+        if not ok:
             break
-        worst = max(worst, rep.gap)
+        worst = max(worst, row["gap"])
     elapsed = time.time() - start
     print(f"  worst gap {worst:.3e}, {elapsed:.1f}s for 10000 states")
     report(1, "constructive measurement saturates the min-cut", ok and worst <= 1e-7 and elapsed <= 300)
@@ -96,10 +79,8 @@ def test_criterion_03_golden_values():
 def test_criterion_04_lossless_family_positive():
     ok = True
     for seed in range(1000):
-        psi = generate(FamilySpec(kind="thm2", seed=seed))
-        verdict = lossless_classifier(psi, "A|BC", 1e-8)
-        if verdict.kind not in ("lossless", "decoupled"):
-            ok = False
+        ok, _, psi = TRIALS["thm2"](seed, 1e-8)
+        if not ok:
             break
         val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
         if val < cut_entanglement(psi, "A|BC", ENTROPY_1) - 1e-4:
@@ -126,9 +107,7 @@ def test_criterion_05_lossy_negative_cases():
 def test_criterion_06_fixed_point_equivalence():
     disagreements = 0
     for seed in range(10_000):
-        h, probs, us = _random_prop2_instance(seed)
-        preserved, commutes = unital_fixed_point_check(h, probs, us)
-        if preserved != commutes:
+        if not TRIALS["prop2"](seed, 1e-7)[0]:
             disagreements += 1
     report(6, "minimum-eigenvalue preservation equals commutation", disagreements == 0)
 
@@ -137,18 +116,7 @@ def test_criterion_07_ckw_and_cut_symmetry():
     ok = abs(three_tangle(ghz_state()) - 1.0) <= 1e-9
     ok = ok and abs(three_tangle(w_state())) <= 1e-7
     for seed in range(10_000):
-        psi = haar_random_pure((2, 2, 2), 60_000 + seed)
-        if three_tangle(psi) < -1e-9:
-            ok = False
-            break
-        c_ac = wootters_concurrence(reduced_density(psi, (0, 2)))
-        c_bc = wootters_concurrence(reduced_density(psi, (1, 2)))
-        lhs = c_ac**2 - c_bc**2
-        rhs = (
-            pure_cut_concurrence(psi, "A|BC") ** 2
-            - pure_cut_concurrence(psi, "B|AC") ** 2
-        )
-        if abs(lhs - rhs) > 1e-8:
+        if not TRIALS["ckw"](60_000 + seed, 1e-7)[0]:
             ok = False
             break
     rng = np.random.default_rng(1)
@@ -176,19 +144,7 @@ def test_criterion_07_ckw_and_cut_symmetry():
 def test_criterion_08_density_restatement():
     ok = True
     for seed in range(1000):
-        psi = haar_random_pure((2, 2, 2), 100_000 + seed)
-        rho = reduced_density(psi, (0, 1))
-        try:
-            value = eoa_density(rho)
-        except VerificationError:
-            ok = False
-            break
-        red_a = rho.entries.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        red_b = rho.entries.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-        expected = 2.0 * min(
-            np.linalg.eigvalsh(red_a)[0], np.linalg.eigvalsh(red_b)[0]
-        )
-        if abs(value - expected) > 1e-7:
+        if not TRIALS["eq37"](100_000 + seed, 1e-7)[0]:
             ok = False
             break
     report(8, "rank-2 density assistance equals twice the smaller eigenvalue", ok)
@@ -197,14 +153,7 @@ def test_criterion_08_density_restatement():
 def test_criterion_09_entangled_decompositions():
     ok = True
     for seed in range(1000):
-        rho = _mixed_marginal_density(120_000 + seed)
-        ens = entangled_decomposition(rho)
-        mix = sum(
-            w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in ens.elements
-        )
-        recon = float(np.max(np.abs(mix - rho.entries)))
-        concs = [concurrence_pure(s) for _, s in ens.elements]
-        if min(concs) <= 0 or recon > 1e-10 or s0_assistance(rho) != 1.0:
+        if not TRIALS["appendixB"](120_000 + seed, 1e-7)[0]:
             ok = False
             break
     report(9, "all-entangled decompositions with exact reconstruction", ok)

@@ -10,6 +10,7 @@ from eoa3.assistance import (
     _lockstep_nelder_mead,
     _params_from_vectors,
     _povm_objective_batch,
+    _theorem1_candidate,
     average_post_measurement,
     commuting_charlie_basis,
     corollary_check,
@@ -223,7 +224,7 @@ def test_povm_objective_batch_matches_loop(psi):
     # agree to 64 ulp of 1.
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
-    cands, _ = _informed_starts(psi, E2)
+    cands = _informed_starts(psi, _theorem1_candidate(psi, E2))
     rows = np.vstack(
         [np.random.default_rng(0).standard_normal((20, 8 * n_c))]
         + [_params_from_vectors(c, n_c) for c in cands]
@@ -367,3 +368,26 @@ def test_report_hierarchy_invariant():
             "measurement",
             "certificate",
         }
+
+
+def test_analyze_builds_and_scores_theorem1_once(monkeypatch, capsys):
+    import json
+
+    from eoa3 import assistance
+    from eoa3.cli import main
+
+    calls = dict.fromkeys(("theorem1_measurement", "average_post_measurement"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(assistance, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(assistance, name, counted)
+    assert main(["analyze", "--family", "haar", "--monotone", "entropy:1", "--seed", "5"]) == 0
+    assert calls == {"theorem1_measurement": 1, "average_post_measurement": 2}
+    monkeypatch.undo()
+    # The report's numeric value is the one eoa_numeric finds with the CLI's budget.
+    psi = generate(FamilySpec(kind="haar", seed=5))
+    budget = SearchBudget(random_starts=2, max_evals=2000, seed=5)
+    assert json.loads(capsys.readouterr().out)["eoaNumeric"] == eoa_numeric(psi, ENTROPY_1, budget)[0]

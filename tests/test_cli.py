@@ -142,3 +142,13 @@ def test_analyze_numeric_not_below_constructive(capsys, monotone, seed):
     assert code == 0
     payload = json.loads(out)
     assert payload["eoaNumeric"] >= payload["eoaConstructive"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "thm1", "--budget", "5"), ("analyze", "--family", "w", "--tol", "1e-7")]
+)
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -19,10 +19,13 @@ from eoa3.qcore import (
     DensityMatrix,
     InputError,
     PureState,
+    eig_hermitian,
     haar_random_pure,
+    haar_random_unitary,
     random_density_matrix,
+    reduced_density,
 )
-from eoa3.states import ghz_state, product_state, w_state
+from eoa3.states import bell_times_c, ghz_state, product_state, w_state
 
 
 def two_qubit(*amps):
@@ -129,6 +132,10 @@ def test_monotone_spec_parse_and_label():
     assert MonotoneSpec.parse("s0").label() == "s0"
     assert MonotoneSpec.parse("concurrence").strictly_concave
     assert MonotoneSpec.parse("gconc").strictly_concave
+    assert MonotoneSpec.parse("gconc") == CONCURRENCE
+    assert MonotoneSpec.parse("gconc").label() == "concurrence"
+    with pytest.raises(InputError):
+        MonotoneSpec("gconc")
     assert not E2.strictly_concave
     with pytest.raises(InputError):
         MonotoneSpec.parse("nonsense")
@@ -188,3 +195,50 @@ def test_eigenvalue_values_equal_scalar_formulas(text):
 def test_wootters_rejects_wrong_dimension():
     with pytest.raises(InputError):
         wootters_concurrence(random_density_matrix(2, 2, 0))
+
+
+# Smallest squared Schmidt coefficient of the near-product test states.
+NEAR_LAM = 1e-12
+
+
+def _local_rotation(seed):
+    return np.kron(haar_random_unitary(2, seed), haar_random_unitary(2, seed + 1))
+
+
+def test_pure_monotones_match_old_formulas():
+    """e2, concurrence_pure and g_concurrence against the per-function formulas they replaced."""
+    near = np.array([np.sqrt(1 - NEAR_LAM), 0, 0, np.sqrt(NEAR_LAM)])
+    states = [BELL, two_qubit(1, 0, 0, 0), PureState((2, 2), _local_rotation(3)[:, 0]), PureState((2, 2), near)]
+    states += [haar_random_pure((2, 2), seed) for seed in range(500)]
+    for phi in states:
+        m = phi.amplitudes.reshape(2, 2)
+        rho = m @ m.conj().T
+        assert abs(e2(phi) - 2.0 * np.clip(eig_hermitian(rho)[0], 0.0, 1.0)[-1]) <= 1e-14
+        assert abs(concurrence_pure(phi) - 2.0 * abs(np.linalg.det(m))) <= 1e-14
+        assert abs(g_concurrence(phi) - 2.0 * np.sqrt(max(np.linalg.det(rho).real, 0.0))) <= 1e-14
+
+
+def test_pure_monotones_near_product_in_rotated_frame():
+    # Locally rotated, the old 2 sqrt(det M M^dag) cancels to ~6e-11 here;
+    # 2 |det M|, 2 lam_min(M M^dag) and the Schmidt path keep full precision.
+    exact_c = 2.0 * np.sqrt(NEAR_LAM * (1 - NEAR_LAM))
+    for seed in range(0, 40, 2):
+        amps = _local_rotation(seed) @ np.array([np.sqrt(1 - NEAR_LAM), 0, 0, np.sqrt(NEAR_LAM)])
+        phi = PureState((2, 2), amps)
+        m = amps.reshape(2, 2)
+        assert abs(e2(phi) - 2.0 * eig_hermitian(m @ m.conj().T)[0][-1]) <= 1e-14
+        assert abs(e2(phi) - 2.0 * NEAR_LAM) <= 1e-14
+        assert abs(concurrence_pure(phi) - 2.0 * abs(np.linalg.det(m))) <= 1e-14
+        assert abs(concurrence_pure(phi) - exact_c) <= 1e-14
+        assert abs(g_concurrence(phi) - exact_c) <= 1e-14
+
+
+def test_pure_cut_concurrence_matches_old_formula():
+    near = np.zeros(8)
+    near[0], near[7] = np.sqrt(1 - NEAR_LAM), np.sqrt(NEAR_LAM)
+    states = [bell_times_c(), product_state(), PureState((2, 2, 2), near), ghz_state(), w_state()]
+    states += [haar_random_pure((2, 2, 2), seed) for seed in range(500)]
+    for psi in states:
+        for cut, party in (("A|BC", 0), ("B|AC", 1)):
+            det = np.linalg.det(reduced_density(psi, (party,)).entries).real
+            assert abs(pure_cut_concurrence(psi, cut) - 2.0 * np.sqrt(max(det, 0.0))) <= 1e-14
