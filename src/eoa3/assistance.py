@@ -32,9 +32,9 @@ from .qcore import (
     DensityMatrix,
     InputError,
     PureState,
-    bloch_vector,
     eig_hermitian,
     min_marginal_eigenvalue,
+    pauli_coefficients,
     reduced_density,
 )
 
@@ -140,20 +140,8 @@ _AB_PURE_TOL = 1e-12  # purity threshold for "Charlie already decoupled"
 def _pauli_data(psi: PureState, side: str):
     """(a, b, T) for the two-qubit reduction rho^{XC} with X = A or B."""
     keep = (0, 2) if side == "A" else (1, 2)
-    rho = reduced_density(psi, keep).entries
-    a = np.array(
-        [np.real(np.trace(rho @ np.kron(s, np.eye(2)))) for s in PAULIS]
-    )
-    b = np.array(
-        [np.real(np.trace(rho @ np.kron(np.eye(2), s))) for s in PAULIS]
-    )
-    T = np.array(
-        [
-            [np.real(np.trace(rho @ np.kron(si, sj))) for sj in PAULIS]
-            for si in PAULIS
-        ]
-    )
-    return a, b, T
+    r = pauli_coefficients(reduced_density(psi, keep).entries)
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
 
 
 def _ket_from_direction(n: np.ndarray) -> np.ndarray:
@@ -180,10 +168,16 @@ def _branch_matrices(psi: PureState, basis: np.ndarray):
     return [np.tensordot(t, basis[:, k].conj(), axes=([2], [0])) for k in range(basis.shape[1])]
 
 
-def _conditional_marginal(mat: np.ndarray, side: str) -> np.ndarray:
-    if side == "A":
-        return mat @ mat.conj().T
-    return mat.T @ mat.conj()
+def _conditional_marginals(psi: PureState, basis: np.ndarray, side: str):
+    """Branch matrices, their probabilities, and the normalized conditional
+    marginals on ``side`` (None where p < 1e-14) of measuring C in ``basis``."""
+    mats = _branch_matrices(psi, basis)
+    probs = np.array([np.real(np.trace(m @ m.conj().T)) for m in mats])
+    conds = [
+        None if p < 1e-14 else (m @ m.conj().T if side == "A" else m.T @ m.conj()) / p
+        for m, p in zip(mats, probs)
+    ]
+    return mats, probs, conds
 
 
 def _candidate_directions(a: np.ndarray, T: np.ndarray):
@@ -205,17 +199,12 @@ def _candidate_directions(a: np.ndarray, T: np.ndarray):
 
 
 def _basis_result(psi: PureState, basis: np.ndarray, side: str, decoupled: bool):
-    mats = _branch_matrices(psi, basis)
-    probs = np.array([np.real(np.trace(m @ m.conj().T)) for m in mats])
-    conds, blochs = [], []
-    for m, p in zip(mats, probs):
-        if p < 1e-14:
-            conds.append(0.5 * np.eye(2, dtype=complex))
-            blochs.append(np.zeros(3))
-            continue
-        rho = _conditional_marginal(m, side) / p
-        conds.append(rho)
-        blochs.append(bloch_vector(DensityMatrix.from_matrix(rho)).r)
+    mats, probs, marginals = _conditional_marginals(psi, basis, side)
+    conds = [0.5 * np.eye(2, dtype=complex) if c is None else c for c in marginals]
+    blochs = [
+        np.zeros(3) if c is None else pauli_coefficients(DensityMatrix.from_matrix(c).entries)[1:]
+        for c in marginals
+    ]
     comm = conds[0] @ conds[1] - conds[1] @ conds[0]
     residual = float(np.linalg.norm(comm))
     r1, r2 = blochs
@@ -266,30 +255,24 @@ def commuting_charlie_basis(psi: PureState, side: str) -> CommutingBasisResult:
 
 
 def _refine_basis_residual(psi, side, seed_result, decoupled):
-    n0 = _direction_of_basis(seed_result.basis)
-    x0 = np.array([np.arccos(np.clip(n0[2], -1, 1)), np.arctan2(n0[1], n0[0])])
-
     def objective(x):
-        n = np.array(
-            [np.sin(x[0]) * np.cos(x[1]), np.sin(x[0]) * np.sin(x[1]), np.cos(x[0])]
-        )
-        return _basis_result(psi, _antipodal_basis(n), side, decoupled).residual
+        return _basis_result(psi, _basis_at_angles(x), side, decoupled).residual
 
+    x0 = _ket_angles(seed_result.basis[:, 0])
     res = minimize(objective, x0, method="Nelder-Mead", options={"maxfev": 400, "xatol": 1e-12, "fatol": 1e-14})
-    n = np.array(
-        [
-            np.sin(res.x[0]) * np.cos(res.x[1]),
-            np.sin(res.x[0]) * np.sin(res.x[1]),
-            np.cos(res.x[0]),
-        ]
-    )
-    return _basis_result(psi, _antipodal_basis(n), side, decoupled)
+    return _basis_result(psi, _basis_at_angles(res.x), side, decoupled)
 
 
-def _direction_of_basis(basis: np.ndarray) -> np.ndarray:
-    k = basis[:, 0]
-    rho = np.outer(k, k.conj())
-    return np.array([np.real(np.trace(rho @ s)) for s in PAULIS])
+def _ket_angles(k: np.ndarray) -> np.ndarray:
+    """Polar and azimuthal angles of the Bloch vector of the qubit ket k."""
+    n = pauli_coefficients(np.outer(k, k.conj()))[1:]
+    return np.array([np.arccos(np.clip(n[2], -1, 1)), np.arctan2(n[1], n[0])])
+
+
+def _basis_at_angles(x: np.ndarray) -> np.ndarray:
+    """Antipodal basis along the direction with polar and azimuthal angles x."""
+    n = np.array([np.sin(x[0]) * np.cos(x[1]), np.sin(x[0]) * np.sin(x[1]), np.cos(x[0])])
+    return _antipodal_basis(n)
 
 
 def e_basis_from_etas(eta0: np.ndarray, eta1: np.ndarray, p: float) -> EBasisResult:
@@ -352,12 +335,21 @@ def theorem1_measurement(psi: PureState):
     Returns the measurement and its achieved average post-measurement E2,
     which equals min(E2 across A|BC, E2 across B|AC).
     """
+    meas, avg, _, _ = _theorem1(psi)
+    return meas, avg
+
+
+def _theorem1(psi: PureState):
+    """``theorem1_measurement`` plus the two E2 cuts its average is checked
+    against: (measurement, average, E2 across A|BC, E2 across B|AC)."""
     if psi.dims != (2, 2, 2):
         raise InputError("expected a three-qubit state")
+    cut_a = cut_entanglement(psi, "A|BC", E2)
+    cut_b = cut_entanglement(psi, "B|AC", E2)
     rho_ab = reduced_density(psi, (0, 1))
     if rho_ab.purity() > 1.0 - _AB_PURE_TOL:
         meas = Measurement.trivial()
-        return meas, average_post_measurement(psi, meas, E2)
+        return meas, average_post_measurement(psi, meas, E2), cut_a, cut_b
     res_a = commuting_charlie_basis(psi, "A")
     if res_a.alignment == "parallel":
         meas = Measurement.projective(res_a.basis)
@@ -368,37 +360,22 @@ def theorem1_measurement(psi: PureState):
         else:
             meas, _ = _eq21_measurement(psi, res_a)
     avg = average_post_measurement(psi, meas, E2)
-    mincut = min(cut_entanglement(psi, "A|BC", E2), cut_entanglement(psi, "B|AC", E2))
-    if abs(avg - mincut) > 5e-8 and len(meas.elements) == 2:
+    if abs(avg - min(cut_a, cut_b)) > 5e-8 and len(meas.elements) == 2:
         # Rare near-degenerate geometry: polish the projective basis locally.
         meas2 = _polish_projective(psi, meas)
         avg2 = average_post_measurement(psi, meas2, E2)
         if avg2 > avg:
             meas, avg = meas2, avg2
-    return meas, avg
+    return meas, avg, cut_a, cut_b
 
 
 def _polish_projective(psi: PureState, meas: Measurement) -> Measurement:
-    k0 = _principal_vector(meas.elements[0])
-    n0 = _direction_of_basis(np.column_stack([k0, k0]))
-    x0 = np.array([np.arccos(np.clip(n0[2], -1, 1)), np.arctan2(n0[1], n0[0])])
-
     def negavg(x):
-        n = np.array(
-            [np.sin(x[0]) * np.cos(x[1]), np.sin(x[0]) * np.sin(x[1]), np.cos(x[0])]
-        )
-        m = Measurement.projective(_antipodal_basis(n))
-        return -average_post_measurement(psi, m, E2)
+        return -average_post_measurement(psi, Measurement.projective(_basis_at_angles(x)), E2)
 
+    x0 = _ket_angles(_principal_vector(meas.elements[0]))
     res = minimize(negavg, x0, method="Nelder-Mead", options={"maxfev": 200, "xatol": 1e-12, "fatol": 1e-14})
-    n = np.array(
-        [
-            np.sin(res.x[0]) * np.cos(res.x[1]),
-            np.sin(res.x[0]) * np.sin(res.x[1]),
-            np.cos(res.x[0]),
-        ]
-    )
-    return Measurement.projective(_antipodal_basis(n))
+    return Measurement.projective(_basis_at_angles(res.x))
 
 
 def _principal_vector(matrix: np.ndarray) -> np.ndarray:
@@ -692,9 +669,7 @@ class Theorem1Report:
 
 def verify_theorem1(psi: PureState, tol: float) -> Theorem1Report:
     """Check the constructive measurement saturates the min-cut E2 bound."""
-    meas, avg = theorem1_measurement(psi)
-    cut_a = cut_entanglement(psi, "A|BC", E2)
-    cut_b = cut_entanglement(psi, "B|AC", E2)
+    _, avg, cut_a, cut_b = _theorem1(psi)
     mincut = min(cut_a, cut_b)
     gap = abs(avg - mincut)
     if gap > tol:
@@ -751,17 +726,9 @@ def _marginal_lambda_min(psi: PureState, party: int) -> float:
 
 def _marginal_preservation_objective(psi: PureState, basis: np.ndarray, side: str):
     target = reduced_density(psi, (0,) if side == "A" else (1,)).entries
-    mats = _branch_matrices(psi, basis)
-    probs = np.array([np.real(np.trace(mm @ mm.conj().T)) for mm in mats])
-    obj = 0.0
-    branches = []
-    for mm, p in zip(mats, probs):
-        if p < 1e-14:
-            branches.append(None)
-            continue
-        rho = _conditional_marginal(mm, side) / p
-        branches.append(mm / np.sqrt(p))
-        obj += p * float(np.linalg.norm(rho - target) ** 2)
+    mats, probs, conds = _conditional_marginals(psi, basis, side)
+    obj = sum(p * float(np.linalg.norm(c - target) ** 2) for p, c in zip(probs, conds) if c is not None)
+    branches = [None if c is None else mm / np.sqrt(p) for mm, p, c in zip(mats, probs, conds)]
     return float(obj), probs, branches
 
 

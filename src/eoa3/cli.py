@@ -1,8 +1,10 @@
 """Command-line interface: analysis, Monte Carlo verification, decompositions.
 
 Exit codes: 0 on success, 1 when a verification run finds a counterexample,
-2 on malformed input.  Reports are JSON with sorted keys so identical configs
-produce byte-identical output; the CSV format emits one row per trial.
+2 on malformed input, 3 on a numerical failure (an ``ArithmeticError``).
+Reports are JSON with sorted keys so identical configs produce byte-identical
+output; the CSV format emits one row per trial.  A ``verify`` summary's ``tol``
+is the one its trials applied (``verify.effective_tol``), null if none.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def cmd_verify(args) -> int:
         "target": args.target,
         "trials": args.trials,
         "failures": failures,
-        "tol": args.tol,
+        "tol": verify.effective_tol(args.target, args.tol),
         "seed": args.seed,
     }
     if first_counterexample is not None:
@@ -160,6 +162,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

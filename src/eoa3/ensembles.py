@@ -24,9 +24,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .monotones import wootters_concurrence
-from .qcore import SIGMA_Y, DensityMatrix, InputError, PureState, min_marginal_eigenvalue
-
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+from .qcore import SIGMA_YY, DensityMatrix, InputError, PureState, min_marginal_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def _subnormalized(elements, target: DensityMatrix | None = None) -> Ensemble:
 
 
 def _preconcurrence(y: np.ndarray) -> complex:
-    return y @ _YY @ y
+    return y @ SIGMA_YY @ y
 
 
 def _element_concurrence(y: np.ndarray) -> float:
@@ -170,7 +168,7 @@ def _takagi(tau: np.ndarray):
 def _preconcurrence_diagonal_vectors(rho: DensityMatrix):
     """Subnormalized vectors x_k with x_j^T (sy x sy) x_k = s_k delta_jk."""
     vmat = np.column_stack(_support_vectors(rho))
-    tau = vmat.T @ _YY @ vmat
+    tau = vmat.T @ SIGMA_YY @ vmat
     cols, values = _takagi(tau)
     xs = [vmat @ cols[:, k].conj() for k in range(cols.shape[1])]
     return xs, values
@@ -433,7 +431,7 @@ def convex_roof_concurrence(rho: DensityMatrix, starts: int = 6, max_evals: int 
         total = 0.0
         for k in range(4):
             z = psi @ w[:, k].conj()
-            total += abs(z @ _YY @ z)
+            total += abs(z @ SIGMA_YY @ z)
         return total
 
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    SIGMA_Y,
+    SIGMA_YY,
     DensityMatrix,
     InputError,
     PureState,
@@ -157,8 +157,7 @@ g_concurrence = concurrence_pure
 
 def spin_flip(rho_entries: np.ndarray) -> np.ndarray:
     """rho_tilde = (sy x sy) rho* (sy x sy) in the computational basis."""
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    return yy @ rho_entries.conj() @ yy
+    return SIGMA_YY @ rho_entries.conj() @ SIGMA_YY
 
 
 def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:

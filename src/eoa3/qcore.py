@@ -21,17 +21,21 @@ class InputError(ValueError):
 # A state whose norm is off by more than this is renormalized on construction.
 NORM_TOL = 1e-12
 
-# Pauli matrices, used throughout for qubit geometry.
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
 
 def _frozen_array(a, dtype=complex) -> np.ndarray:
     out = np.asarray(a, dtype=dtype).copy()
     out.setflags(write=False)
     return out
+
+
+# Pauli matrices, used throughout for qubit geometry: sigma_0 = I and
+# sigma_1..3 = X, Y, Z as one read-only (4, 2, 2) stack, the two-qubit products
+# PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu, and the spin flip sigma_y (x) sigma_y.
+PAULI_BASIS = _frozen_array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI_BASIS[1:]
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI_PRODUCTS = _frozen_array(np.einsum("mac,nbd->mnabcd", PAULI_BASIS, PAULI_BASIS).reshape(4, 4, 4, 4))
+SIGMA_YY = PAULI_PRODUCTS[2, 2]
 
 
 @dataclass(frozen=True)
@@ -204,11 +208,21 @@ def schmidt_decompose(psi: PureState, cut) -> SchmidtForm:
     )
 
 
+def pauli_coefficients(entries: np.ndarray) -> np.ndarray:
+    """Re tr(rho sigma_mu (x) sigma_nu) as a 4x4 matrix R for each 4x4 rho (Bloch
+    vectors R[1:, 0] and R[0, 1:], correlations R[1:, 1:]), Re tr(rho sigma_mu)
+    as a 4-vector for each 2x2 rho; leading axes are a stack of inputs."""
+    if entries.shape[-2:] == (4, 4):
+        return np.einsum("...ij,mnji->...mn", entries, PAULI_PRODUCTS).real
+    if entries.shape[-2:] == (2, 2):
+        return np.einsum("...ij,mji->...m", entries, PAULI_BASIS).real
+    raise InputError(f"Pauli expansion needs 2x2 or 4x4 matrices, got {entries.shape}")
+
+
 def bloch_vector(rho: DensityMatrix) -> BlochVector:
     if rho.dim != 2:
         raise InputError("Bloch vector is defined for qubits only")
-    r = np.array([np.real(np.trace(rho.entries @ s)) for s in PAULIS])
-    return BlochVector(r)
+    return BlochVector(pauli_coefficients(rho.entries)[1:])
 
 
 def from_bloch(r: BlochVector) -> DensityMatrix:

@@ -17,11 +17,20 @@ import numpy as np
 from . import assistance, ensembles, monotones, qcore, states
 from .assistance import VerificationError
 
+# The least tolerance each target compares against (thm1 has none).  Targets
+# absent here (prop2, appendixB, ckw) ignore tol for fixed thresholds.
+TOL_FLOORS = {"thm1": 0.0, "thm2": 1e-8, "corollary": 1e-6, "eq37": 1e-8}
+
+
+def effective_tol(target, tol):
+    """The tolerance ``target``'s trial applies for a requested ``tol``; None for fixed thresholds."""
+    return max(tol, TOL_FLOORS[target]) if target in TOL_FLOORS else None
+
 
 def _trial_thm1(seed, tol):
     psi = qcore.haar_random_pure((2, 2, 2), seed)
     try:
-        rep = assistance.verify_theorem1(psi, tol)
+        rep = assistance.verify_theorem1(psi, effective_tol("thm1", tol))
         return True, {"gap": rep.gap, "mincut": min(rep.cut_a, rep.cut_b)}, psi
     except VerificationError as exc:
         return False, {"gap": exc.gap}, psi
@@ -29,7 +38,7 @@ def _trial_thm1(seed, tol):
 
 def _trial_thm2(seed, tol):
     psi = states.generate(states.FamilySpec(kind="thm2", seed=seed))
-    verdict = assistance.lossless_classifier(psi, "A|BC", tol=max(tol, 1e-8))
+    verdict = assistance.lossless_classifier(psi, "A|BC", tol=effective_tol("thm2", tol))
     ok = verdict.kind in ("lossless", "decoupled")
     return ok, {"verdict": verdict.kind, "objective": verdict.objective}, psi
 
@@ -86,10 +95,11 @@ def _trial_corollary(seed, tol):
         overlap=complex(rng.uniform(-0.95, 0.95)),
     )
     sym = states.generate(spec)
-    rep = assistance.corollary_check(sym, max(tol, 1e-6))
+    tol = effective_tol("corollary", tol)
+    rep = assistance.corollary_check(sym, tol)
     ok = rep.i and rep.ii and rep.iii
     haar = qcore.haar_random_pure((2, 2, 2), seed + 10**9)
-    rep2 = assistance.corollary_check(haar, max(tol, 1e-6), check_swap=False)
+    rep2 = assistance.corollary_check(haar, tol, check_swap=False)
     ok = ok and (rep2.i == rep2.iii)
     return ok, {"symmetric_all": rep.i and rep.ii and rep.iii, "haar_i": rep2.i, "haar_iii": rep2.iii}, sym
 
@@ -136,7 +146,7 @@ def _trial_eq37(seed, tol):
     try:
         value = assistance.eoa_density(rho)
         expected = 2.0 * qcore.min_marginal_eigenvalue(rho.entries)
-        ok = abs(value - expected) <= max(tol, 1e-8)
+        ok = abs(value - expected) <= effective_tol("eq37", tol)
         return ok, {"value": value, "expected": expected}, psi
     except VerificationError as exc:
         return False, {"gap": exc.gap}, psi

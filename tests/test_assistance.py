@@ -8,6 +8,7 @@ from eoa3.assistance import (
     VerificationError,
     _informed_starts,
     _lockstep_nelder_mead,
+    _pauli_data,
     _params_from_vectors,
     _povm_objective_batch,
     _theorem1_candidate,
@@ -25,10 +26,12 @@ from eoa3.assistance import (
 )
 from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, cut_entanglement
 from eoa3.qcore import (
+    PAULIS,
     DensityMatrix,
     InputError,
     PureState,
     haar_random_pure,
+    haar_random_unitary,
     reduced_density,
 )
 from eoa3.states import FamilySpec, bell_times_c, generate, ghz_state, product_state, w_state
@@ -391,3 +394,37 @@ def test_analyze_builds_and_scores_theorem1_once(monkeypatch, capsys):
     psi = generate(FamilySpec(kind="haar", seed=5))
     budget = SearchBudget(random_starts=2, max_evals=2000, seed=5)
     assert json.loads(capsys.readouterr().out)["eoaNumeric"] == eoa_numeric(psi, ENTROPY_1, budget)[0]
+
+
+def _kron_pauli_data(psi, side):
+    """(a, b, T) of rho^{XC} by the explicit traces tr(rho sigma_i (x) sigma_j)."""
+    rho = reduced_density(psi, (0, 2) if side == "A" else (1, 2)).entries
+    eye = np.eye(2)
+    a = np.array([np.real(np.trace(rho @ np.kron(s, eye))) for s in PAULIS])
+    b = np.array([np.real(np.trace(rho @ np.kron(eye, s))) for s in PAULIS])
+    t = np.array([[np.real(np.trace(rho @ np.kron(si, sj))) for sj in PAULIS] for si in PAULIS])
+    return a, b, t
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_pauli_data_matches_kron_traces(side):
+    lam = 1e-12  # smallest squared Schmidt coefficient of the near-product states
+    near = np.zeros(8, dtype=complex)
+    near[0], near[7] = np.sqrt(1 - lam), np.sqrt(lam)
+    rotation = np.kron(np.kron(haar_random_unitary(2, 1), haar_random_unitary(2, 2)), haar_random_unitary(2, 3))
+    states = [ghz_state(), w_state(), product_state(), bell_times_c()]
+    states += [PureState((2, 2, 2), near), PureState((2, 2, 2), rotation @ near)]
+    states += [haar_random_pure((2, 2, 2), seed) for seed in range(500)]
+    for psi in states:
+        for got, ref in zip(_pauli_data(psi, side), _kron_pauli_data(psi, side)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_verify_theorem1_reports_theorem1_measurement_and_cuts():
+    for psi in [w_state(), ghz_state(), product_state(), haar_random_pure((2, 2, 2), 11)]:
+        rep = verify_theorem1(psi, 1e-7)
+        _, avg = theorem1_measurement(psi)
+        assert rep.constructive == avg
+        assert rep.cut_a == cut_entanglement(psi, "A|BC", E2)
+        assert rep.cut_b == cut_entanglement(psi, "B|AC", E2)

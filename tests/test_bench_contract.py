@@ -5,8 +5,11 @@
 fails here, in the unit tests, rather than in a benchmark run.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -32,3 +35,27 @@ def test_cli_entry_points_resolve():
     assert callable(cli.main)
     # The verify-closed workload cycles over the targets in this order.
     assert cli.VERIFY_TARGETS == ("thm1", "thm2", "prop2", "corollary", "appendixB", "ckw", "eq37")
+
+
+def _cli_json(argv):
+    """Run ``eoa3 <argv>`` in process the way ``bench/worker.py`` does; parse stdout."""
+    cli = importlib.import_module("eoa3.cli")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 0, argv
+    return json.loads(buf.getvalue())
+
+
+def test_verify_summary_keys_the_bench_reads():
+    # verify-closed reads the summary's failure count.
+    for target in ("thm1", "ckw"):
+        summary = _cli_json(["verify", target, "--trials", "2", "--seed", "3"])
+        assert isinstance(summary["failures"], int)
+
+
+def test_analyze_report_keys_the_bench_reads():
+    # analyze-report checks eoaNumeric >= eoaConstructive and both against the cuts.
+    report = _cli_json(["analyze", "--family", "w", "--monotone", "e2", "--budget", "20"])
+    for key in ("eoaNumeric", "eoaConstructive", "cutA", "cutB"):
+        assert isinstance(report[key], float), key

@@ -152,3 +152,27 @@ def test_removed_flags_exit_2(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, tol, reported",
+    [("ckw", "1e-30", None), ("prop2", "1e-7", None), ("appendixB", "1e-7", None),
+     ("corollary", "1e-9", 1e-6), ("thm2", "1e-9", 1e-8), ("eq37", "1e-3", 1e-3), ("thm1", "1e-7", 1e-7)],
+)
+def test_verify_reports_the_tolerance_its_trials_compare_against(capsys, target, tol, reported):
+    code, out, _ = run(capsys, "verify", target, "--trials", "2", "--tol", tol)
+    assert code == 0
+    assert json.loads(out)["tol"] == reported
+
+
+def test_numerical_failure_exits_3(capsys, monkeypatch):
+    from eoa3 import assistance
+
+    def stalled(psi):
+        raise ArithmeticError("commuting-basis search stalled at residual 1.0e-08")
+
+    monkeypatch.setattr(assistance, "theorem1_measurement", stalled)
+    code, out, err = run(capsys, "analyze", "--family", "w")
+    assert code == 3
+    assert out == ""
+    assert err == "error: numerical failure: commuting-basis search stalled at residual 1.0e-08\n"

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from eoa3.qcore import (
+    PAULI_BASIS,
+    PAULI_PRODUCTS,
+    PAULIS,
+    SIGMA_YY,
     BlochVector,
     DensityMatrix,
     InputError,
@@ -12,6 +16,7 @@ from eoa3.qcore import (
     from_bloch,
     haar_random_pure,
     partial_trace,
+    pauli_coefficients,
     random_density_matrix,
     reduced_density,
     schmidt_decompose,
@@ -207,3 +212,43 @@ def test_non_finite_entries_rejected(bad):
     entries[0, 1] = bad
     with pytest.raises(InputError, match="finite"):
         DensityMatrix.from_matrix(entries)
+
+
+def test_pauli_constants_are_the_kronecker_products():
+    assert np.array_equal(PAULI_BASIS[0], np.eye(2))
+    for mu in range(1, 4):
+        assert np.array_equal(PAULI_BASIS[mu], PAULIS[mu - 1])
+    for mu in range(4):
+        for nu in range(4):
+            assert np.array_equal(PAULI_PRODUCTS[mu, nu], np.kron(PAULI_BASIS[mu], PAULI_BASIS[nu]))
+    assert np.array_equal(SIGMA_YY, np.kron(PAULIS[1], PAULIS[1]))
+
+
+@pytest.mark.parametrize("name", ["PAULI_BASIS", "PAULI_PRODUCTS", "SIGMA_YY"])
+def test_pauli_constants_are_read_only(name):
+    from eoa3 import qcore
+
+    const = getattr(qcore, name)
+    with pytest.raises(ValueError):
+        const[(0,) * const.ndim] = 2.0
+    with pytest.raises(ValueError):
+        const += 1.0
+
+
+def test_bloch_vector_matches_trace_formula():
+    rhos = [random_density_matrix(2, rank, seed) for seed in range(200) for rank in (1, 2)]
+    for rho in rhos:
+        ref = np.array([np.real(np.trace(rho.entries @ s)) for s in PAULIS])
+        assert np.max(np.abs(bloch_vector(rho).r - ref)) <= 1e-15
+
+
+def test_pauli_coefficients_stack_and_shapes():
+    rhos = np.stack([random_density_matrix(4, 1 + seed % 4, seed).entries for seed in range(6)])
+    stacked = pauli_coefficients(rhos)
+    assert stacked.shape == (6, 4, 4)
+    for rho, r in zip(rhos, stacked):
+        assert np.array_equal(pauli_coefficients(rho), r)
+        assert r[0, 0] == pytest.approx(1.0, abs=1e-15)  # tr rho
+    assert pauli_coefficients(rhos[:, :2, :2]).shape == (6, 4)
+    with pytest.raises(InputError):
+        pauli_coefficients(np.eye(3, dtype=complex))
