@@ -235,7 +235,12 @@ def commuting_charlie_basis(psi: PureState, side: str) -> CommutingBasisResult:
         raise InputError("side must be 'A' or 'B'")
     if psi.dims != (2, 2, 2):
         raise InputError("expected a three-qubit state")
-    decoupled = reduced_density(psi, (0, 1)).purity() > 1.0 - _AB_PURE_TOL
+    return _commuting_basis(psi, side, reduced_density(psi, (0, 1)).purity() > 1.0 - _AB_PURE_TOL)
+
+
+def _commuting_basis(psi: PureState, side: str, decoupled: bool) -> CommutingBasisResult:
+    """``commuting_charlie_basis`` on a validated state whose AB purity test
+    (``decoupled``) the caller has already made."""
     a, _, T = _pauli_data(psi, side)
     results = []
     for n in _candidate_directions(a, T):
@@ -346,15 +351,15 @@ def _theorem1(psi: PureState):
         raise InputError("expected a three-qubit state")
     cut_a = cut_entanglement(psi, "A|BC", E2)
     cut_b = cut_entanglement(psi, "B|AC", E2)
-    rho_ab = reduced_density(psi, (0, 1))
-    if rho_ab.purity() > 1.0 - _AB_PURE_TOL:
+    decoupled = reduced_density(psi, (0, 1)).purity() > 1.0 - _AB_PURE_TOL
+    if decoupled:
         meas = Measurement.trivial()
         return meas, average_post_measurement(psi, meas, E2), cut_a, cut_b
-    res_a = commuting_charlie_basis(psi, "A")
+    res_a = _commuting_basis(psi, "A", decoupled)
     if res_a.alignment == "parallel":
         meas = Measurement.projective(res_a.basis)
     else:
-        res_b = commuting_charlie_basis(psi, "B")
+        res_b = _commuting_basis(psi, "B", decoupled)
         if res_b.alignment == "parallel":
             meas = Measurement.projective(res_b.basis)
         else:
@@ -439,7 +444,9 @@ def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
     return sim[rows, order], fsim[rows, order]
 
 
-def _lockstep_nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> np.ndarray:
+def _lockstep_nelder_mead(
+    fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float, target: float | None = None
+) -> np.ndarray:
     """Minimize ``fun`` from every row of ``x0`` at once; return each start's best vertex.
 
     Start k follows scipy's ``minimize(fun_k, x0[k], method="Nelder-Mead",
@@ -452,6 +459,10 @@ def _lockstep_nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol:
     old values).  ``fun`` maps a stack (M, N) of points to their M values.
     Each phase of an iteration makes one call over every start still running:
     the reflection, then the expansion or contraction, then the shrink.
+
+    With a ``target``, every start stops at the top of the first iteration
+    where some start's best vertex scores ``target`` or less; without one
+    (or while no start reaches it) the search is scipy's.
     """
 
     def evaluate(points):
@@ -471,6 +482,9 @@ def _lockstep_nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol:
     ids = np.arange(k_starts)
     best = np.empty_like(x0)
     while True:
+        if target is not None and fsim[:, 0].min() <= target:
+            best[ids] = sim[:, 0]
+            return best
         done = (nfev >= maxfev) | (
             (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
             & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)
@@ -610,16 +624,36 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     starts advanced in lockstep by one Nelder-Mead; the result is a certified
     lower bound on the entanglement of assistance.  The Theorem-1 measurement
     counts at the value ``average_post_measurement`` gives it, so the result
-    is never below the constructive value ``analyze`` reports.
+    is never below the constructive value ``analyze`` reports.  The search
+    stops once a measurement comes within 1e-12 of the min-cut upper bound.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
-    return _eoa_search(psi, m, budget or SearchBudget(), _theorem1_candidate(psi, m))
+    return _eoa_search(psi, m, budget or SearchBudget(), _theorem1_candidate(psi, m), _min_cut(psi, m))
 
 
-def _eoa_search(psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1):
+def _min_cut(psi: PureState, m: MonotoneSpec) -> float:
+    """min(E(A|BC), E(B|AC)) under ``m``: Charlie's measurement is LOCC across
+    both cuts, so no POVM on Charlie scores above it."""
+    return min(cut_entanglement(psi, "A|BC", m), cut_entanglement(psi, "B|AC", m))
+
+
+# Value tolerance of the POVM search: its Nelder-Mead fatol, and the distance
+# from the min-cut bound at which a candidate counts as optimal.
+_SEARCH_FATOL = 1e-12
+
+
+def _eoa_search(psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1, bound: float):
     """The search of ``eoa_numeric`` from a given Theorem-1 candidate (see
-    ``_theorem1_candidate``); ``analyze`` passes the one it has already built."""
+    ``_theorem1_candidate``); ``analyze`` passes the one it has already built.
+
+    ``bound`` is ``_min_cut(psi, m)``.  A Theorem-1 candidate within
+    ``_SEARCH_FATOL`` of it is returned without a search, and the search
+    stops once any start gets that close: the other starts could add at most
+    ``_SEARCH_FATOL``.
+    """
+    if theorem1 is not None and theorem1[0] >= bound - _SEARCH_FATOL:
+        return theorem1
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
     cands = _informed_starts(psi, theorem1)
@@ -632,7 +666,9 @@ def _eoa_search(psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1)
     def objective(x):
         return _povm_objective_batch(x, psi_mat, m)
 
-    x_end = _lockstep_nelder_mead(objective, x0, budget.max_evals, xatol=1e-10, fatol=1e-12)
+    x_end = _lockstep_nelder_mead(
+        objective, x0, budget.max_evals, xatol=1e-10, fatol=_SEARCH_FATOL, target=_SEARCH_FATOL - bound
+    )
     # Each start's initial point, then its end point; a singular row scores -1,
     # below every valid average, so the first maximum is the first best POVM.
     candidates = np.stack([x0, x_end], axis=1).reshape(-1, 8 * n_c)
@@ -697,8 +733,9 @@ def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> Lossless
     rho_ab = reduced_density(psi, (0, 1))
     if rho_ab.purity() > 1.0 - _AB_PURE_TOL:
         return LosslessVerdict(kind="decoupled", certificate={}, objective=0.0)
-    lam_side = _marginal_lambda_min(psi, party)
-    lam_other = _marginal_lambda_min(psi, other)
+    rho_side = reduced_density(psi, (party,))
+    lam_side = _marginal_lambda_min(rho_side)
+    lam_other = _marginal_lambda_min(reduced_density(psi, (other,)))
     if abs(lam_side - 0.5) <= tol and abs(lam_other - 0.5) <= tol:
         return LosslessVerdict(
             kind="lossless",
@@ -712,20 +749,21 @@ def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> Lossless
     _, _, vt = np.linalg.svd(k_mat)
     n = vt[2]
     basis = _antipodal_basis(n)
-    obj, probs, branches = _marginal_preservation_objective(psi, basis, side)
+    obj, probs, branches = _marginal_preservation_objective(psi, basis, side, rho_side.entries)
     if obj <= tol and probs.min() > 1e-9:
         cert = _lossless_certificate(basis, probs, branches, lam_side)
         return LosslessVerdict(kind="lossless", certificate=cert, objective=obj)
     return LosslessVerdict(kind="lossy", certificate={"basis": basis}, objective=obj)
 
 
-def _marginal_lambda_min(psi: PureState, party: int) -> float:
-    evals, _ = eig_hermitian(reduced_density(psi, (party,)).entries)
+def _marginal_lambda_min(rho: DensityMatrix) -> float:
+    evals, _ = eig_hermitian(rho.entries)
     return float(np.clip(evals[-1], 0.0, 0.5))
 
 
-def _marginal_preservation_objective(psi: PureState, basis: np.ndarray, side: str):
-    target = reduced_density(psi, (0,) if side == "A" else (1,)).entries
+def _marginal_preservation_objective(psi: PureState, basis: np.ndarray, side: str, target: np.ndarray):
+    """Probability-weighted squared distance of the conditional marginals on
+    ``side`` from ``target``, that side's global marginal."""
     mats, probs, conds = _conditional_marginals(psi, basis, side)
     obj = sum(p * float(np.linalg.norm(c - target) ** 2) for p, c in zip(probs, conds) if c is not None)
     branches = [None if c is None else mm / np.sqrt(p) for mm, p, c in zip(mats, probs, conds)]
@@ -882,11 +920,16 @@ def eoc_lower_bound_search(
 
     Alice or Bob applies a two-element measurement, broadcasts, and Charlie
     then decouples optimally in each branch.  The trivial first round reduces
-    to the plain assistance search, so the result never falls below it.
+    to the plain assistance search, so the result never falls below it.  All
+    three parties act by LOCC across both cuts, so the min-cut bound holds
+    here too, and the search stops once it is reached within 1e-12.
     """
     budget = budget or SearchBudget(random_starts=2, max_evals=300)
     inner = SearchBudget(random_starts=1, max_evals=200, seed=budget.seed)
+    target = _min_cut(psi, m) - _SEARCH_FATOL
     best = _branch_eoa(psi, m, inner)
+    if best >= target:
+        return float(best)
 
     def value(x, party):
         v = _su2_from_params(x[:3])
@@ -913,6 +956,8 @@ def eoc_lower_bound_search(
                 options={"maxfev": budget.max_evals},
             )
             best = max(best, -res.fun)
+            if best >= target:
+                return float(best)
     return float(best)
 
 
@@ -998,7 +1043,7 @@ def analyze(
     cut_b = cut_entanglement(psi, "B|AC", m)
     meas, _ = theorem1_measurement(psi)
     constructive = average_post_measurement(psi, meas, m)
-    numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, (constructive, meas))
+    numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, (constructive, meas), min(cut_a, cut_b))
     eoc = eoc_lower_bound_search(psi, m, budget) if with_eoc else None
     cut = "A|BC" if cut_a <= cut_b else "B|AC"
     verdict = lossless_classifier(psi, cut, tol=1e-7)

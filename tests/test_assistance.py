@@ -6,12 +6,15 @@ from eoa3.assistance import (
     Measurement,
     SearchBudget,
     VerificationError,
+    _eoa_search,
     _informed_starts,
     _lockstep_nelder_mead,
+    _min_cut,
     _pauli_data,
     _params_from_vectors,
     _povm_objective_batch,
     _theorem1_candidate,
+    analyze,
     average_post_measurement,
     commuting_charlie_basis,
     corollary_check,
@@ -34,7 +37,7 @@ from eoa3.qcore import (
     haar_random_unitary,
     reduced_density,
 )
-from eoa3.states import FamilySpec, bell_times_c, generate, ghz_state, product_state, w_state
+from eoa3.states import FamilySpec, bell_times_c, generate, ghz_state, parse_family, product_state, w_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -179,6 +182,62 @@ def test_lockstep_nelder_mead_matches_scipy(maxfev):
     for k, start in enumerate(x0):
         expected = minimize(rosen, start, method="Nelder-Mead", options=options).x
         np.testing.assert_array_equal(got[k], expected)
+
+
+@pytest.mark.parametrize("maxfev", [0, 3, 6, 40, 400, 5000])
+def test_lockstep_nelder_mead_unreachable_target_matches_scipy(maxfev):
+    # Rosenbrock is never negative, so a target of -1 never stops the search.
+    x0 = np.vstack(
+        [np.ones(5), np.zeros(5), np.random.default_rng(4).standard_normal((4, 5))]
+    )
+    got = _lockstep_nelder_mead(_rosen_rows, x0, maxfev, xatol=1e-10, fatol=1e-12, target=-1.0)
+    options = {"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-12}
+    for k, start in enumerate(x0):
+        expected = minimize(rosen, start, method="Nelder-Mead", options=options).x
+        np.testing.assert_array_equal(got[k], expected)
+
+
+def test_lockstep_nelder_mead_stops_at_first_iteration_reaching_target():
+    # scipy's callback sees each start's best vertex after every iteration; the
+    # lockstep search must stop every start after the first iteration in which
+    # any start's best value reaches the target, at scipy's vertex for that
+    # iteration (or at its end point if it finished earlier).
+    x0 = np.vstack([np.zeros(5), np.random.default_rng(4).standard_normal((4, 5))])
+    options = {"maxfev": 5000, "xatol": 1e-10, "fatol": 1e-12}
+    target = 1e-3
+
+    def first_hit(start):
+        history = []
+
+        def record(intermediate_result):
+            history.append(intermediate_result.fun)
+
+        minimize(rosen, start, method="Nelder-Mead", options=options, callback=record)
+        return next((i + 1 for i, f in enumerate(history) if f <= target), np.inf)
+
+    stop = min(first_hit(start) for start in x0)
+    assert 0 < stop < np.inf
+
+    def run_until_stop(start):
+        iterations = []
+
+        def halt(intermediate_result):
+            iterations.append(intermediate_result.fun)
+            if len(iterations) == stop:
+                raise StopIteration
+
+        return minimize(rosen, start, method="Nelder-Mead", options=options, callback=halt).x
+
+    got = _lockstep_nelder_mead(_rosen_rows, x0, 5000, xatol=1e-10, fatol=1e-12, target=target)
+    for k, start in enumerate(x0):
+        np.testing.assert_array_equal(got[k], run_until_stop(start))
+    assert min(rosen(row) for row in got) <= target
+    untargeted = _lockstep_nelder_mead(_rosen_rows, x0, 5000, xatol=1e-10, fatol=1e-12)
+    assert not np.array_equal(got, untargeted)
+    # A start already on the target stops every start at its initial simplex.
+    x0[0] = 1.0
+    got = _lockstep_nelder_mead(_rosen_rows, x0, 5000, xatol=1e-10, fatol=1e-12, target=target)
+    np.testing.assert_array_equal(got, _lockstep_nelder_mead(_rosen_rows, x0, 6, xatol=1e-10, fatol=1e-12))
 
 
 def _reference_povm_from_params(x, n_c):
@@ -336,6 +395,46 @@ def test_eoc_collapse_on_lossless_states():
     numeric, _ = eoa_numeric(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=300))
     eoc = eoc_lower_bound_search(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=150))
     assert abs(eoc - numeric) <= 2e-4
+
+
+@pytest.mark.parametrize("family", ["ghz", "thm2", "eq21", "product", "bell_c"])
+def test_numeric_reaches_min_cut_on_lossless_families(family):
+    # On these families some measurement reaches the min-cut bound for every
+    # monotone: Theorem 1's, which the search then returns at once, or (eq21
+    # under the strictly concave monotones) one the search stops on.
+    for seed in range(3):
+        psi = generate(parse_family(family, seed=seed))
+        for kind in ("e2", "entropy:1", "entropy:0.5", "concurrence", "ek:2"):
+            rep = analyze(psi, MonotoneSpec.parse(kind), SearchBudget(random_starts=2, max_evals=2000, seed=seed))
+            assert abs(rep.eoa_numeric - min(rep.cut_a, rep.cut_b)) <= 1e-12
+            assert rep.eoa_numeric >= rep.eoa_constructive
+
+
+def test_search_skips_optimizer_at_min_cut(monkeypatch):
+    from eoa3 import assistance
+
+    calls = []
+
+    def counted(x, *args):
+        calls.append(len(x))
+        return _povm_objective_batch(x, *args)
+
+    monkeypatch.setattr(assistance, "_povm_objective_batch", counted)
+    budget = SearchBudget(random_starts=2, max_evals=2000, seed=3)
+    for seed in range(5):
+        psi = haar_random_pure((2, 2, 2), seed)
+        val, _ = eoa_numeric(psi, E2, budget)
+        assert abs(val - _min_cut(psi, E2)) <= 1e-12
+    assert calls == []
+    # A lossy solve never reaches the bound; it is the search without a target.
+    psi = haar_random_pure((2, 2, 2), 7)
+    val, meas = eoa_numeric(psi, ENTROPY_1, budget)
+    assert calls
+    assert val < _min_cut(psi, ENTROPY_1) - 1e-3
+    ref_val, ref_meas = _eoa_search(psi, ENTROPY_1, budget, _theorem1_candidate(psi, ENTROPY_1), np.inf)
+    assert val == ref_val
+    for got, ref in zip(meas.elements, ref_meas.elements, strict=True):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_eoa_density_examples():
