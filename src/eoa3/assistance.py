@@ -26,9 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .ensembles import _takagi
 from .monotones import E2, MonotoneSpec, cut_entanglement
 from .qcore import (
     PAULIS,
+    SIGMA_YY,
     DensityMatrix,
     InputError,
     PureState,
@@ -340,13 +342,14 @@ def theorem1_measurement(psi: PureState):
     Returns the measurement and its achieved average post-measurement E2,
     which equals min(E2 across A|BC, E2 across B|AC).
     """
-    meas, avg, _, _ = _theorem1(psi)
+    meas, avg, _, _, _ = _theorem1(psi)
     return meas, avg
 
 
 def _theorem1(psi: PureState):
     """``theorem1_measurement`` plus the two E2 cuts its average is checked
-    against: (measurement, average, E2 across A|BC, E2 across B|AC)."""
+    against and the commuting bases it built: (measurement, average, E2 across
+    A|BC, E2 across B|AC, {side: CommutingBasisResult})."""
     if psi.dims != (2, 2, 2):
         raise InputError("expected a three-qubit state")
     cut_a = cut_entanglement(psi, "A|BC", E2)
@@ -354,16 +357,16 @@ def _theorem1(psi: PureState):
     decoupled = reduced_density(psi, (0, 1)).purity() > 1.0 - _AB_PURE_TOL
     if decoupled:
         meas = Measurement.trivial()
-        return meas, average_post_measurement(psi, meas, E2), cut_a, cut_b
-    res_a = _commuting_basis(psi, "A", decoupled)
-    if res_a.alignment == "parallel":
-        meas = Measurement.projective(res_a.basis)
+        return meas, average_post_measurement(psi, meas, E2), cut_a, cut_b, {}
+    bases = {"A": _commuting_basis(psi, "A", decoupled)}
+    if bases["A"].alignment == "parallel":
+        meas = Measurement.projective(bases["A"].basis)
     else:
-        res_b = _commuting_basis(psi, "B", decoupled)
-        if res_b.alignment == "parallel":
-            meas = Measurement.projective(res_b.basis)
+        bases["B"] = _commuting_basis(psi, "B", decoupled)
+        if bases["B"].alignment == "parallel":
+            meas = Measurement.projective(bases["B"].basis)
         else:
-            meas, _ = _eq21_measurement(psi, res_a)
+            meas, _ = _eq21_measurement(psi, bases["A"])
     avg = average_post_measurement(psi, meas, E2)
     if abs(avg - min(cut_a, cut_b)) > 5e-8 and len(meas.elements) == 2:
         # Rare near-degenerate geometry: polish the projective basis locally.
@@ -371,7 +374,7 @@ def _theorem1(psi: PureState):
         avg2 = average_post_measurement(psi, meas2, E2)
         if avg2 > avg:
             meas, avg = meas2, avg2
-    return meas, avg, cut_a, cut_b
+    return meas, avg, cut_a, cut_b, bases
 
 
 def _polish_projective(psi: PureState, meas: Measurement) -> Measurement:
@@ -586,32 +589,42 @@ def _povm_objective_batch(x: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -
 
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
-    """The Theorem-1 measurement as (its value under ``m``, measurement), or
-    None where that construction does not apply."""
+    """The Theorem-1 measurement as (its value under ``m``, measurement, the
+    commuting bases built for it), or None where that construction does not
+    apply."""
     if psi.dims[2] != 2:
         return None
     try:
-        meas, _ = theorem1_measurement(psi)
-        return average_post_measurement(psi, meas, m), meas
+        meas, _, _, _, bases = _theorem1(psi)
+        return average_post_measurement(psi, meas, m), meas, bases
     except (ArithmeticError, InputError):
         return None
 
 
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
 def _informed_starts(psi: PureState, theorem1):
-    """Projective bases worth seeding the POVM search with, given the Theorem-1 candidate."""
+    """Projective bases worth seeding the POVM search with, given the Theorem-1 candidate.
+
+    The commuting bases the candidate carries are reused; a side it did not
+    build is built here.
+    """
     n_c = psi.dims[2]
     cands = [np.eye(n_c, dtype=complex)]
     if n_c != 2:
         return cands
-    cands.append(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
+    cands.append(_HADAMARD)
     if theorem1 is None:
         return cands
-    meas = theorem1[1]
+    _, meas, bases = theorem1
     if len(meas.elements) == 2:
         cands.append(np.column_stack([_principal_vector(e) for e in meas.elements]))
     try:
         for side in ("A", "B"):
-            cands.append(commuting_charlie_basis(psi, side).basis)
+            # Only the basis is read, so the AB purity test is not repeated.
+            res = bases.get(side) or _commuting_basis(psi, side, decoupled=False)
+            cands.append(res.basis)
     except (ArithmeticError, InputError):
         pass
     return cands
@@ -625,7 +638,9 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     lower bound on the entanglement of assistance.  The Theorem-1 measurement
     counts at the value ``average_post_measurement`` gives it, so the result
     is never below the constructive value ``analyze`` reports.  The search
-    stops once a measurement comes within 1e-12 of the min-cut upper bound.
+    stops once a measurement comes within 1e-12 of the min-cut upper bound;
+    under ``concurrence`` with a qubit Charlie the Takagi basis reaches the
+    exact concurrence of assistance, and the search is skipped.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
@@ -638,57 +653,101 @@ def _min_cut(psi: PureState, m: MonotoneSpec) -> float:
     return min(cut_entanglement(psi, "A|BC", m), cut_entanglement(psi, "B|AC", m))
 
 
+def _assistance_tau(psi: PureState) -> np.ndarray:
+    """tau = V^T (sy x sy) V for V the (AB, C) amplitude matrix of a 2x2x2 state.
+
+    Its singular values are the Wootters lambdas of rho_AB = V V^dag, so its
+    trace norm is the concurrence of assistance C_a (Laustsen, Verstraete &
+    van Enk, QIC 2003).  Taken from psi, it avoids the square roots of the
+    flushed eigenvalues that ``wootters_lambdas`` takes.
+    """
+    v = psi.amplitudes.reshape(4, 2)
+    return v.T @ SIGMA_YY @ v
+
+
+def _takagi_basis(tau: np.ndarray) -> np.ndarray:
+    """Charlie basis reaching C_a = ||tau||_1: the columns of C H, where
+    tau = C S C^T (Takagi) and H is the Hadamard.  Outcome k leaves AB with
+    weighted concurrence |e_k^dag tau conj(e_k)| = (s_1 + s_2) / 2, since H
+    is real with entries of square 1/2."""
+    cols, _ = _takagi(tau)
+    return cols @ _HADAMARD
+
+
 # Value tolerance of the POVM search: its Nelder-Mead fatol, and the distance
-# from the min-cut bound at which a candidate counts as optimal.
+# from the bound at which a candidate counts as optimal.
 _SEARCH_FATOL = 1e-12
 
 
-def _eoa_search(psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1, bound: float):
+def _eoa_search(
+    psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1, bound: float, certificates=()
+):
     """The search of ``eoa_numeric`` from a given Theorem-1 candidate (see
     ``_theorem1_candidate``); ``analyze`` passes the one it has already built.
 
-    ``bound`` is ``_min_cut(psi, m)``.  A Theorem-1 candidate within
-    ``_SEARCH_FATOL`` of it is returned without a search, and the search
-    stops once any start gets that close: the other starts could add at most
-    ``_SEARCH_FATOL``.
+    ``bound`` is ``_min_cut(psi, m)``; under ``concurrence`` with a qubit
+    Charlie it is lowered to C_a and the Takagi basis joins the
+    ``certificates``, Charlie bases worth trying before any search.  A
+    Theorem-1 candidate within ``_SEARCH_FATOL`` of the bound is returned at
+    once.  Otherwise the best certificate that gets that close is taken and
+    the search is skipped; without one the search runs, and stops once any
+    start gets that close: the other starts could add at most
+    ``_SEARCH_FATOL``.  Certificates and starts are scored by the search's
+    objective; the Theorem-1 candidate wins every tie.
     """
+    certificates = list(certificates)
+    if m.kind == "concurrence" and psi.dims[2] == 2:
+        tau = _assistance_tau(psi)
+        bound = min(bound, float(np.linalg.svd(tau, compute_uv=False).sum()))
+        try:
+            certificates.append(_takagi_basis(tau))
+        except ArithmeticError:
+            pass
     if theorem1 is not None and theorem1[0] >= bound - _SEARCH_FATOL:
-        return theorem1
+        return theorem1[:2]
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
-    cands = _informed_starts(psi, theorem1)
-    rng = np.random.default_rng(budget.seed)
-    x0 = np.array(
-        [_params_from_vectors(c, n_c) for c in cands]
-        + [rng.standard_normal(8 * n_c) for _ in range(budget.random_starts)]
-    )
 
     def objective(x):
         return _povm_objective_batch(x, psi_mat, m)
 
-    x_end = _lockstep_nelder_mead(
-        objective, x0, budget.max_evals, xatol=1e-10, fatol=_SEARCH_FATOL, target=_SEARCH_FATOL - bound
-    )
-    # Each start's initial point, then its end point; a singular row scores -1,
-    # below every valid average, so the first maximum is the first best POVM.
-    candidates = np.stack([x0, x_end], axis=1).reshape(-1, 8 * n_c)
-    values = -objective(candidates)
+    values = np.empty(0)
+    if certificates:
+        candidates = np.array([_params_from_vectors(c, n_c) for c in certificates])
+        values = -objective(candidates)
+    if values.max(initial=-np.inf) < bound - _SEARCH_FATOL:
+        cands = _informed_starts(psi, theorem1)
+        rng = np.random.default_rng(budget.seed)
+        x0 = np.array(
+            [_params_from_vectors(c, n_c) for c in cands]
+            + [rng.standard_normal(8 * n_c) for _ in range(budget.random_starts)]
+        )
+        x_end = _lockstep_nelder_mead(
+            objective, x0, budget.max_evals, xatol=1e-10, fatol=_SEARCH_FATOL, target=_SEARCH_FATOL - bound
+        )
+        # Each start's initial point, then its end point; a singular row scores -1,
+        # below every valid average, so the first maximum is the first best POVM.
+        candidates = np.stack([x0, x_end], axis=1).reshape(-1, 8 * n_c)
+        values = -objective(candidates)
     best = int(np.argmax(values))
     best_val = float(values[best])
     if theorem1 is not None and theorem1[0] >= best_val:
-        return theorem1
+        return theorem1[:2]
+    return best_val, _measurement_from_params(candidates[best], n_c)
 
-    best_w = _povm_vectors(candidates[best : best + 1], n_c)[0][0]
-    keep = [x for x in range(4) if np.vdot(best_w[:, x], best_w[:, x]).real > 1e-14]
+
+def _measurement_from_params(x: np.ndarray, n_c: int) -> Measurement:
+    """The rank-1 POVM on Charlie of one parameter row, its zero outcomes dropped."""
+    w = _povm_vectors(x[None], n_c)[0][0]
+    keep = [k for k in range(4) if np.vdot(w[:, k], w[:, k]).real > 1e-14]
     elems = []
-    for x in keep:
-        elems.append(np.outer(np.eye(n_c, dtype=complex)[:, 0], best_w[:, x].conj()))
+    for k in keep:
+        elems.append(np.outer(np.eye(n_c, dtype=complex)[:, 0], w[:, k].conj()))
     # Restore exact completeness over the kept columns.
     total = sum(e.conj().T @ e for e in elems)
     evals, evecs = np.linalg.eigh(total)
     fix = (evecs / np.sqrt(np.clip(evals, 1e-300, None))) @ evecs.conj().T
-    elems = [e @ fix for e in elems]
-    return best_val, Measurement(subsystem=2, elements=tuple(elems))
+    return Measurement(subsystem=2, elements=tuple(e @ fix for e in elems))
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +764,7 @@ class Theorem1Report:
 
 def verify_theorem1(psi: PureState, tol: float) -> Theorem1Report:
     """Check the constructive measurement saturates the min-cut E2 bound."""
-    _, avg, cut_a, cut_b = _theorem1(psi)
+    _, avg, cut_a, cut_b, _ = _theorem1(psi)
     mincut = min(cut_a, cut_b)
     gap = abs(avg - mincut)
     if gap > tol:
@@ -1043,10 +1102,17 @@ def analyze(
     cut_b = cut_entanglement(psi, "B|AC", m)
     meas, _ = theorem1_measurement(psi)
     constructive = average_post_measurement(psi, meas, m)
-    numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, (constructive, meas), min(cut_a, cut_b))
-    eoc = eoc_lower_bound_search(psi, m, budget) if with_eoc else None
     cut = "A|BC" if cut_a <= cut_b else "B|AC"
     verdict = lossless_classifier(psi, cut, tol=1e-7)
+    # The marginal-preserving basis reaches the min-cut (every branch keeps
+    # the cut party's marginal), so it certifies a lossless report.
+    certificates = []
+    if verdict.kind == "lossless" and "basis" in verdict.certificate:
+        certificates.append(verdict.certificate["basis"])
+    # theorem1_measurement keeps no commuting bases; a search builds the ones it seeds with.
+    theorem1 = (constructive, meas, {})
+    numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, theorem1, min(cut_a, cut_b), certificates)
+    eoc = eoc_lower_bound_search(psi, m, budget) if with_eoc else None
     return AssistanceReport(
         cut_a=cut_a,
         cut_b=cut_b,

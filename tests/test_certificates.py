@@ -1,0 +1,190 @@
+"""Exact certificates the POVM search tries before its optimizer.
+
+Under ``concurrence`` with a qubit Charlie the entanglement of assistance is
+C_a = ||tau||_1, tau = V^T (sy x sy) V (Laustsen, Verstraete & van Enk, QIC
+2003), and the Takagi basis of tau reaches it.  On lossless states the
+classifier's marginal-preserving basis reaches the min-cut.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eoa3 import assistance
+from eoa3.assistance import (
+    Measurement,
+    SearchBudget,
+    _assistance_tau,
+    _eoa_search,
+    _informed_starts,
+    _min_cut,
+    _params_from_vectors,
+    _povm_objective_batch,
+    _takagi_basis,
+    _theorem1_candidate,
+    analyze,
+    average_post_measurement,
+    commuting_charlie_basis,
+    eoa_numeric,
+    theorem1_measurement,
+)
+from eoa3.monotones import CONCURRENCE, ENTROPY_1, MonotoneSpec, wootters_lambdas
+from eoa3.qcore import PureState, haar_random_pure, reduced_density
+from eoa3.states import generate, ghz_state, parse_family, product_state, w_state
+
+
+def _trace_norm(psi):
+    return float(np.linalg.svd(_assistance_tau(psi), compute_uv=False).sum())
+
+
+def _takagi_value(psi):
+    """The Takagi basis scored as the search scores a certificate."""
+    row = _params_from_vectors(_takagi_basis(_assistance_tau(psi)), 2)
+    return -_povm_objective_batch(row[None], psi.amplitudes.reshape(4, 2), CONCURRENCE)[0]
+
+
+def _takagi_projective_value(psi):
+    meas = Measurement.projective(_takagi_basis(_assistance_tau(psi)))
+    return average_post_measurement(psi, meas, CONCURRENCE)
+
+
+def _perturbed(base, eps, z):
+    amps = base.amplitudes + eps * z
+    return PureState((2, 2, 2), amps / np.linalg.norm(amps))
+
+
+def test_takagi_measurement_reaches_trace_norm_on_haar_states():
+    for seed in range(2000):
+        psi = haar_random_pure((2, 2, 2), seed)
+        assert abs(_takagi_value(psi) - _trace_norm(psi)) <= 1e-14
+        assert abs(_takagi_projective_value(psi) - _trace_norm(psi)) <= 1e-14
+
+
+def test_trace_norm_matches_wootters_lambdas_on_haar_states():
+    for seed in range(2000):
+        psi = haar_random_pure((2, 2, 2), seed)
+        lam = wootters_lambdas(reduced_density(psi, (0, 1)))
+        assert abs(lam.sum() - _trace_norm(psi)) <= 1e-12
+
+
+def test_takagi_measurement_reaches_trace_norm_near_w():
+    # Here the Wootters sum drifts by up to 3.7e-8: it takes square roots of
+    # eigenvalues flushed to zero.  The Takagi basis and the trace norm do not.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        eps = 10 ** rng.uniform(np.log10(4e-10), np.log10(1.4e-8))
+        z = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi = _perturbed(w_state(), eps, z)
+        assert abs(_takagi_value(psi) - _trace_norm(psi)) <= 1e-14
+        assert abs(_takagi_projective_value(psi) - _trace_norm(psi)) <= 1e-14
+
+
+_BASES = {
+    "ghz": lambda seed: ghz_state(),
+    "w": lambda seed: w_state(),
+    "product": lambda seed: product_state(),
+    "eq21": lambda seed: generate(parse_family("eq21", seed)),
+    "thm2": lambda seed: generate(parse_family("thm2", seed)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_BASES)),
+    seed=st.integers(0, 50),
+    log_eps=st.one_of(st.just(-np.inf), st.floats(-16.0, -1.0)),
+    z_seed=st.integers(0, 2**32 - 1),
+)
+def test_concurrence_certificate_never_raises_or_exceeds_trace_norm(family, seed, log_eps, z_seed):
+    rng = np.random.default_rng(z_seed)
+    z = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi = _perturbed(_BASES[family](seed), 10.0**log_eps, z)
+    assert _takagi_value(psi) <= _trace_norm(psi) + 1e-14
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    search = assistance._lockstep_nelder_mead
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(assistance, "_lockstep_nelder_mead", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family, kind",
+    [("eq21", "entropy:1"), ("eq21", "entropy:0.5"), ("eq21", "concurrence"), ("haar", "concurrence"), ("w", "concurrence")],
+)
+def test_certified_reports_skip_the_optimizer(monkeypatch, family, kind):
+    calls = _count_searches(monkeypatch)
+    m = MonotoneSpec.parse(kind)
+    for seed in range(3):
+        psi = generate(parse_family(family, seed))
+        rep = analyze(psi, m, SearchBudget(random_starts=2, max_evals=2000, seed=seed))
+        bound = min(rep.cut_a, rep.cut_b)
+        if kind == "concurrence":
+            bound = min(bound, _trace_norm(psi))
+        assert abs(rep.eoa_numeric - bound) <= 1e-12
+        assert rep.eoa_numeric >= rep.eoa_constructive
+    assert calls == []
+
+
+def test_lossy_report_is_the_full_search(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    psi = haar_random_pure((2, 2, 2), 7)
+    budget = SearchBudget(random_starts=2, max_evals=2000, seed=7)
+    rep = analyze(psi, ENTROPY_1, budget)
+    assert len(calls) == 1
+    assert rep.lossless_verdict.kind == "lossy"
+    # No bound stop and no certificate: the search as it ran before certificates.
+    ref_val, _ = _eoa_search(psi, ENTROPY_1, budget, _theorem1_candidate(psi, ENTROPY_1), np.inf)
+    assert rep.eoa_numeric == ref_val
+    meas, _ = theorem1_measurement(psi)
+    for got, ref in zip(rep.measurement.elements, meas.elements, strict=True):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_takagi_failure_falls_through_to_the_search(monkeypatch):
+    def failed(tau):
+        raise ArithmeticError("Takagi selection failed to span the support")
+
+    monkeypatch.setattr(assistance, "_takagi", failed)
+    calls = _count_searches(monkeypatch)
+    psi = haar_random_pure((2, 2, 2), 3)
+    budget = SearchBudget(random_starts=2, max_evals=2000, seed=3)
+    rep = analyze(psi, CONCURRENCE, budget)
+    assert len(calls) == 1
+    ref_val, _ = _eoa_search(psi, CONCURRENCE, budget, _theorem1_candidate(psi, CONCURRENCE), _min_cut(psi, CONCURRENCE))
+    assert rep.eoa_numeric == ref_val
+    assert rep.eoa_constructive <= rep.eoa_numeric <= _trace_norm(psi) + 1e-12
+
+
+def test_lossy_solve_builds_each_reduction_once(monkeypatch):
+    kept = []
+
+    def counted(psi, keep):
+        kept.append(tuple(keep))
+        return reduced_density(psi, keep)
+
+    monkeypatch.setattr(assistance, "reduced_density", counted)
+    psi = haar_random_pure((2, 2, 2), 5)
+    eoa_numeric(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=200))
+    assert sorted(kept) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_informed_starts_reuse_the_theorem1_bases():
+    # The rows and their order are those the public commuting_charlie_basis gives.
+    for seed in range(20):
+        psi = haar_random_pure((2, 2, 2), seed)
+        cand = _theorem1_candidate(psi, ENTROPY_1)
+        got = _informed_starts(psi, cand)
+        ref = _informed_starts(psi, (cand[0], cand[1], {}))
+        assert len(got) == len(ref) == 5
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
+        for g, side in zip(got[3:], ("A", "B")):
+            np.testing.assert_array_equal(g, commuting_charlie_basis(psi, side).basis)
