@@ -120,7 +120,8 @@ class LosslessVerdict:
 
 @dataclass
 class SearchBudget:
-    """Evaluation budget for the derivative-free POVM searches."""
+    """Budget of the POVM searches: random starts on top of the informed ones,
+    and value-and-gradient evaluations per start, line-search trials included."""
 
     random_starts: int = 8
     max_evals: int = 20000
@@ -430,126 +431,21 @@ def _pure_two_qubit_value(phi: PureState, m: MonotoneSpec) -> float:
 # Numeric EoA oracle
 
 
-# scipy's non-adaptive Nelder-Mead (rho, chi, psi, sigma) = (1, 2, 1/2, 1/2)
-# places each trial point at c * xbar - d * x_worst, xbar the centroid of the
-# other vertices; these (c, d) reproduce scipy's arithmetic bit for bit.
-_NM_REFLECT = (2.0, 1.0)
-_NM_EXPAND = (3.0, 2.0)
-_NM_CONTRACT_OUT = (1.5, 0.5)
-_NM_CONTRACT_IN = (0.5, -0.5)
-_NM_SHRINK = 0.5
-
-
-def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
-    """The simplices with their vertices ordered by value, best first."""
-    order = np.argsort(fsim, axis=1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, order], fsim[rows, order]
-
-
-def _lockstep_nelder_mead(
-    fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float, target: float | None = None
-) -> np.ndarray:
-    """Minimize ``fun`` from every row of ``x0`` at once; return each start's best vertex.
-
-    Start k follows scipy's ``minimize(fun_k, x0[k], method="Nelder-Mead",
-    options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})`` step for
-    step, and row k of the result is its ``x``: the same initial simplex
-    (each coordinate stepped by 5%, or to 0.00025 where it is zero), the same
-    coefficients and convergence test, ``maxfev`` evaluations per start, and
-    the same handling of a budget that runs out inside an iteration (the
-    pending update is dropped; shrunk vertices beyond the budget keep their
-    old values).  ``fun`` maps a stack (M, N) of points to their M values.
-    Each phase of an iteration makes one call over every start still running:
-    the reflection, then the expansion or contraction, then the shrink.
-
-    With a ``target``, every start stops at the top of the first iteration
-    where some start's best vertex scores ``target`` or less; without one
-    (or while no start reaches it) the search is scipy's.
-    """
-
-    def evaluate(points):
-        return fun(points) if len(points) else np.empty(0)
-
-    k_starts, n = x0.shape
-    diag = np.arange(n)
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full((k_starts, n + 1), np.inf)
-    n_init = min(n + 1, maxfev)
-    fsim[:, :n_init] = evaluate(sim[:, :n_init].reshape(-1, n)).reshape(k_starts, n_init)
-    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim))  # scipy sorts twice here
-    if maxfev <= n + 1:  # the budget ends with the initial simplex
-        return sim[:, 0]
-    nfev = np.full(k_starts, n_init)
-    ids = np.arange(k_starts)
-    best = np.empty_like(x0)
-    while True:
-        if target is not None and fsim[:, 0].min() <= target:
-            best[ids] = sim[:, 0]
-            return best
-        done = (nfev >= maxfev) | (
-            (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
-            & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)
-        )
-        if done.any():
-            best[ids[done]] = sim[done, 0]
-            going = ~done
-            ids, sim, fsim, nfev = ids[going], sim[going], fsim[going], nfev[going]
-            if ids.size == 0:
-                return best
-
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        xr = _NM_REFLECT[0] * xbar - _NM_REFLECT[1] * worst
-        fxr = evaluate(xr)
-        nfev += 1
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        outside = fxr < fsim[:, -1]  # picks the contraction where neither holds
-        coef = np.where(
-            expand[:, None],
-            _NM_EXPAND,
-            np.where(outside[:, None], _NM_CONTRACT_OUT, _NM_CONTRACT_IN),
-        )
-        probe = coef[:, :1] * xbar - coef[:, 1:] * worst
-        second = ~accept & (nfev < maxfev)
-        fprobe = np.full(ids.size, np.nan)  # NaN fails every comparison below
-        fprobe[second] = evaluate(probe[second])
-        nfev += second
-        better = np.where(
-            expand, fprobe < fxr, np.where(outside, fprobe <= fxr, fprobe < fsim[:, -1])
-        )
-        take_xr = accept | (second & expand & ~better)
-        shrink = second & ~expand & ~better
-        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
-        sim[better, -1], fsim[better, -1] = probe[better], fprobe[better]
-
-        if shrink.any():
-            ss, fs = sim[shrink], fsim[shrink]
-            ss[:, 1:] = ss[:, :1] + _NM_SHRINK * (ss[:, 1:] - ss[:, :1])
-            evaluated = diag < (maxfev - nfev[shrink])[:, None]
-            fs[:, 1:][evaluated] = evaluate(ss[:, 1:][evaluated])
-            nfev[shrink] += evaluated.sum(axis=1)
-            sim[shrink], fsim[shrink] = ss, fs
-        sim, fsim = _sorted_simplices(sim, fsim)
-
-
-def _povm_vectors(x: np.ndarray, n_c: int):
-    """Map parameter rows to rank-1 POVM vectors by the Loewdin map.
-
-    Row k holds the real then the imaginary parts of an (n_c, 4) block B; the
-    columns of W = (B B^dag)^(-1/2) B satisfy sum_x w_x w_x^dag = I.  Returns
-    the stack of W, shape (K, n_c, 4), and the mask of rows whose B B^dag is
-    singular (smallest eigenvalue below 1e-12), which have no valid W.
-    """
-    pairs = np.ascontiguousarray(x.reshape(len(x), 2, -1).transpose(0, 2, 1))
-    b = pairs.view(complex).reshape(-1, n_c, 4)
+def _polar(b: np.ndarray):
+    """The polar factor W = (B B^dag)^(-1/2) B of each block of the stack b (K, n_c, 4),
+    the nearest point with W W^dag = I (so sum_x w_x w_x^dag = I), and the mask
+    of blocks whose B B^dag is singular (smallest eigenvalue below 1e-12)."""
     evals, evecs = np.linalg.eigh(b @ b.conj().transpose(0, 2, 1))
     singular = evals[:, 0] < 1e-12
     scale = 1.0 / np.sqrt(np.maximum(evals, 1e-12))
     inv_sqrt = (evecs * scale[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
     return inv_sqrt @ b, singular
+
+
+def _povm_vectors(x: np.ndarray, n_c: int):
+    """``_polar`` (the Loewdin map) of rows holding an (n_c, 4) block's real, then imaginary parts."""
+    pairs = np.ascontiguousarray(x.reshape(len(x), 2, -1).transpose(0, 2, 1))
+    return _polar(pairs.view(complex).reshape(-1, n_c, 4))
 
 
 def _params_from_vectors(vectors: np.ndarray, n_c: int) -> np.ndarray:
@@ -559,23 +455,27 @@ def _params_from_vectors(vectors: np.ndarray, n_c: int) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag])
 
 
-def _povm_objective_batch(x: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -> np.ndarray:
-    """Negated average post-measurement entanglement of each parameter row, (K, 8 n_c) -> (K,).
+def _povm_value_grad(w: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec):
+    """Average post-measurement entanglement F of each POVM in the stack w
+    (K, n_c, 4), and its Euclidean gradient (K, n_c, 4), dF = Re tr(G^dag dW).
 
-    Outcome x of row k leaves AB in the unnormalized pure state
-    v_x = psi_mat @ conj(w_x), read as the 2x2 amplitude matrix M, with
-    probability p = |v_x|^2.  The eigenvalues of rho = M M^dag multiply to
-    |det M|^2, and the larger is (p + gap) / 2 with
-    gap^2 = (rho_00 - rho_11)^2 + 4 |rho_01|^2, so the Schmidt minimum is
-    lam = 2 |det M|^2 / (p (p + gap)).  Neither step cancels: the textbook
-    (1 - sqrt(1 - 4 |det M|^2 / p^2)) / 2 turns rounding noise near lam = 1/2
-    into errors of ~1e-8.  Branches with p < 1e-14 contribute nothing;
-    singular rows score the penalty 1.0.
+    Outcome x leaves AB in the unnormalized pure state v_x = psi_mat @ conj(w_x),
+    read as the 2x2 amplitude matrix M, with probability p = |v_x|^2.  The
+    eigenvalues of rho = M M^dag multiply to |det M|^2, and the larger is
+    (p + gap) / 2 with gap^2 = (rho_00 - rho_11)^2 + 4 |rho_01|^2, so the
+    Schmidt minimum is lam = 2 |det M|^2 / (p (p + gap)).  Neither step
+    cancels: the textbook (1 - sqrt(1 - 4 |det M|^2 / p^2)) / 2 turns rounding
+    noise near lam = 1/2 into errors of ~1e-8.  Branches with p < 1e-14
+    contribute nothing.  With U = conj(M) and mu = p lam, d(p f(mu / p)) =
+    (f - lam f') dp + f' dmu, where dp = 2 Re tr(U^dag dU) and dmu =
+    2 Re tr((P U)^dag dU), P the projector on the smaller eigenvector of
+    U U^dag.  gap P U = det(U) adj(U)^dag - mu U neither divides by lam nor
+    cancels at lam -> 0, and near lam = 1/2 the f' / gap of the concave
+    measures stays finite.  The gradient pulls back through psi_mat^T.
     """
-    w, singular = _povm_vectors(x, psi_mat.shape[1])
     # conj(M) for every row and outcome, indexed [k, a, b, x]; conjugation
     # leaves p, gap and |det M| unchanged.
-    u = (psi_mat.conj() @ w).reshape(len(x), 2, 2, 4)
+    u = (psi_mat.conj() @ w).reshape(len(w), 2, 2, 4)
     rho_diag = (u * u.conj()).real.sum(axis=2)
     rho_01 = (u[:, 0] * u[:, 1].conj()).sum(axis=1)
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
@@ -584,8 +484,94 @@ def _povm_objective_batch(x: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -
     live = p >= 1e-14
     p_live = np.where(live, p, 1.0)
     lam = 2.0 * (det * det.conj()).real / (p_live * (p_live + gap))
-    total = np.sum(p * m.eigenvalue_values(lam), axis=1, where=live)
-    return np.where(singular, 1.0, -total)
+    f = m.eigenvalue_values(lam)
+    total = np.sum(p * f, axis=1, where=live)
+    slope = np.where(live, m.eigenvalue_slopes(lam), 0.0)
+    per_gap = slope / np.where(gap > 0.0, gap, 1.0)
+    c_u = np.where(live, f - lam * slope, 0.0) - per_gap * lam * p_live
+    adj_h = u[:, ::-1, ::-1].conj() * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]  # adj(U)^dag
+    g = 2.0 * (c_u[:, None, None] * u + (per_gap * det)[:, None, None] * adj_h)
+    return total, psi_mat.T @ g.reshape(len(w), 4, 4)
+
+
+def _povm_objective_batch(x: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -> np.ndarray:
+    """Negated average post-measurement entanglement of each parameter row,
+    (K, 8 n_c) -> (K,): ``_povm_value_grad`` at the Loewdin image of the row.
+    Singular rows score the penalty 1.0."""
+    w, singular = _povm_vectors(x, psi_mat.shape[1])
+    return np.where(singular, 1.0, -_povm_value_grad(w, psi_mat, m)[0])
+
+
+def _riemannian_gradient(w: np.ndarray, egrad: np.ndarray) -> np.ndarray:
+    """The tangent part G - sym(G W^dag) W of the Euclidean gradient G at W W^dag = I."""
+    gw = egrad @ w.conj().transpose(0, 2, 1)
+    return egrad - 0.5 * (gw + gw.conj().transpose(0, 2, 1)) @ w
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(A^dag B) for each pair of the stacks."""
+    return np.einsum("kij,kij->k", a.conj(), b).real
+
+
+# Armijo's sufficient-increase fraction, the weight of the past in the moving
+# average the ascent's steps must beat, and the gradient norm, relative to the
+# value, below which a start counts as stationary.
+_ARMIJO = 1e-4
+_MEMORY = 0.85
+_GRAD_TOL = 1e-9
+
+
+def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: float) -> np.ndarray:
+    """Maximize ``fun``, which maps a stack to its values and Euclidean gradients,
+    from every point of the stack w0 (K, n, d), W W^dag = I; return the end points.
+
+    Riemannian gradient ascent with the polar retraction: each start's step
+    alternates the long and short Barzilai-Borwein lengths and is halved
+    until it beats a moving average of the start's past values by Armijo's
+    share (a nonmonotone search after Zhang & Hager, as in Wen & Yin, Math.
+    Program. 2013).  A start stops when its gradient norm falls below
+    ``_GRAD_TOL`` times its value, when a step too short to gain ``fatol``
+    fails, or after ``max_evals`` evaluations, line-search trials included;
+    all stop once one scores ``target``.  Zero columns of W stay zero.
+    """
+    end = w0.copy()
+    if max_evals < 1:
+        return end
+    value, egrad = fun(w0)
+    grad = _riemannian_gradient(w0, egrad)
+    norm2 = _inner(grad, grad)
+    top = value.max()
+    ids = np.flatnonzero(np.isfinite(value) & (norm2 > (_GRAD_TOL * value) ** 2))
+    w, value, grad, norm2 = w0[ids], value[ids], grad[ids], norm2[ids]
+    step = 1.0 / np.sqrt(np.maximum(norm2, 1e-300))
+    ref = value.copy()
+    long_step = np.ones(len(ids), dtype=bool)
+    for _ in range(max_evals - 1):
+        if top >= target or not ids.size:
+            break
+        trial = _polar(w + step[:, None, None] * grad)[0]
+        t_value, t_egrad = fun(trial)
+        ok = t_value >= ref + _ARMIJO * step * norm2
+        t_grad = _riemannian_gradient(trial, t_egrad)
+        s, y = trial - w, grad - t_grad
+        sy, t_norm2 = _inner(s, y), _inner(t_grad, t_grad)
+        curved = sy > 0.0
+        bb = np.where(long_step, _inner(s, s), sy) / np.where(curved, np.where(long_step, sy, _inner(y, y)), 1.0)
+        okm = ok[:, None, None]
+        w, grad = np.where(okm, trial, w), np.where(okm, t_grad, grad)
+        value, norm2 = np.where(ok, t_value, value), np.where(ok, t_norm2, norm2)
+        ref = np.where(ok, ref + (1.0 - _MEMORY) * (t_value - ref), ref)
+        # Without positive curvature along the step, the next one is unit length.
+        step = np.where(ok, np.where(curved, bb, 1.0 / np.sqrt(np.maximum(t_norm2, 1e-300))), 0.5 * step)
+        long_step ^= ok
+        top = max(top, value.max())
+        going = np.where(ok, norm2 > (_GRAD_TOL * value) ** 2, step * norm2 > fatol)
+        if not going.all():
+            end[ids[~going]] = w[~going]
+            ids, w, value, grad, norm2 = ids[going], w[going], value[going], grad[going], norm2[going]
+            step, ref, long_step = step[going], ref[going], long_step[going]
+    end[ids] = w
+    return end
 
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
@@ -633,9 +619,10 @@ def _informed_starts(psi: PureState, theorem1):
 def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None):
     """Best found average entanglement over rank-1 POVMs on Charlie (<= 4 outcomes).
 
-    Multi-start derivative-free search seeded with the constructive bases, all
-    starts advanced in lockstep by one Nelder-Mead; the result is a certified
-    lower bound on the entanglement of assistance.  The Theorem-1 measurement
+    Multi-start Riemannian gradient ascent over the isometries W (W W^dag = I)
+    whose columns are the POVM vectors, seeded with the constructive bases,
+    all starts advanced together; the result is a certified lower bound on
+    the entanglement of assistance.  The Theorem-1 measurement
     counts at the value ``average_post_measurement`` gives it, so the result
     is never below the constructive value ``analyze`` reports.  The search
     stops once a measurement comes within 1e-12 of the min-cut upper bound;
@@ -674,8 +661,8 @@ def _takagi_basis(tau: np.ndarray) -> np.ndarray:
     return cols @ _HADAMARD
 
 
-# Value tolerance of the POVM search: its Nelder-Mead fatol, and the distance
-# from the bound at which a candidate counts as optimal.
+# Value tolerance of the POVM search: the least gain of an accepted ascent
+# step, and the distance from the bound at which a candidate counts as optimal.
 _SEARCH_FATOL = 1e-12
 
 
@@ -707,14 +694,10 @@ def _eoa_search(
         return theorem1[:2]
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
-
-    def objective(x):
-        return _povm_objective_batch(x, psi_mat, m)
-
     values = np.empty(0)
     if certificates:
         candidates = np.array([_params_from_vectors(c, n_c) for c in certificates])
-        values = -objective(candidates)
+        values = -_povm_objective_batch(candidates, psi_mat, m)
     if values.max(initial=-np.inf) < bound - _SEARCH_FATOL:
         cands = _informed_starts(psi, theorem1)
         rng = np.random.default_rng(budget.seed)
@@ -722,13 +705,18 @@ def _eoa_search(
             [_params_from_vectors(c, n_c) for c in cands]
             + [rng.standard_normal(8 * n_c) for _ in range(budget.random_starts)]
         )
-        x_end = _lockstep_nelder_mead(
-            objective, x0, budget.max_evals, xatol=1e-10, fatol=_SEARCH_FATOL, target=_SEARCH_FATOL - bound
+        w_end = _stiefel_ascent(
+            lambda w: _povm_value_grad(w, psi_mat, m),
+            _povm_vectors(x0, n_c)[0],
+            budget.max_evals,
+            _SEARCH_FATOL,
+            bound - _SEARCH_FATOL,
         )
+        x_end = np.concatenate([w_end.real, w_end.imag], axis=1).reshape(len(x0), -1)
         # Each start's initial point, then its end point; a singular row scores -1,
         # below every valid average, so the first maximum is the first best POVM.
         candidates = np.stack([x0, x_end], axis=1).reshape(-1, 8 * n_c)
-        values = -objective(candidates)
+        values = -_povm_objective_batch(candidates, psi_mat, m)
     best = int(np.argmax(values))
     best_val = float(values[best])
     if theorem1 is not None and theorem1[0] >= best_val:
@@ -740,9 +728,7 @@ def _measurement_from_params(x: np.ndarray, n_c: int) -> Measurement:
     """The rank-1 POVM on Charlie of one parameter row, its zero outcomes dropped."""
     w = _povm_vectors(x[None], n_c)[0][0]
     keep = [k for k in range(4) if np.vdot(w[:, k], w[:, k]).real > 1e-14]
-    elems = []
-    for k in keep:
-        elems.append(np.outer(np.eye(n_c, dtype=complex)[:, 0], w[:, k].conj()))
+    elems = [np.outer(np.eye(n_c, dtype=complex)[:, 0], w[:, k].conj()) for k in keep]
     # Restore exact completeness over the kept columns.
     total = sum(e.conj().T @ e for e in elems)
     evals, evecs = np.linalg.eigh(total)
@@ -1100,7 +1086,7 @@ def analyze(
 ) -> AssistanceReport:
     cut_a = cut_entanglement(psi, "A|BC", m)
     cut_b = cut_entanglement(psi, "B|AC", m)
-    meas, _ = theorem1_measurement(psi)
+    meas, _, _, _, bases = _theorem1(psi)
     constructive = average_post_measurement(psi, meas, m)
     cut = "A|BC" if cut_a <= cut_b else "B|AC"
     verdict = lossless_classifier(psi, cut, tol=1e-7)
@@ -1109,8 +1095,7 @@ def analyze(
     certificates = []
     if verdict.kind == "lossless" and "basis" in verdict.certificate:
         certificates.append(verdict.certificate["basis"])
-    # theorem1_measurement keeps no commuting bases; a search builds the ones it seeds with.
-    theorem1 = (constructive, meas, {})
+    theorem1 = (constructive, meas, bases)
     numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, theorem1, min(cut_a, cut_b), certificates)
     eoc = eoc_lower_bound_search(psi, m, budget) if with_eoc else None
     return AssistanceReport(

@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--state", help="path to a state JSON file")
     analyze.add_argument("--monotone", default="e2")
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--budget", type=int, default=2000)
+    analyze.add_argument("--budget", type=int, default=2000, help="POVM search evaluations per start")
     analyze.add_argument("--out")
     analyze.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -74,6 +74,20 @@ class MonotoneSpec:
         # entropy of (lam, 1 - lam); eigenvalues at or below 1e-15 contribute nothing
         return _entropy_of_spectrum(np.stack([lam, 1.0 - lam]), self.alpha)
 
+    def eigenvalue_slopes(self, lam: np.ndarray) -> np.ndarray:
+        """f' elementwise over lam clipped to [1e-300, 1/2], so slopes infinite at 0 stay finite."""
+        lam = np.minimum(np.maximum(lam, 1e-300), 0.5)
+        if self.kind in ("e2", "kyfan"):
+            return np.full_like(lam, 2.0 if self.kind == "e2" else float(self.k != 1))
+        if self.kind == "concurrence":
+            return (1.0 - 2.0 * lam) / np.sqrt(lam * (1.0 - lam))
+        if self.kind == "s0" or self.alpha < S0_RANK_TOL:
+            return np.zeros_like(lam)
+        if abs(self.alpha - 1.0) < 1e-9:
+            return np.log2((1.0 - lam) / lam)
+        a, q = self.alpha, 1.0 - lam
+        return a * (lam ** (a - 1.0) - q ** (a - 1.0)) / ((1.0 - a) * np.log(2.0) * (lam**a + q**a))
+
     def label(self) -> str:
         if self.kind == "kyfan":
             return f"ek:{self.k}"

@@ -8,7 +8,6 @@ from eoa3.assistance import (
     VerificationError,
     _eoa_search,
     _informed_starts,
-    _lockstep_nelder_mead,
     _min_cut,
     _pauli_data,
     _params_from_vectors,
@@ -27,6 +26,7 @@ from eoa3.assistance import (
     unital_fixed_point_check,
     verify_theorem1,
 )
+from eoa3.ensembles import _lockstep_nelder_mead
 from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, cut_entanglement
 from eoa3.qcore import (
     PAULIS,
@@ -182,62 +182,6 @@ def test_lockstep_nelder_mead_matches_scipy(maxfev):
     for k, start in enumerate(x0):
         expected = minimize(rosen, start, method="Nelder-Mead", options=options).x
         np.testing.assert_array_equal(got[k], expected)
-
-
-@pytest.mark.parametrize("maxfev", [0, 3, 6, 40, 400, 5000])
-def test_lockstep_nelder_mead_unreachable_target_matches_scipy(maxfev):
-    # Rosenbrock is never negative, so a target of -1 never stops the search.
-    x0 = np.vstack(
-        [np.ones(5), np.zeros(5), np.random.default_rng(4).standard_normal((4, 5))]
-    )
-    got = _lockstep_nelder_mead(_rosen_rows, x0, maxfev, xatol=1e-10, fatol=1e-12, target=-1.0)
-    options = {"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-12}
-    for k, start in enumerate(x0):
-        expected = minimize(rosen, start, method="Nelder-Mead", options=options).x
-        np.testing.assert_array_equal(got[k], expected)
-
-
-def test_lockstep_nelder_mead_stops_at_first_iteration_reaching_target():
-    # scipy's callback sees each start's best vertex after every iteration; the
-    # lockstep search must stop every start after the first iteration in which
-    # any start's best value reaches the target, at scipy's vertex for that
-    # iteration (or at its end point if it finished earlier).
-    x0 = np.vstack([np.zeros(5), np.random.default_rng(4).standard_normal((4, 5))])
-    options = {"maxfev": 5000, "xatol": 1e-10, "fatol": 1e-12}
-    target = 1e-3
-
-    def first_hit(start):
-        history = []
-
-        def record(intermediate_result):
-            history.append(intermediate_result.fun)
-
-        minimize(rosen, start, method="Nelder-Mead", options=options, callback=record)
-        return next((i + 1 for i, f in enumerate(history) if f <= target), np.inf)
-
-    stop = min(first_hit(start) for start in x0)
-    assert 0 < stop < np.inf
-
-    def run_until_stop(start):
-        iterations = []
-
-        def halt(intermediate_result):
-            iterations.append(intermediate_result.fun)
-            if len(iterations) == stop:
-                raise StopIteration
-
-        return minimize(rosen, start, method="Nelder-Mead", options=options, callback=halt).x
-
-    got = _lockstep_nelder_mead(_rosen_rows, x0, 5000, xatol=1e-10, fatol=1e-12, target=target)
-    for k, start in enumerate(x0):
-        np.testing.assert_array_equal(got[k], run_until_stop(start))
-    assert min(rosen(row) for row in got) <= target
-    untargeted = _lockstep_nelder_mead(_rosen_rows, x0, 5000, xatol=1e-10, fatol=1e-12)
-    assert not np.array_equal(got, untargeted)
-    # A start already on the target stops every start at its initial simplex.
-    x0[0] = 1.0
-    got = _lockstep_nelder_mead(_rosen_rows, x0, 5000, xatol=1e-10, fatol=1e-12, target=target)
-    np.testing.assert_array_equal(got, _lockstep_nelder_mead(_rosen_rows, x0, 6, xatol=1e-10, fatol=1e-12))
 
 
 def _reference_povm_from_params(x, n_c):
@@ -478,7 +422,7 @@ def test_analyze_builds_and_scores_theorem1_once(monkeypatch, capsys):
     from eoa3 import assistance
     from eoa3.cli import main
 
-    calls = dict.fromkeys(("theorem1_measurement", "average_post_measurement"), 0)
+    calls = dict.fromkeys(("_theorem1", "average_post_measurement"), 0)
     for name in calls:
 
         def counted(*args, _name=name, _fn=getattr(assistance, name), **kwargs):
@@ -486,8 +430,18 @@ def test_analyze_builds_and_scores_theorem1_once(monkeypatch, capsys):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(assistance, name, counted)
+    sides = []
+    commuting_basis = assistance._commuting_basis
+
+    def recorded(psi, side, decoupled):
+        sides.append(side)
+        return commuting_basis(psi, side, decoupled)
+
+    monkeypatch.setattr(assistance, "_commuting_basis", recorded)
     assert main(["analyze", "--family", "haar", "--monotone", "entropy:1", "--seed", "5"]) == 0
-    assert calls == {"theorem1_measurement": 1, "average_post_measurement": 2}
+    assert calls == {"_theorem1": 1, "average_post_measurement": 2}
+    # The search seeds with the commuting bases Theorem 1 built; it builds none itself.
+    assert sides == ["A", "B"]
     monkeypatch.undo()
     # The report's numeric value is the one eoa_numeric finds with the CLI's budget.
     psi = generate(FamilySpec(kind="haar", seed=5))

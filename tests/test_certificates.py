@@ -105,13 +105,13 @@ def test_concurrence_certificate_never_raises_or_exceeds_trace_norm(family, seed
 
 def _count_searches(monkeypatch):
     calls = []
-    search = assistance._lockstep_nelder_mead
+    search = assistance._stiefel_ascent
 
     def counted(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(assistance, "_lockstep_nelder_mead", counted)
+    monkeypatch.setattr(assistance, "_stiefel_ascent", counted)
     return calls
 
 

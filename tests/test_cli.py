@@ -171,7 +171,7 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
     def stalled(psi):
         raise ArithmeticError("commuting-basis search stalled at residual 1.0e-08")
 
-    monkeypatch.setattr(assistance, "theorem1_measurement", stalled)
+    monkeypatch.setattr(assistance, "_theorem1", stalled)
     code, out, err = run(capsys, "analyze", "--family", "w")
     assert code == 3
     assert out == ""
