@@ -27,13 +27,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .ensembles import _takagi
-from .monotones import E2, MonotoneSpec, cut_entanglement
+from .monotones import E2, MonotoneSpec, _schmidt_min, cut_entanglement
 from .qcore import (
     PAULIS,
     SIGMA_YY,
     DensityMatrix,
     InputError,
     PureState,
+    _polar,
+    _stiefel_ascent,
     eig_hermitian,
     min_marginal_eigenvalue,
     pauli_coefficients,
@@ -148,14 +150,12 @@ def _pauli_data(psi: PureState, side: str):
 
 
 def _ket_from_direction(n: np.ndarray) -> np.ndarray:
-    """Qubit ket with Bloch vector n (unit)."""
-    nz = np.clip(n[2], -1.0, 1.0)
-    t = np.arccos(nz)
-    c, s = np.cos(t / 2.0), np.sin(t / 2.0)
-    if s < 1e-16:
-        return np.array([c, 0.0], dtype=complex) if nz > 0 else np.array([0.0, 1.0], dtype=complex)
-    phi = np.arctan2(n[1], n[0])
-    return np.array([c, np.exp(1j * phi) * s], dtype=complex)
+    """Qubit ket with Bloch vector n (unit): (1 + z, x + iy) or, in the
+    southern hemisphere, (x - iy, 1 - z), normalized.  Unlike angles through
+    arccos(z), both keep the O(delta) tilt of a direction near the poles."""
+    x, y, z = n
+    k = np.array([1.0 + z, x + 1j * y]) if z >= 0.0 else np.array([x - 1j * y, 1.0 - z])
+    return k / np.linalg.norm(k)
 
 
 def _antipodal_basis(n: np.ndarray) -> np.ndarray:
@@ -368,23 +368,7 @@ def _theorem1(psi: PureState):
             meas = Measurement.projective(bases["B"].basis)
         else:
             meas, _ = _eq21_measurement(psi, bases["A"])
-    avg = average_post_measurement(psi, meas, E2)
-    if abs(avg - min(cut_a, cut_b)) > 5e-8 and len(meas.elements) == 2:
-        # Rare near-degenerate geometry: polish the projective basis locally.
-        meas2 = _polish_projective(psi, meas)
-        avg2 = average_post_measurement(psi, meas2, E2)
-        if avg2 > avg:
-            meas, avg = meas2, avg2
-    return meas, avg, cut_a, cut_b, bases
-
-
-def _polish_projective(psi: PureState, meas: Measurement) -> Measurement:
-    def negavg(x):
-        return -average_post_measurement(psi, Measurement.projective(_basis_at_angles(x)), E2)
-
-    x0 = _ket_angles(_principal_vector(meas.elements[0]))
-    res = minimize(negavg, x0, method="Nelder-Mead", options={"maxfev": 200, "xatol": 1e-12, "fatol": 1e-14})
-    return Measurement.projective(_basis_at_angles(res.x))
+    return meas, average_post_measurement(psi, meas, E2), cut_a, cut_b, bases
 
 
 def _principal_vector(matrix: np.ndarray) -> np.ndarray:
@@ -417,29 +401,12 @@ def average_post_measurement(psi: PureState, meas: Measurement, m: MonotoneSpec)
             )
         evals, evecs = np.linalg.eigh(rho_ab)
         phi = PureState((2, 2), evecs[:, -1])
-        total += p * _pure_two_qubit_value(phi, m)
+        total += p * m.eigenvalue_fn(_schmidt_min(phi, (0,)))
     return float(total)
-
-
-def _pure_two_qubit_value(phi: PureState, m: MonotoneSpec) -> float:
-    mat = phi.amplitudes.reshape(2, 2)
-    evals, _ = eig_hermitian(mat @ mat.conj().T)
-    return m.eigenvalue_fn(float(np.clip(evals[-1], 0.0, 0.5)))
 
 
 # ---------------------------------------------------------------------------
 # Numeric EoA oracle
-
-
-def _polar(b: np.ndarray):
-    """The polar factor W = (B B^dag)^(-1/2) B of each block of the stack b (K, n_c, 4),
-    the nearest point with W W^dag = I (so sum_x w_x w_x^dag = I), and the mask
-    of blocks whose B B^dag is singular (smallest eigenvalue below 1e-12)."""
-    evals, evecs = np.linalg.eigh(b @ b.conj().transpose(0, 2, 1))
-    singular = evals[:, 0] < 1e-12
-    scale = 1.0 / np.sqrt(np.maximum(evals, 1e-12))
-    inv_sqrt = (evecs * scale[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-    return inv_sqrt @ b, singular
 
 
 def _povm_vectors(x: np.ndarray, n_c: int):
@@ -500,78 +467,6 @@ def _povm_objective_batch(x: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -
     Singular rows score the penalty 1.0."""
     w, singular = _povm_vectors(x, psi_mat.shape[1])
     return np.where(singular, 1.0, -_povm_value_grad(w, psi_mat, m)[0])
-
-
-def _riemannian_gradient(w: np.ndarray, egrad: np.ndarray) -> np.ndarray:
-    """The tangent part G - sym(G W^dag) W of the Euclidean gradient G at W W^dag = I."""
-    gw = egrad @ w.conj().transpose(0, 2, 1)
-    return egrad - 0.5 * (gw + gw.conj().transpose(0, 2, 1)) @ w
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re tr(A^dag B) for each pair of the stacks."""
-    return np.einsum("kij,kij->k", a.conj(), b).real
-
-
-# Armijo's sufficient-increase fraction, the weight of the past in the moving
-# average the ascent's steps must beat, and the gradient norm, relative to the
-# value, below which a start counts as stationary.
-_ARMIJO = 1e-4
-_MEMORY = 0.85
-_GRAD_TOL = 1e-9
-
-
-def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: float) -> np.ndarray:
-    """Maximize ``fun``, which maps a stack to its values and Euclidean gradients,
-    from every point of the stack w0 (K, n, d), W W^dag = I; return the end points.
-
-    Riemannian gradient ascent with the polar retraction: each start's step
-    alternates the long and short Barzilai-Borwein lengths and is halved
-    until it beats a moving average of the start's past values by Armijo's
-    share (a nonmonotone search after Zhang & Hager, as in Wen & Yin, Math.
-    Program. 2013).  A start stops when its gradient norm falls below
-    ``_GRAD_TOL`` times its value, when a step too short to gain ``fatol``
-    fails, or after ``max_evals`` evaluations, line-search trials included;
-    all stop once one scores ``target``.  Zero columns of W stay zero.
-    """
-    end = w0.copy()
-    if max_evals < 1:
-        return end
-    value, egrad = fun(w0)
-    grad = _riemannian_gradient(w0, egrad)
-    norm2 = _inner(grad, grad)
-    top = value.max()
-    ids = np.flatnonzero(np.isfinite(value) & (norm2 > (_GRAD_TOL * value) ** 2))
-    w, value, grad, norm2 = w0[ids], value[ids], grad[ids], norm2[ids]
-    step = 1.0 / np.sqrt(np.maximum(norm2, 1e-300))
-    ref = value.copy()
-    long_step = np.ones(len(ids), dtype=bool)
-    for _ in range(max_evals - 1):
-        if top >= target or not ids.size:
-            break
-        trial = _polar(w + step[:, None, None] * grad)[0]
-        t_value, t_egrad = fun(trial)
-        ok = t_value >= ref + _ARMIJO * step * norm2
-        t_grad = _riemannian_gradient(trial, t_egrad)
-        s, y = trial - w, grad - t_grad
-        sy, t_norm2 = _inner(s, y), _inner(t_grad, t_grad)
-        curved = sy > 0.0
-        bb = np.where(long_step, _inner(s, s), sy) / np.where(curved, np.where(long_step, sy, _inner(y, y)), 1.0)
-        okm = ok[:, None, None]
-        w, grad = np.where(okm, trial, w), np.where(okm, t_grad, grad)
-        value, norm2 = np.where(ok, t_value, value), np.where(ok, t_norm2, norm2)
-        ref = np.where(ok, ref + (1.0 - _MEMORY) * (t_value - ref), ref)
-        # Without positive curvature along the step, the next one is unit length.
-        step = np.where(ok, np.where(curved, bb, 1.0 / np.sqrt(np.maximum(t_norm2, 1e-300))), 0.5 * step)
-        long_step ^= ok
-        top = max(top, value.max())
-        going = np.where(ok, norm2 > (_GRAD_TOL * value) ** 2, step * norm2 > fatol)
-        if not going.all():
-            end[ids[~going]] = w[~going]
-            ids, w, value, grad, norm2 = ids[going], w[going], value[going], grad[going], norm2[going]
-            step, ref, long_step = step[going], ref[going], long_step[going]
-    end[ids] = w
-    return end
 
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):

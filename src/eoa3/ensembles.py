@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .monotones import wootters_concurrence
-from .qcore import SIGMA_YY, DensityMatrix, InputError, PureState, min_marginal_eigenvalue
+from .qcore import SIGMA_YY, DensityMatrix, InputError, PureState, _polar, _stiefel_ascent, min_marginal_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -410,125 +410,39 @@ def ensemble_from_json(text: str) -> Ensemble:
 # Brute-force convex roof (independent cross-check for the closed formula)
 
 
-# scipy's non-adaptive Nelder-Mead (rho, chi, psi, sigma) = (1, 2, 1/2, 1/2)
-# places each trial point at c * xbar - d * x_worst, xbar the centroid of the
-# other vertices; these (c, d) reproduce scipy's arithmetic bit for bit.
-_NM_REFLECT = (2.0, 1.0)
-_NM_EXPAND = (3.0, 2.0)
-_NM_CONTRACT_OUT = (1.5, 0.5)
-_NM_CONTRACT_IN = (0.5, -0.5)
-_NM_SHRINK = 0.5
+def _roof_value_grad(w: np.ndarray, psi: np.ndarray):
+    """Negated total preconcurrence modulus of the ensemble each isometry of the
+    stack w (K, r, 4) draws from the purification psi (4, r), and its Euclidean
+    gradient (K, r, 4), dF = Re tr(G^dag dW).
 
-
-def _sorted_simplices(sim: np.ndarray, fsim: np.ndarray):
-    """The simplices with their vertices ordered by value, best first."""
-    order = np.argsort(fsim, axis=1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, order], fsim[rows, order]
-
-
-def _lockstep_nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float, fatol: float) -> np.ndarray:
-    """Minimize ``fun`` from every row of ``x0`` at once; return each start's best vertex.
-
-    Start k follows scipy's ``minimize(fun_k, x0[k], method="Nelder-Mead",
-    options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})`` step for
-    step, and row k of the result is its ``x``: the same initial simplex
-    (each coordinate stepped by 5%, or to 0.00025 where it is zero), the same
-    coefficients and convergence test, ``maxfev`` evaluations per start, and
-    the same handling of a budget that runs out inside an iteration (the
-    pending update is dropped; shrunk vertices beyond the budget keep their
-    old values).  ``fun`` maps a stack (M, N) of points to their M values.
-    Each phase of an iteration makes one call over every start still running:
-    the reflection, then the expansion or contraction, then the shrink.
+    Element i is the subnormalized z_i = psi conj(w_i), w_i the i-th column, and
+    its weighted concurrence is |c_i| with c_i = z_i^T (sy x sy) z_i.  Column i
+    of G is -2 psi^T (sy x sy) z_i conj(c_i) / |c_i| (Audenaert, Verstraete &
+    De Moor, PRA 2001), with the phase taken as 0 where c_i = 0.
     """
-
-    def evaluate(points):
-        return fun(points) if len(points) else np.empty(0)
-
-    k_starts, n = x0.shape
-    diag = np.arange(n)
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full((k_starts, n + 1), np.inf)
-    n_init = min(n + 1, maxfev)
-    fsim[:, :n_init] = evaluate(sim[:, :n_init].reshape(-1, n)).reshape(k_starts, n_init)
-    sim, fsim = _sorted_simplices(*_sorted_simplices(sim, fsim))  # scipy sorts twice here
-    if maxfev <= n + 1 or k_starts == 0:  # the budget ends with the initial simplex
-        return sim[:, 0]
-    nfev = np.full(k_starts, n_init)
-    ids = np.arange(k_starts)
-    best = np.empty_like(x0)
-    while True:
-        done = (nfev >= maxfev) | (
-            (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
-            & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)
-        )
-        if done.any():
-            best[ids[done]] = sim[done, 0]
-            going = ~done
-            ids, sim, fsim, nfev = ids[going], sim[going], fsim[going], nfev[going]
-            if ids.size == 0:
-                return best
-
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst = sim[:, -1]
-        xr = _NM_REFLECT[0] * xbar - _NM_REFLECT[1] * worst
-        fxr = evaluate(xr)
-        nfev += 1
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        outside = fxr < fsim[:, -1]  # picks the contraction where neither holds
-        coef = np.where(
-            expand[:, None],
-            _NM_EXPAND,
-            np.where(outside[:, None], _NM_CONTRACT_OUT, _NM_CONTRACT_IN),
-        )
-        probe = coef[:, :1] * xbar - coef[:, 1:] * worst
-        second = ~accept & (nfev < maxfev)
-        fprobe = np.full(ids.size, np.nan)  # NaN fails every comparison below
-        fprobe[second] = evaluate(probe[second])
-        nfev += second
-        better = np.where(
-            expand, fprobe < fxr, np.where(outside, fprobe <= fxr, fprobe < fsim[:, -1])
-        )
-        take_xr = accept | (second & expand & ~better)
-        shrink = second & ~expand & ~better
-        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
-        sim[better, -1], fsim[better, -1] = probe[better], fprobe[better]
-
-        if shrink.any():
-            ss, fs = sim[shrink], fsim[shrink]
-            ss[:, 1:] = ss[:, :1] + _NM_SHRINK * (ss[:, 1:] - ss[:, :1])
-            evaluated = diag < (maxfev - nfev[shrink])[:, None]
-            fs[:, 1:][evaluated] = evaluate(ss[:, 1:][evaluated])
-            nfev[shrink] += evaluated.sum(axis=1)
-            sim[shrink], fsim[shrink] = ss, fs
-        sim, fsim = _sorted_simplices(sim, fsim)
+    z = psi @ w.conj()
+    flipped = SIGMA_YY @ z
+    c = np.einsum("kai,kai->ki", z, flipped)
+    modulus = np.abs(c)
+    phase = np.divide(c.conj(), modulus, out=np.zeros_like(c), where=modulus > 0.0)
+    return -modulus.sum(axis=1), -2.0 * (psi.T @ flipped) * phase[:, None, :]
 
 
 def convex_roof_concurrence(rho: DensityMatrix, starts: int = 6, max_evals: int = 4000, seed: int = 0) -> float:
     """Minimize the average pure concurrence over 4-element ensembles.
 
-    Parameterizes ensembles through isometries on the purifier (every ensemble
-    arises that way); purely random multi-starts so the result is independent
-    of the closed-form construction it cross-checks.  The starts run together
-    through ``_lockstep_nelder_mead``, each one as scipy's Nelder-Mead would.
+    Parameterizes ensembles through isometries W (r x 4, W W^dag = I) on the
+    purifier (every ensemble arises that way); purely random multi-starts, and
+    no stop target, so the result is independent of the closed-form
+    construction it cross-checks.  The starts climb together through
+    ``_stiefel_ascent``, ``max_evals`` value-and-gradient evaluations each;
+    the purifier's eigenbasis is scored with their end points.
     """
     evals = np.linalg.eigvalsh(rho.entries)[::-1]
     r = max(2, int(np.sum(evals > 1e-12)))
     psi = purification(rho, r)
-
-    def objective(x):
-        b = (x[:, : 4 * r] + 1j * x[:, 4 * r :]).reshape(-1, r, 4)
-        ev, evec = np.linalg.eigh(b @ b.conj().transpose(0, 2, 1))
-        singular = ev[:, 0] < 1e-12
-        scale = 1.0 / np.sqrt(np.where(singular[:, None], 1.0, ev))
-        w = (evec * scale[:, None, :]) @ evec.conj().transpose(0, 2, 1) @ b
-        z = psi @ w.conj()  # z[k][:, i]: start k's subnormalized element i
-        total = np.abs(np.einsum("kai,ab,kbi->ki", z, SIGMA_YY, z)).sum(axis=1)
-        return np.where(singular, 4.0, total)
-
     x0 = np.random.default_rng(seed).standard_normal((starts, 8 * r))
-    ends = _lockstep_nelder_mead(objective, x0, max_evals, xatol=1e-8, fatol=1e-10)
-    eye = np.concatenate([np.eye(r, 4).reshape(-1), np.zeros(4 * r)])
-    return float(objective(np.vstack([eye, ends])).min())
+    w0 = _polar((x0[:, : 4 * r] + 1j * x0[:, 4 * r :]).reshape(-1, r, 4))[0]
+    ends = _stiefel_ascent(lambda w: _roof_value_grad(w, psi), w0, max_evals, 1e-12, np.inf)
+    eye = np.eye(r, 4, dtype=complex)[None]
+    return float(-_roof_value_grad(np.vstack([eye, ends]), psi)[0].max())

@@ -71,7 +71,7 @@ class MonotoneSpec:
             return 2.0 * np.sqrt(lam * (1.0 - lam))
         if self.kind == "s0" or self.alpha < S0_RANK_TOL:
             return np.where(lam < S0_RANK_TOL, 0.0, 1.0)
-        # entropy of (lam, 1 - lam); eigenvalues at or below 1e-15 contribute nothing
+        # entropy of (lam, 1 - lam)
         return _entropy_of_spectrum(np.stack([lam, 1.0 - lam]), self.alpha)
 
     def eigenvalue_slopes(self, lam: np.ndarray) -> np.ndarray:
@@ -117,8 +117,8 @@ CONCURRENCE = MonotoneSpec("concurrence")
 
 
 def _entropy_of_spectrum(spectrum: np.ndarray, alpha: float) -> np.ndarray:
-    """Renyi-alpha entropy (base 2) of the spectra along axis 0, ignoring entries <= 1e-15."""
-    kept = spectrum > 1e-15
+    """Renyi-alpha entropy (base 2) of the spectra along axis 0, with 0 log 0 = 0."""
+    kept = spectrum > 0.0
     safe = np.where(kept, spectrum, 1.0)
     if abs(alpha - 1.0) < 1e-9:
         return -np.sum(np.where(kept, safe * np.log2(safe), 0.0), axis=0)

@@ -302,6 +302,94 @@ def fidelity(a: PureState, b: PureState) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Gradient ascent over isometries (the POVM search and the convex roof)
+
+
+def _polar(b: np.ndarray):
+    """The polar factor W = (B B^dag)^(-1/2) B of each block of the stack b (K, n, d),
+    the nearest point with W W^dag = I, and the mask of blocks whose B B^dag is
+    singular (smallest eigenvalue below 1e-12)."""
+    evals, evecs = np.linalg.eigh(b @ b.conj().transpose(0, 2, 1))
+    singular = evals[:, 0] < 1e-12
+    scale = 1.0 / np.sqrt(np.maximum(evals, 1e-12))
+    inv_sqrt = (evecs * scale[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    return inv_sqrt @ b, singular
+
+
+def _riemannian_gradient(w: np.ndarray, egrad: np.ndarray) -> np.ndarray:
+    """The tangent part G - sym(G W^dag) W of the Euclidean gradient G at W W^dag = I."""
+    gw = egrad @ w.conj().transpose(0, 2, 1)
+    return egrad - 0.5 * (gw + gw.conj().transpose(0, 2, 1)) @ w
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(A^dag B) for each pair of the stacks."""
+    return np.einsum("kij,kij->k", a.conj(), b).real
+
+
+# Armijo's sufficient-increase fraction, the weight of the past in the moving
+# average the ascent's steps must beat, and the gradient norm, relative to the
+# value, below which a start counts as stationary.
+_ARMIJO = 1e-4
+_MEMORY = 0.85
+_GRAD_TOL = 1e-9
+
+
+def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: float) -> np.ndarray:
+    """Maximize ``fun``, which maps a stack to its values and Euclidean gradients
+    (dF = Re tr(G^dag dW)), from every point of the stack w0 (K, n, d),
+    W W^dag = I; return the end points.
+
+    Riemannian gradient ascent with the polar retraction: each start's step
+    alternates the long and short Barzilai-Borwein lengths and is halved
+    until it beats a moving average of the start's past values by Armijo's
+    share (a nonmonotone search after Zhang & Hager, as in Wen & Yin, Math.
+    Program. 2013).  A start stops when its gradient norm falls below
+    ``_GRAD_TOL`` times its value, when a step too short to gain ``fatol``
+    fails, or after ``max_evals`` evaluations, line-search trials included;
+    all stop once one scores ``target``.  Zero columns of W stay zero.
+    """
+    end = w0.copy()
+    if max_evals < 1:
+        return end
+    value, egrad = fun(w0)
+    grad = _riemannian_gradient(w0, egrad)
+    norm2 = _inner(grad, grad)
+    top = value.max(initial=-np.inf)
+    ids = np.flatnonzero(np.isfinite(value) & (norm2 > (_GRAD_TOL * value) ** 2))
+    w, value, grad, norm2 = w0[ids], value[ids], grad[ids], norm2[ids]
+    step = 1.0 / np.sqrt(np.maximum(norm2, 1e-300))
+    ref = value.copy()
+    long_step = np.ones(len(ids), dtype=bool)
+    for _ in range(max_evals - 1):
+        if top >= target or not ids.size:
+            break
+        trial = _polar(w + step[:, None, None] * grad)[0]
+        t_value, t_egrad = fun(trial)
+        ok = t_value >= ref + _ARMIJO * step * norm2
+        t_grad = _riemannian_gradient(trial, t_egrad)
+        s, y = trial - w, grad - t_grad
+        sy, t_norm2 = _inner(s, y), _inner(t_grad, t_grad)
+        curved = sy > 0.0
+        bb = np.where(long_step, _inner(s, s), sy) / np.where(curved, np.where(long_step, sy, _inner(y, y)), 1.0)
+        okm = ok[:, None, None]
+        w, grad = np.where(okm, trial, w), np.where(okm, t_grad, grad)
+        value, norm2 = np.where(ok, t_value, value), np.where(ok, t_norm2, norm2)
+        ref = np.where(ok, ref + (1.0 - _MEMORY) * (t_value - ref), ref)
+        # Without positive curvature along the step, the next one is unit length.
+        step = np.where(ok, np.where(curved, bb, 1.0 / np.sqrt(np.maximum(t_norm2, 1e-300))), 0.5 * step)
+        long_step ^= ok
+        top = max(top, value.max())
+        going = np.where(ok, norm2 > (_GRAD_TOL * value) ** 2, step * norm2 > fatol)
+        if not going.all():
+            end[ids[~going]] = w[~going]
+            ids, w, value, grad, norm2 = ids[going], w[going], value[going], grad[going], norm2[going]
+            step, ref, long_step = step[going], ref[going], long_step[going]
+    end[ids] = w
+    return end
+
+
+# ---------------------------------------------------------------------------
 # JSON state format
 
 

@@ -1,13 +1,16 @@
-"""The POVM search's Riemannian gradient ascent on the Stiefel manifold.
+"""Riemannian gradient ascent on the Stiefel manifold, as the POVM search and
+the convex roof use it.
 
 A rank-1 POVM on Charlie is an isometry W (W W^dag = I) whose columns are the
 POVM vectors; the search climbs the average post-measurement entanglement
-over W with its analytic gradient and the polar retraction.
+over W with its analytic gradient and the polar retraction.  A 4-element
+ensemble of a rank-r two-qubit state is an r x 4 isometry on its purifier,
+and the convex roof climbs the negated total concurrence the same way.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eoa3 import assistance
@@ -15,19 +18,24 @@ from eoa3.assistance import (
     SearchBudget,
     _eoa_search,
     _informed_starts,
-    _inner,
     _min_cut,
     _params_from_vectors,
-    _polar,
     _povm_objective_batch,
     _povm_value_grad,
-    _riemannian_gradient,
-    _stiefel_ascent,
     _theorem1_candidate,
     eoa_numeric,
 )
+from eoa3.ensembles import _roof_value_grad, purification
 from eoa3.monotones import E2, ENTROPY_1, MonotoneSpec
-from eoa3.qcore import PureState, haar_random_pure
+from eoa3.qcore import (
+    PureState,
+    _inner,
+    _polar,
+    _riemannian_gradient,
+    _stiefel_ascent,
+    haar_random_pure,
+    random_density_matrix,
+)
 from eoa3.states import bell_times_c, generate, ghz_state, parse_family, product_state, w_state
 
 GRADIENT_KINDS = ("e2", "ek:2", "concurrence", "entropy:0.5", "entropy:0.7", "entropy:1")
@@ -46,22 +54,33 @@ def _padded(basis):
     return w
 
 
+def _value_grad(kind, n, seed):
+    """A value-and-gradient function over (K, n, 4) isometries: the POVM
+    objective of a 2x2xn Haar state under ``kind``, or for ``roof`` the
+    convex-roof objective of a rank-n two-qubit density matrix."""
+    if kind == "roof":
+        psi = purification(random_density_matrix(4, n, seed), n)
+        return lambda w: _roof_value_grad(w, psi)
+    m = MonotoneSpec.parse(kind)
+    psi_mat = haar_random_pure((2, 2, n), seed).amplitudes.reshape(4, n)
+    return lambda w: _povm_value_grad(w, psi_mat, m)
+
+
 @pytest.mark.parametrize("n_c", [2, 3, 4])
-@pytest.mark.parametrize("kind", GRADIENT_KINDS)
+@pytest.mark.parametrize("kind", GRADIENT_KINDS + ("roof",))
 def test_riemannian_gradient_matches_central_differences(kind, n_c):
     # d/dt F(R(W + t Z)) at t = 0 is <grad, Z> for a tangent Z; the polar
     # retraction R agrees with the manifold to second order.
-    m = MonotoneSpec.parse(kind)
     rng = np.random.default_rng(n_c)
     h = 1e-5
     for seed in range(4):
-        psi_mat = haar_random_pure((2, 2, n_c), seed).amplitudes.reshape(4, n_c)
+        fun = _value_grad(kind, n_c, seed)
         w = _random_isometries(rng, 1, n_c)
-        grad = _riemannian_gradient(w, _povm_value_grad(w, psi_mat, m)[1])
+        grad = _riemannian_gradient(w, fun(w)[1])
         raw = rng.standard_normal((2,) + w.shape[1:]) + 1j * rng.standard_normal((2,) + w.shape[1:])
         for z in [grad, _riemannian_gradient(w, raw[:1]), _riemannian_gradient(w, raw[1:])]:
-            up = _povm_value_grad(_polar(w + h * z)[0], psi_mat, m)[0]
-            down = _povm_value_grad(_polar(w - h * z)[0], psi_mat, m)[0]
+            up = fun(_polar(w + h * z)[0])[0]
+            down = fun(_polar(w - h * z)[0])[0]
             numeric = (up - down) / (2 * h)
             scale = np.sqrt(_inner(grad, grad) * _inner(z, z))
             assert abs(numeric - _inner(grad, z))[0] <= 1e-6 * scale[0]
@@ -175,6 +194,9 @@ def _start_rows(psi, m, budget):
     log_eps=st.one_of(st.just(-np.inf), st.floats(-14.0, -1.0)),
     z_seed=st.integers(0, 2**32 - 1),
 )
+# An entropy that drops Schmidt eigenvalues at or below 1e-15 reads a min-cut
+# of -6.4e-16 here, below the 6.2e-8 that the search reaches.
+@example(family="product", seed=0, kind="entropy:0.5", log_eps=-8.0, z_seed=0)
 def test_search_near_special_states_is_finite_and_bounded(family, seed, kind, log_eps, z_seed):
     # Near product states every branch sits near lam = 0, where the concave
     # measures' slopes diverge.
@@ -191,6 +213,7 @@ def test_search_near_special_states_is_finite_and_bounded(family, seed, kind, lo
     best_start = -_povm_objective_batch(_start_rows(psi, m, FAST_BUDGET), psi.amplitudes.reshape(4, 2), m).min()
     slack = 1e-12 if kind == "concurrence" else 0.0
     assert np.isfinite(searched) and best_start <= searched + slack
+    assert searched <= bound + 1e-12
 
 
 def test_fast_budget_matches_the_default_budget_on_lossy_states():

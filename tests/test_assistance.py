@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize, rosen
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eoa3.assistance import (
     Measurement,
@@ -26,7 +27,6 @@ from eoa3.assistance import (
     unital_fixed_point_check,
     verify_theorem1,
 )
-from eoa3.ensembles import _lockstep_nelder_mead
 from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, cut_entanglement
 from eoa3.qcore import (
     PAULIS,
@@ -102,6 +102,45 @@ def test_theorem1_golden_cases():
     assert avg == pytest.approx(0.0, abs=1e-12)
 
 
+def _perturbed(base, eps, z):
+    amps = base.amplitudes + eps * z
+    return PureState((2, 2, 2), amps / np.linalg.norm(amps))
+
+
+def test_theorem1_answers_near_w():
+    # Near W the commuting direction sits within O(eps) of a pole.  A ket
+    # built through arccos(n_z) loses that tilt, and on 121 of these 300
+    # states the basis then misses its 1e-9 residual.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        eps = 10 ** rng.uniform(np.log10(4e-10), np.log10(1.4e-8))
+        z = rng.normal(size=8) + 1j * rng.normal(size=8)
+        verify_theorem1(_perturbed(w_state(), eps, z), 1e-7)
+
+
+_NEAR = {
+    "w": lambda seed: w_state(),
+    "ghz": lambda seed: ghz_state(),
+    "product": lambda seed: product_state(),
+    "decoupled": lambda seed: bell_times_c(),
+    "eq21": lambda seed: generate(parse_family("eq21", seed)),
+    "thm2": lambda seed: generate(parse_family("thm2", seed)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_NEAR)),
+    seed=st.integers(0, 50),
+    log_eps=st.one_of(st.just(-np.inf), st.floats(-16.0, -1.0)),
+    z_seed=st.integers(0, 2**32 - 1),
+)
+def test_theorem1_holds_near_special_states(family, seed, log_eps, z_seed):
+    rng = np.random.default_rng(z_seed)
+    z = rng.normal(size=8) + 1j * rng.normal(size=8)
+    verify_theorem1(_perturbed(_NEAR[family](seed), 10.0**log_eps, z), 1e-7)
+
+
 def test_anti_parallel_balance():
     for seed in range(100):
         psi = haar_random_pure((2, 2, 2), seed)
@@ -163,25 +202,6 @@ def test_eoa_numeric_matches_constructive():
     assert val == pytest.approx(1.0, abs=1e-6)
     val, _ = eoa_numeric(w_state(), E2, SearchBudget(random_starts=1, max_evals=300))
     assert val == pytest.approx(2 / 3, abs=1e-5)
-
-
-def _rosen_rows(x):
-    return np.array([rosen(row) for row in x])
-
-
-@pytest.mark.parametrize("maxfev", [0, 3, 6, 40, 400, 5000])
-def test_lockstep_nelder_mead_matches_scipy(maxfev):
-    # Start 0 sits on the minimum and converges long before the others; the
-    # all-zero start takes the 0.00025 initial steps.  maxfev 0 and 3 end
-    # inside the initial simplex (N + 1 = 6).
-    x0 = np.vstack(
-        [np.ones(5), np.zeros(5), np.random.default_rng(4).standard_normal((4, 5))]
-    )
-    got = _lockstep_nelder_mead(_rosen_rows, x0, maxfev, xatol=1e-10, fatol=1e-12)
-    options = {"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-12}
-    for k, start in enumerate(x0):
-        expected = minimize(rosen, start, method="Nelder-Mead", options=options).x
-        np.testing.assert_array_equal(got[k], expected)
 
 
 def _reference_povm_from_params(x, n_c):

@@ -8,7 +8,7 @@ classifier's marginal-preserving basis reaches the min-cut.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eoa3 import assistance
@@ -96,11 +96,16 @@ _BASES = {
     log_eps=st.one_of(st.just(-np.inf), st.floats(-16.0, -1.0)),
     z_seed=st.integers(0, 2**32 - 1),
 )
+# Near a product branch, 2 sqrt(lam (1 - lam)) amplifies the ~1e-17 noise of
+# an eigh eigenvalue: taken that way, lam scores 4.3316e-07 here against
+# ||tau||_1 = 4.3294e-07.  average_post_measurement takes lam from an SVD.
+@example(family="product", seed=0, log_eps=-7.0, z_seed=0)
 def test_concurrence_certificate_never_raises_or_exceeds_trace_norm(family, seed, log_eps, z_seed):
     rng = np.random.default_rng(z_seed)
     z = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi = _perturbed(_BASES[family](seed), 10.0**log_eps, z)
     assert _takagi_value(psi) <= _trace_norm(psi) + 1e-14
+    assert _takagi_projective_value(psi) <= _trace_norm(psi) + 1e-14
 
 
 def _count_searches(monkeypatch):

@@ -171,7 +171,7 @@ def _reference_eigenvalue_fn(spec, lam):
     if spec.kind == "s0" or spec.alpha < 1e-10:
         return 0.0 if lam < 1e-10 else 1.0
     spectrum = np.array([lam, 1.0 - lam])
-    spectrum = spectrum[spectrum > 1e-15]
+    spectrum = spectrum[spectrum > 0.0]  # 0 log 0 = 0
     if abs(spec.alpha - 1.0) < 1e-9:
         return float(-np.sum(spectrum * np.log2(spectrum)))
     return float(np.log2(np.sum(spectrum**spec.alpha)) / (1.0 - spec.alpha))
