@@ -57,7 +57,6 @@ from .qcore import (
     from_bloch,
     haar_random_pure,
     haar_random_unitary,
-    partial_trace,
     random_density_matrix,
     reduced_density,
     schmidt_decompose,

@@ -36,7 +36,6 @@ from .qcore import (
     PureState,
     _polar,
     _stiefel_ascent,
-    eig_hermitian,
     min_marginal_eigenvalue,
     pauli_coefficients,
     reduced_density,
@@ -56,7 +55,6 @@ class VerificationError(Exception):
 class Measurement:
     """Finite list of Kraus elements on one subsystem of a pure state."""
 
-    subsystem: int
     elements: tuple
 
     def __post_init__(self):
@@ -74,16 +72,16 @@ class Measurement:
         return self.elements[0].shape[0]
 
     @staticmethod
-    def projective(basis: np.ndarray, subsystem: int = 2) -> "Measurement":
+    def projective(basis: np.ndarray) -> "Measurement":
         """Projectors onto the columns of ``basis``."""
         elems = tuple(
             np.outer(basis[:, k], basis[:, k].conj()) for k in range(basis.shape[1])
         )
-        return Measurement(subsystem=subsystem, elements=elems)
+        return Measurement(elements=elems)
 
     @staticmethod
-    def trivial(dim: int = 2, subsystem: int = 2) -> "Measurement":
-        return Measurement(subsystem=subsystem, elements=(np.eye(dim, dtype=complex),))
+    def trivial(dim: int = 2) -> "Measurement":
+        return Measurement(elements=(np.eye(dim, dtype=complex),))
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def _basis_result(psi: PureState, basis: np.ndarray, side: str, decoupled: bool)
     mats, probs, marginals = _conditional_marginals(psi, basis, side)
     conds = [0.5 * np.eye(2, dtype=complex) if c is None else c for c in marginals]
     blochs = [
-        np.zeros(3) if c is None else pauli_coefficients(DensityMatrix.from_matrix(c).entries)[1:]
+        np.zeros(3) if c is None else pauli_coefficients(c)[1:]
         for c in marginals
     ]
     comm = conds[0] @ conds[1] - conds[1] @ conds[0]
@@ -399,9 +397,9 @@ def average_post_measurement(psi: PureState, meas: Measurement, m: MonotoneSpec)
             raise InputError(
                 "measurement branch leaves a mixed AB state; use rank-1 elements"
             )
-        evals, evecs = np.linalg.eigh(rho_ab)
-        phi = PureState((2, 2), evecs[:, -1])
-        total += p * m.eigenvalue_fn(_schmidt_min(phi, (0,)))
+        # The AB state is the leading left singular vector of the (AB, C) block.
+        phi = np.linalg.svd(mat)[0][:, 0].reshape(2, 2)
+        total += p * m.eigenvalue_fn(float(np.linalg.svd(phi, compute_uv=False)[-1] ** 2))
     return float(total)
 
 
@@ -409,17 +407,13 @@ def average_post_measurement(psi: PureState, meas: Measurement, m: MonotoneSpec)
 # Numeric EoA oracle
 
 
-def _povm_vectors(x: np.ndarray, n_c: int):
-    """``_polar`` (the Loewdin map) of rows holding an (n_c, 4) block's real, then imaginary parts."""
-    pairs = np.ascontiguousarray(x.reshape(len(x), 2, -1).transpose(0, 2, 1))
-    return _polar(pairs.view(complex).reshape(-1, n_c, 4))
-
-
-def _params_from_vectors(vectors: np.ndarray, n_c: int) -> np.ndarray:
-    b = np.zeros((n_c, 4), dtype=complex)
-    b[:, : vectors.shape[1]] = vectors
-    flat = b.reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
+def _isometries(bases, n_c: int) -> np.ndarray:
+    """Charlie bases as a (K, n_c, 4) stack of POVMs: each basis fills the
+    first columns of a zero block, so the other outcomes never occur."""
+    w = np.zeros((len(bases), n_c, 4), dtype=complex)
+    for block, basis in zip(w, bases):
+        block[:, : basis.shape[1]] = basis
+    return w
 
 
 def _povm_value_grad(w: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec):
@@ -459,14 +453,6 @@ def _povm_value_grad(w: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec):
     adj_h = u[:, ::-1, ::-1].conj() * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]  # adj(U)^dag
     g = 2.0 * (c_u[:, None, None] * u + (per_gap * det)[:, None, None] * adj_h)
     return total, psi_mat.T @ g.reshape(len(w), 4, 4)
-
-
-def _povm_objective_batch(x: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -> np.ndarray:
-    """Negated average post-measurement entanglement of each parameter row,
-    (K, 8 n_c) -> (K,): ``_povm_value_grad`` at the Loewdin image of the row.
-    Singular rows score the penalty 1.0."""
-    w, singular = _povm_vectors(x, psi_mat.shape[1])
-    return np.where(singular, 1.0, -_povm_value_grad(w, psi_mat, m)[0])
 
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
@@ -589,46 +575,37 @@ def _eoa_search(
         return theorem1[:2]
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
-    values = np.empty(0)
-    if certificates:
-        candidates = np.array([_params_from_vectors(c, n_c) for c in certificates])
-        values = -_povm_objective_batch(candidates, psi_mat, m)
+    candidates = _isometries(certificates, n_c)
+    values = _povm_value_grad(candidates, psi_mat, m)[0]
     if values.max(initial=-np.inf) < bound - _SEARCH_FATOL:
-        cands = _informed_starts(psi, theorem1)
-        rng = np.random.default_rng(budget.seed)
-        x0 = np.array(
-            [_params_from_vectors(c, n_c) for c in cands]
-            + [rng.standard_normal(8 * n_c) for _ in range(budget.random_starts)]
-        )
+        # Each random start is the polar factor of a Gaussian (n_c, 4) block
+        # drawn as its real parts, then its imaginary parts.
+        draws = np.random.default_rng(budget.seed).standard_normal((budget.random_starts, 8 * n_c))
+        randoms = _polar((draws[:, : 4 * n_c] + 1j * draws[:, 4 * n_c :]).reshape(-1, n_c, 4))
+        w0 = np.concatenate([_isometries(_informed_starts(psi, theorem1), n_c), randoms])
         w_end = _stiefel_ascent(
-            lambda w: _povm_value_grad(w, psi_mat, m),
-            _povm_vectors(x0, n_c)[0],
-            budget.max_evals,
-            _SEARCH_FATOL,
-            bound - _SEARCH_FATOL,
+            lambda w: _povm_value_grad(w, psi_mat, m), w0, budget.max_evals, _SEARCH_FATOL, bound - _SEARCH_FATOL
         )
-        x_end = np.concatenate([w_end.real, w_end.imag], axis=1).reshape(len(x0), -1)
-        # Each start's initial point, then its end point; a singular row scores -1,
-        # below every valid average, so the first maximum is the first best POVM.
-        candidates = np.stack([x0, x_end], axis=1).reshape(-1, 8 * n_c)
-        values = -_povm_objective_batch(candidates, psi_mat, m)
+        # Each start, then its end point, so the first maximum is the first best POVM.
+        candidates = np.stack([w0, w_end], axis=1).reshape(-1, n_c, 4)
+        values = _povm_value_grad(candidates, psi_mat, m)[0]
     best = int(np.argmax(values))
     best_val = float(values[best])
     if theorem1 is not None and theorem1[0] >= best_val:
         return theorem1[:2]
-    return best_val, _measurement_from_params(candidates[best], n_c)
+    return best_val, _povm_measurement(candidates[best])
 
 
-def _measurement_from_params(x: np.ndarray, n_c: int) -> Measurement:
-    """The rank-1 POVM on Charlie of one parameter row, its zero outcomes dropped."""
-    w = _povm_vectors(x[None], n_c)[0][0]
+def _povm_measurement(w: np.ndarray) -> Measurement:
+    """The rank-1 POVM on Charlie whose vectors are the columns of the isometry w, its zero outcomes dropped."""
+    n_c = w.shape[0]
     keep = [k for k in range(4) if np.vdot(w[:, k], w[:, k]).real > 1e-14]
     elems = [np.outer(np.eye(n_c, dtype=complex)[:, 0], w[:, k].conj()) for k in keep]
     # Restore exact completeness over the kept columns.
     total = sum(e.conj().T @ e for e in elems)
     evals, evecs = np.linalg.eigh(total)
     fix = (evecs / np.sqrt(np.clip(evals, 1e-300, None))) @ evecs.conj().T
-    return Measurement(subsystem=2, elements=tuple(e @ fix for e in elems))
+    return Measurement(elements=tuple(e @ fix for e in elems))
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +646,11 @@ def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> Lossless
         raise InputError("cut must be 'A|BC' or 'B|AC'")
     side = "A" if cut == "A|BC" else "B"
     party = 0 if side == "A" else 1
-    other = 1 - party
     rho_ab = reduced_density(psi, (0, 1))
     if rho_ab.purity() > 1.0 - _AB_PURE_TOL:
         return LosslessVerdict(kind="decoupled", certificate={}, objective=0.0)
-    rho_side = reduced_density(psi, (party,))
-    lam_side = _marginal_lambda_min(rho_side)
-    lam_other = _marginal_lambda_min(reduced_density(psi, (other,)))
+    lam_side = min(_schmidt_min(psi, (party,)), 0.5)
+    lam_other = min(_schmidt_min(psi, (1 - party,)), 0.5)
     if abs(lam_side - 0.5) <= tol and abs(lam_other - 0.5) <= tol:
         return LosslessVerdict(
             kind="lossless",
@@ -689,16 +664,12 @@ def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> Lossless
     _, _, vt = np.linalg.svd(k_mat)
     n = vt[2]
     basis = _antipodal_basis(n)
-    obj, probs, branches = _marginal_preservation_objective(psi, basis, side, rho_side.entries)
+    target = reduced_density(psi, (party,)).entries
+    obj, probs, branches = _marginal_preservation_objective(psi, basis, side, target)
     if obj <= tol and probs.min() > 1e-9:
         cert = _lossless_certificate(basis, probs, branches, lam_side)
         return LosslessVerdict(kind="lossless", certificate=cert, objective=obj)
     return LosslessVerdict(kind="lossy", certificate={"basis": basis}, objective=obj)
-
-
-def _marginal_lambda_min(rho: DensityMatrix) -> float:
-    evals, _ = eig_hermitian(rho.entries)
-    return float(np.clip(evals[-1], 0.0, 0.5))
 
 
 def _marginal_preservation_objective(psi: PureState, basis: np.ndarray, side: str, target: np.ndarray):
@@ -947,7 +918,6 @@ class AssistanceReport:
     cut_b: float
     eoa_constructive: float
     eoa_numeric: float
-    eoc_lower_bound: float | None
     measurement: Measurement
     lossless_verdict: LosslessVerdict
     monotone: MonotoneSpec
@@ -958,7 +928,6 @@ class AssistanceReport:
             "cutB": self.cut_b,
             "eoaConstructive": self.eoa_constructive,
             "eoaNumeric": self.eoa_numeric,
-            "eocLowerBound": self.eoc_lower_bound,
             "monotone": self.monotone.label(),
             "verdict": self.lossless_verdict.kind,
             "measurement": [
@@ -973,12 +942,7 @@ class AssistanceReport:
         }
 
 
-def analyze(
-    psi: PureState,
-    m: MonotoneSpec,
-    budget: SearchBudget | None = None,
-    with_eoc: bool = False,
-) -> AssistanceReport:
+def analyze(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None) -> AssistanceReport:
     cut_a = cut_entanglement(psi, "A|BC", m)
     cut_b = cut_entanglement(psi, "B|AC", m)
     meas, _, _, _, bases = _theorem1(psi)
@@ -992,13 +956,11 @@ def analyze(
         certificates.append(verdict.certificate["basis"])
     theorem1 = (constructive, meas, bases)
     numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, theorem1, min(cut_a, cut_b), certificates)
-    eoc = eoc_lower_bound_search(psi, m, budget) if with_eoc else None
     return AssistanceReport(
         cut_a=cut_a,
         cut_b=cut_b,
         eoa_constructive=constructive,
         eoa_numeric=numeric,
-        eoc_lower_bound=eoc,
         measurement=meas,
         lossless_verdict=verdict,
         monotone=m,

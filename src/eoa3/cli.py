@@ -137,7 +137,7 @@ def cmd_decompose(args) -> int:
             basis = np.eye(2, dtype=complex)
         else:
             basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        meas = Measurement.projective(basis, subsystem=1)
+        meas = Measurement.projective(basis)
         ens = ensembles.hjw_ensemble(rho, meas)
     elif args.mode == "equalc":
         ens = ensembles.equal_concurrence_decomposition(rho)

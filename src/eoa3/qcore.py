@@ -151,23 +151,6 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
 
 
-def partial_trace(rho: DensityMatrix, dims, keep) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep``."""
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != rho.dim:
-        raise InputError(f"product of dims {dims} does not equal matrix dim {rho.dim}")
-    keep = tuple(sorted(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise InputError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-    n = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    # Trace over the complement, highest index first so axis numbers stay valid.
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + t.ndim // 2)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return DensityMatrix.from_matrix(t.reshape(d_keep, d_keep))
-
-
 def reduced_density(psi: PureState, keep) -> DensityMatrix:
     """Partial trace of |psi><psi| keeping the listed subsystems."""
     keep = tuple(sorted(int(k) for k in keep))
@@ -259,41 +242,6 @@ def haar_random_unitary(dim, seed) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def eig_hermitian(h: np.ndarray):
-    """Eigenvalues (non-increasing) and orthonormal eigenvectors.
-
-    The 2x2 case goes through the closed-form quadratic; degenerate pairs fall
-    back to a fixed reference basis so results are reproducible.
-    """
-    h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
-        raise InputError("matrix is not Hermitian")
-    if h.shape == (2, 2):
-        return _eig_hermitian_2x2(h)
-    evals, evecs = np.linalg.eigh(h)
-    return evals[::-1].copy(), evecs[:, ::-1].copy()
-
-
-def _eig_hermitian_2x2(h: np.ndarray):
-    a = h[0, 0].real
-    d = h[1, 1].real
-    b = h[0, 1]
-    mean = 0.5 * (a + d)
-    delta = np.sqrt((0.5 * (a - d)) ** 2 + abs(b) ** 2)
-    evals = np.array([mean + delta, mean - delta])
-    if delta < 1e-14:
-        # Degenerate: fixed computational reference basis.
-        return evals, np.eye(2, dtype=complex)
-    # Eigenvector for mean + delta; pick the numerically stabler expression.
-    if a - d >= 0:
-        v0 = np.array([0.5 * (a - d) + delta, np.conj(b)], dtype=complex)
-    else:
-        v0 = np.array([b, delta - 0.5 * (a - d)], dtype=complex)
-    v0 /= np.linalg.norm(v0)
-    v1 = np.array([-np.conj(v0[1]), np.conj(v0[0])], dtype=complex)
-    return evals, np.column_stack([v0, v1])
-
-
 def fidelity(a: PureState, b: PureState) -> float:
     """|<a|b>|^2, insensitive to global phase."""
     if a.dims != b.dims:
@@ -305,15 +253,13 @@ def fidelity(a: PureState, b: PureState) -> float:
 # Gradient ascent over isometries (the POVM search and the convex roof)
 
 
-def _polar(b: np.ndarray):
+def _polar(b: np.ndarray) -> np.ndarray:
     """The polar factor W = (B B^dag)^(-1/2) B of each block of the stack b (K, n, d),
-    the nearest point with W W^dag = I, and the mask of blocks whose B B^dag is
-    singular (smallest eigenvalue below 1e-12)."""
+    the nearest point with W W^dag = I; eigenvalues of B B^dag are floored at 1e-12."""
     evals, evecs = np.linalg.eigh(b @ b.conj().transpose(0, 2, 1))
-    singular = evals[:, 0] < 1e-12
     scale = 1.0 / np.sqrt(np.maximum(evals, 1e-12))
     inv_sqrt = (evecs * scale[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-    return inv_sqrt @ b, singular
+    return inv_sqrt @ b
 
 
 def _riemannian_gradient(w: np.ndarray, egrad: np.ndarray) -> np.ndarray:
@@ -364,7 +310,7 @@ def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: f
     for _ in range(max_evals - 1):
         if top >= target or not ids.size:
             break
-        trial = _polar(w + step[:, None, None] * grad)[0]
+        trial = _polar(w + step[:, None, None] * grad)
         t_value, t_egrad = fun(trial)
         ok = t_value >= ref + _ARMIJO * step * norm2
         t_grad = _riemannian_gradient(trial, t_egrad)

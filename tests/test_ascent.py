@@ -18,11 +18,11 @@ from eoa3.assistance import (
     SearchBudget,
     _eoa_search,
     _informed_starts,
+    _isometries,
     _min_cut,
-    _params_from_vectors,
-    _povm_objective_batch,
     _povm_value_grad,
     _theorem1_candidate,
+    average_post_measurement,
     eoa_numeric,
 )
 from eoa3.ensembles import _roof_value_grad, purification
@@ -44,14 +44,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def _random_isometries(rng, k, n_c):
-    return _polar(rng.standard_normal((k, n_c, 4)) + 1j * rng.standard_normal((k, n_c, 4)))[0]
-
-
-def _padded(basis):
-    """A projective measurement as a (1, n_c, 4) isometry with zero columns."""
-    w = np.zeros((1, basis.shape[0], 4), dtype=complex)
-    w[0, :, : basis.shape[1]] = basis
-    return w
+    return _polar(rng.standard_normal((k, n_c, 4)) + 1j * rng.standard_normal((k, n_c, 4)))
 
 
 def _value_grad(kind, n, seed):
@@ -79,8 +72,8 @@ def test_riemannian_gradient_matches_central_differences(kind, n_c):
         grad = _riemannian_gradient(w, fun(w)[1])
         raw = rng.standard_normal((2,) + w.shape[1:]) + 1j * rng.standard_normal((2,) + w.shape[1:])
         for z in [grad, _riemannian_gradient(w, raw[:1]), _riemannian_gradient(w, raw[1:])]:
-            up = fun(_polar(w + h * z)[0])[0]
-            down = fun(_polar(w - h * z)[0])[0]
+            up = fun(_polar(w + h * z))[0]
+            down = fun(_polar(w - h * z))[0]
             numeric = (up - down) / (2 * h)
             scale = np.sqrt(_inner(grad, grad) * _inner(z, z))
             assert abs(numeric - _inner(grad, z))[0] <= 1e-6 * scale[0]
@@ -99,10 +92,10 @@ def _edge_cases():
     """(state, isometry) pairs with a zero outcome, a branch at lam = 0 and a branch at lam = 1/2."""
     rng = np.random.default_rng(2)
     return [
-        (haar_random_pure((2, 2, 2), 3), _padded(np.eye(2, dtype=complex))),  # two zero outcomes
-        (ghz_state(), _padded(np.eye(2, dtype=complex))),  # branches |00>, |11>: lam = 0
+        (haar_random_pure((2, 2, 2), 3), _isometries([np.eye(2)], 2)),  # two zero outcomes
+        (ghz_state(), _isometries([np.eye(2)], 2)),  # branches |00>, |11>: lam = 0
         (product_state(), _random_isometries(rng, 1, 2)),  # every branch at lam = 0
-        (ghz_state(), _padded(HADAMARD)),  # Bell branches: lam = 1/2
+        (ghz_state(), _isometries([HADAMARD], 2)),  # Bell branches: lam = 1/2
         (bell_times_c(), _random_isometries(rng, 1, 2)),  # every branch at lam = 1/2
         (haar_random_pure((2, 2, 2), 4), np.zeros((1, 2, 4), dtype=complex)),  # no live outcome
     ]
@@ -177,13 +170,14 @@ _BASES = {
 FAST_BUDGET = SearchBudget(random_starts=1, max_evals=200)
 
 
-def _start_rows(psi, m, budget):
-    """The search's start rows, in its order: informed bases, then random rows."""
+def _starts(psi, m, budget):
+    """The search's starts, in its order: informed bases, then the polar
+    factors of seeded Gaussian blocks, one draw of 16 normals per start."""
     rng = np.random.default_rng(budget.seed)
     cands = _informed_starts(psi, _theorem1_candidate(psi, m))
-    return np.array(
-        [_params_from_vectors(c, 2) for c in cands] + [rng.standard_normal(16) for _ in range(budget.random_starts)]
-    )
+    draws = [rng.standard_normal(16) for _ in range(budget.random_starts)]
+    blocks = np.array([(x[:8] + 1j * x[8:]).reshape(2, 4) for x in draws])
+    return np.concatenate([_isometries(cands, 2), _polar(blocks)])
 
 
 @settings(max_examples=120, deadline=None)
@@ -210,7 +204,7 @@ def test_search_near_special_states_is_finite_and_bounded(family, seed, kind, lo
     # Without the min-cut stop the search keeps the best start.  Under
     # concurrence it still stops within 1e-12 of C_a, which no start exceeds.
     searched, _ = _eoa_search(psi, m, FAST_BUDGET, _theorem1_candidate(psi, m), np.inf)
-    best_start = -_povm_objective_batch(_start_rows(psi, m, FAST_BUDGET), psi.amplitudes.reshape(4, 2), m).min()
+    best_start = _povm_value_grad(_starts(psi, m, FAST_BUDGET), psi.amplitudes.reshape(4, 2), m)[0].max()
     slack = 1e-12 if kind == "concurrence" else 0.0
     assert np.isfinite(searched) and best_start <= searched + slack
     assert searched <= bound + 1e-12
@@ -234,7 +228,7 @@ def test_fast_budget_matches_the_default_budget_on_lossy_states():
 
 
 def test_search_scores_its_ends_with_the_objective(monkeypatch):
-    # The ascent's end points are rescored through the Loewdin map, as the
+    # The ascent's end points are scored by the search's objective, as the
     # certificates are; the reported value is the best of them.
     psi = haar_random_pure((2, 2, 2), 11)
     ends = []
@@ -247,6 +241,18 @@ def test_search_scores_its_ends_with_the_objective(monkeypatch):
     monkeypatch.setattr(assistance, "_stiefel_ascent", recorded)
     val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
     (end,) = ends
-    rows = np.concatenate([end.real, end.imag], axis=1).reshape(len(end), -1)
-    assert val == -_povm_objective_batch(rows, psi.amplitudes.reshape(4, 2), ENTROPY_1).min()
+    assert val == _povm_value_grad(end, psi.amplitudes.reshape(4, 2), ENTROPY_1)[0].max()
     assert val < _min_cut(psi, ENTROPY_1) - 1e-3
+
+
+@pytest.mark.parametrize("n_c", [2, 3, 4])
+def test_search_measurement_scores_its_value(n_c):
+    # The measurement the search returns is the POVM it scored: measured
+    # outcome by outcome, it gives the reported value.
+    for kind in ("e2", "ek:2", "concurrence", "entropy:0.5", "entropy:1"):
+        m = MonotoneSpec.parse(kind)
+        for seed in range(15):
+            psi = haar_random_pure((2, 2, n_c), seed)
+            val, meas = eoa_numeric(psi, m, FAST_BUDGET)
+            assert meas.dim == n_c
+            assert abs(average_post_measurement(psi, meas, m) - val) <= 1e-12

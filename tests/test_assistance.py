@@ -9,10 +9,10 @@ from eoa3.assistance import (
     VerificationError,
     _eoa_search,
     _informed_starts,
+    _isometries,
     _min_cut,
     _pauli_data,
-    _params_from_vectors,
-    _povm_objective_batch,
+    _povm_value_grad,
     _theorem1_candidate,
     analyze,
     average_post_measurement,
@@ -33,6 +33,7 @@ from eoa3.qcore import (
     DensityMatrix,
     InputError,
     PureState,
+    _polar,
     haar_random_pure,
     haar_random_unitary,
     reduced_density,
@@ -45,7 +46,7 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 def test_measurement_completeness_enforced():
     with pytest.raises(InputError):
-        Measurement(subsystem=2, elements=(np.diag([1.0, 0.0]),))
+        Measurement(elements=(np.diag([1.0, 0.0]),))
     m = Measurement.projective(np.eye(2, dtype=complex))
     assert len(m.elements) == 2
 
@@ -204,22 +205,12 @@ def test_eoa_numeric_matches_constructive():
     assert val == pytest.approx(2 / 3, abs=1e-5)
 
 
-def _reference_povm_from_params(x, n_c):
-    b = x[: x.size // 2] + 1j * x[x.size // 2 :]
-    b = b.reshape(n_c, 4)
-    sigma = b @ b.conj().T
-    evals, evecs = np.linalg.eigh(sigma)
-    if evals[0] < 1e-12:
-        return None
-    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    return inv_sqrt @ b
+def _random_isometries(rng, k, n_c):
+    return _polar(rng.standard_normal((k, n_c, 4)) + 1j * rng.standard_normal((k, n_c, 4)))
 
 
-def _reference_povm_objective(x, psi_mat, m):
-    """The per-column loop the batched kernel replaces, with its 1.0 penalty."""
-    w = _reference_povm_from_params(x, psi_mat.shape[1])
-    if w is None:
-        return 1.0
+def _reference_povm_value(w, psi_mat, m):
+    """The per-column loop the batched kernel replaces, on one isometry."""
     total = 0.0
     for col in range(w.shape[1]):
         v = psi_mat @ w[:, col].conj()
@@ -230,7 +221,7 @@ def _reference_povm_objective(x, psi_mat, m):
         disc = max(0.0, 1.0 - 4.0 * det / (p * p))
         lam = 0.5 * (1.0 - np.sqrt(disc))
         total += p * m.eigenvalue_fn(lam)
-    return -total
+    return total
 
 
 MONOTONE_KINDS = ("e2", "ek:1", "ek:2", "concurrence", "gconc", "s0", "entropy:0", "entropy:0.5", "entropy:1")
@@ -242,36 +233,31 @@ MONOTONE_KINDS = ("e2", "ek:1", "ek:2", "concurrence", "gconc", "s0", "entropy:0
     + [ghz_state(), product_state(), haar_random_pure((2, 2, 3), 0), haar_random_pure((2, 2, 4), 0)],
 )
 def test_povm_objective_batch_matches_loop(psi):
-    # Random rows, the informed starts (on the product state their empty
-    # columns take the p < 1e-14 branch) and an all-zero, singular block.
-    # The loop's (1 - sqrt(1 - 4|det|^2/p^2)) / 2 rounds differently from the
-    # kernel's form (up to 3e-15 apart on these rows, and the loop itself
-    # sits up to 2.9e-15 from a 40-digit evaluation on GHZ), so the two must
-    # agree to 64 ulp of 1.
+    # Random isometries and the informed starts (on the product state their
+    # empty columns take the p < 1e-14 branch).  The loop's
+    # (1 - sqrt(1 - 4|det|^2/p^2)) / 2 rounds differently from the kernel's
+    # form (up to 3e-15 apart on these stacks, and the loop itself sits up to
+    # 2.9e-15 from a 40-digit evaluation on GHZ), so the two must agree to
+    # 64 ulp of 1.
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
     cands = _informed_starts(psi, _theorem1_candidate(psi, E2))
-    rows = np.vstack(
-        [np.random.default_rng(0).standard_normal((20, 8 * n_c))]
-        + [_params_from_vectors(c, n_c) for c in cands]
-        + [np.zeros(8 * n_c)]
-    )
+    w = np.concatenate([_random_isometries(np.random.default_rng(0), 20, n_c), _isometries(cands, n_c)])
     for kind in MONOTONE_KINDS:
         m = MonotoneSpec.parse(kind)
-        got = _povm_objective_batch(rows, psi_mat, m)
-        expected = [_reference_povm_objective(x, psi_mat, m) for x in rows]
+        got = _povm_value_grad(w, psi_mat, m)[0]
+        expected = [_reference_povm_value(x, psi_mat, m) for x in w]
         np.testing.assert_allclose(got, expected, rtol=0, atol=64 * np.finfo(float).eps)
-        assert got[-1] == 1.0
 
 
 def test_povm_objective_batch_full_precision_at_half():
-    # |Phi+>|0>: every POVM outcome leaves a Bell pair, so every row scores
+    # |Phi+>|0>: every POVM outcome leaves a Bell pair, so every POVM scores
     # exactly f(1/2).  The loop's formula misses E2 = 1 here by up to 2.5e-8.
     psi_mat = bell_times_c().amplitudes.reshape(4, 2)
-    rows = np.random.default_rng(5).standard_normal((200, 16))
+    w = _random_isometries(np.random.default_rng(5), 200, 2)
     for kind in ("e2", "ek:2", "concurrence", "entropy:1"):
         m = MonotoneSpec.parse(kind)
-        got = -_povm_objective_batch(rows, psi_mat, m)
+        got = _povm_value_grad(w, psi_mat, m)[0]
         np.testing.assert_allclose(got, m.eigenvalue_fn(0.5), rtol=0, atol=1e-14)
 
 
@@ -379,11 +365,11 @@ def test_search_skips_optimizer_at_min_cut(monkeypatch):
 
     calls = []
 
-    def counted(x, *args):
-        calls.append(len(x))
-        return _povm_objective_batch(x, *args)
+    def counted(w, *args):
+        calls.append(len(w))
+        return _povm_value_grad(w, *args)
 
-    monkeypatch.setattr(assistance, "_povm_objective_batch", counted)
+    monkeypatch.setattr(assistance, "_povm_value_grad", counted)
     budget = SearchBudget(random_starts=2, max_evals=2000, seed=3)
     for seed in range(5):
         psi = haar_random_pure((2, 2, 2), seed)
@@ -428,7 +414,6 @@ def test_report_hierarchy_invariant():
             "cutB",
             "eoaConstructive",
             "eoaNumeric",
-            "eocLowerBound",
             "monotone",
             "verdict",
             "measurement",

@@ -18,9 +18,9 @@ from eoa3.assistance import (
     _assistance_tau,
     _eoa_search,
     _informed_starts,
+    _isometries,
     _min_cut,
-    _params_from_vectors,
-    _povm_objective_batch,
+    _povm_value_grad,
     _takagi_basis,
     _theorem1_candidate,
     analyze,
@@ -40,8 +40,8 @@ def _trace_norm(psi):
 
 def _takagi_value(psi):
     """The Takagi basis scored as the search scores a certificate."""
-    row = _params_from_vectors(_takagi_basis(_assistance_tau(psi)), 2)
-    return -_povm_objective_batch(row[None], psi.amplitudes.reshape(4, 2), CONCURRENCE)[0]
+    w = _isometries([_takagi_basis(_assistance_tau(psi))], 2)
+    return _povm_value_grad(w, psi.amplitudes.reshape(4, 2), CONCURRENCE)[0][0]
 
 
 def _takagi_projective_value(psi):

@@ -42,7 +42,7 @@ def test_ensemble_invariant_enforced():
 
 def test_hjw_ghz_reduction():
     rho = reduced_density(ghz_state(), (0, 1))
-    z = hjw_ensemble(rho, Measurement.projective(np.eye(2, dtype=complex), subsystem=1))
+    z = hjw_ensemble(rho, Measurement.projective(np.eye(2, dtype=complex)))
     weights = sorted(w for w, _ in z.elements)
     np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
     for _, s in z.elements:
@@ -50,7 +50,7 @@ def test_hjw_ghz_reduction():
     x = hjw_ensemble(
         rho,
         Measurement.projective(
-            np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), subsystem=1
+            np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         ),
     )
     for w, s in x.elements:
@@ -62,20 +62,20 @@ def test_hjw_reconstruction_random():
     basis = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
     for seed in range(30):
         rho = random_density_matrix(4, 2, seed)
-        ens = hjw_ensemble(rho, Measurement.projective(basis, subsystem=1))
+        ens = hjw_ensemble(rho, Measurement.projective(basis))
         assert reconstruction_error(ens) <= 1e-12
 
 
 def test_hjw_purifier_too_small():
     rho = random_density_matrix(4, 3, 0)
     with pytest.raises(InputError):
-        hjw_ensemble(rho, Measurement.projective(np.eye(2, dtype=complex), subsystem=1))
+        hjw_ensemble(rho, Measurement.projective(np.eye(2, dtype=complex)))
 
 
 def test_hjw_eigenbasis_returns_eigen_ensemble():
     rho = random_density_matrix(4, 2, 7)
     evals = np.sort(np.linalg.eigvalsh(rho.entries))[::-1][:2]
-    ens = hjw_ensemble(rho, Measurement.projective(np.eye(2, dtype=complex), subsystem=1))
+    ens = hjw_ensemble(rho, Measurement.projective(np.eye(2, dtype=complex)))
     weights = sorted((w for w, _ in ens.elements), reverse=True)
     np.testing.assert_allclose(weights, evals, atol=1e-12)
 

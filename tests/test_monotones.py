@@ -21,7 +21,6 @@ from eoa3.qcore import (
     DensityMatrix,
     InputError,
     PureState,
-    eig_hermitian,
     haar_random_pure,
     haar_random_unitary,
     random_density_matrix,
@@ -215,7 +214,7 @@ def test_pure_monotones_match_old_formulas():
     for phi in states:
         m = phi.amplitudes.reshape(2, 2)
         rho = m @ m.conj().T
-        assert abs(e2(phi) - 2.0 * np.clip(eig_hermitian(rho)[0], 0.0, 1.0)[-1]) <= 1e-14
+        assert abs(e2(phi) - 2.0 * np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)[0]) <= 1e-14
         assert abs(concurrence_pure(phi) - 2.0 * abs(np.linalg.det(m))) <= 1e-14
         assert abs(g_concurrence(phi) - 2.0 * np.sqrt(max(np.linalg.det(rho).real, 0.0))) <= 1e-14
 
@@ -228,7 +227,7 @@ def test_pure_monotones_near_product_in_rotated_frame():
         amps = _local_rotation(seed) @ np.array([np.sqrt(1 - NEAR_LAM), 0, 0, np.sqrt(NEAR_LAM)])
         phi = PureState((2, 2), amps)
         m = amps.reshape(2, 2)
-        assert abs(e2(phi) - 2.0 * eig_hermitian(m @ m.conj().T)[0][-1]) <= 1e-14
+        assert abs(e2(phi) - 2.0 * np.linalg.eigvalsh(m @ m.conj().T)[0]) <= 1e-14
         assert abs(e2(phi) - 2.0 * NEAR_LAM) <= 1e-14
         assert abs(concurrence_pure(phi) - 2.0 * abs(np.linalg.det(m))) <= 1e-14
         assert abs(concurrence_pure(phi) - exact_c) <= 1e-14

@@ -11,11 +11,9 @@ from eoa3.qcore import (
     InputError,
     PureState,
     bloch_vector,
-    eig_hermitian,
     fidelity,
     from_bloch,
     haar_random_pure,
-    partial_trace,
     pauli_coefficients,
     random_density_matrix,
     reduced_density,
@@ -54,13 +52,13 @@ def test_tensor_plus_plus_uniform():
 
 def test_partial_trace_bell():
     bell = PureState((2, 2), ket(1, 0, 0, 1))
-    red = partial_trace(bell.density(), (2, 2), keep=(0,))
+    red = reduced_density(bell, (0,))
     np.testing.assert_allclose(red.entries, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product():
     psi = PureState((2, 2, 2), ket(1, 0, 0, 0, 0, 0, 0, 0))
-    red = partial_trace(psi.density(), (2, 2, 2), keep=(0,))
+    red = reduced_density(psi, (0,))
     np.testing.assert_allclose(red.entries, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -68,12 +66,6 @@ def test_partial_trace_w_marginal():
     w = PureState((2, 2, 2), ket(0, 1, 1, 0, 1, 0, 0, 0))
     red = reduced_density(w, (0,))
     np.testing.assert_allclose(red.entries, np.diag([2 / 3, 1 / 3]), atol=1e-12)
-
-
-def test_partial_trace_dimension_mismatch():
-    bell = PureState((2, 2), ket(1, 0, 0, 1))
-    with pytest.raises(InputError):
-        partial_trace(bell.density(), (2, 3), keep=(0,))
 
 
 def test_schmidt_ghz_and_product():
@@ -118,8 +110,8 @@ def test_bloch_eigenvalue_identity():
     for seed in range(200):
         rho = random_density_matrix(2, 2, seed)
         r = bloch_vector(rho).length
-        evals, _ = eig_hermitian(rho.entries)
-        np.testing.assert_allclose(evals, [(1 + r) / 2, (1 - r) / 2], atol=1e-12)
+        evals = np.linalg.eigvalsh(rho.entries)
+        np.testing.assert_allclose(evals, [(1 - r) / 2, (1 + r) / 2], atol=1e-12)
 
 
 def test_haar_reproducible_and_distinct():
@@ -136,40 +128,6 @@ def test_haar_marginal_average():
     for seed in range(n):
         acc += reduced_density(haar_random_pure((2, 2, 2), seed), (0,)).entries
     np.testing.assert_allclose(acc / n, np.eye(2) / 2, atol=2e-2)
-
-
-def test_eig_hermitian_examples():
-    evals, _ = eig_hermitian(np.diag([0.8, 0.2]).astype(complex))
-    np.testing.assert_allclose(evals, [0.8, 0.2])
-    evals, evecs = eig_hermitian(np.eye(2, dtype=complex) / 2)
-    np.testing.assert_allclose(evals, [0.5, 0.5])
-    np.testing.assert_allclose(evecs.conj().T @ evecs, np.eye(2), atol=1e-14)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    evals, evecs = eig_hermitian(0.5 * (np.eye(2) + 0.6 * sx))
-    np.testing.assert_allclose(evals, [0.8, 0.2], atol=1e-14)
-    np.testing.assert_allclose(np.abs(evecs[:, 0]), [1, 1] / np.sqrt(2), atol=1e-12)
-
-
-def test_eig_hermitian_reconstruction():
-    for seed in range(50):
-        rho = random_density_matrix(4, 4, seed)
-        evals, evecs = eig_hermitian(rho.entries)
-        recon = (evecs * evals) @ evecs.conj().T
-        assert np.max(np.abs(recon - rho.entries)) <= 1e-12
-        assert np.all(np.diff(evals) <= 1e-14)
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(InputError):
-        eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_partial_trace_chaining():
-    for seed in range(20):
-        psi = haar_random_pure((2, 2, 2), seed)
-        direct = reduced_density(psi, (0,))
-        via_bc = partial_trace(reduced_density(psi, (0, 1)), (2, 2), keep=(0,))
-        assert np.max(np.abs(direct.entries - via_bc.entries)) <= 1e-12
 
 
 def test_schmidt_spectra_match_both_sides():
