@@ -13,16 +13,20 @@ from .assistance import (
     EBasisResult,
     Measurement,
     SearchBudget,
+    Theorem1Stack,
     VerificationError,
     analyze,
     average_post_measurement,
     commuting_charlie_basis,
     corollary_check,
+    corollary_checks,
+    eoa_densities,
     eoa_density,
     eoa_numeric,
     eoc_lower_bound_search,
     lossless_classifier,
     theorem1_measurement,
+    theorem1_stack,
     unital_fixed_point_check,
     verify_theorem1,
 )
@@ -37,11 +41,14 @@ from .monotones import (
     MonotoneSpec,
     concurrence_pure,
     cut_entanglement,
+    cut_values,
     e2,
     entropy_alpha,
     g_concurrence,
     ky_fan,
+    pair_concurrences,
     three_tangle,
+    three_tangles,
     wootters_concurrence,
 )
 from .qcore import (
@@ -59,10 +66,12 @@ from .qcore import (
     haar_random_unitary,
     random_density_matrix,
     reduced_density,
+    reduced_stack,
     schmidt_decompose,
     state_from_json,
     state_to_json,
     tensor,
+    three_qubit_stack,
 )
 from .states import FamilySpec, generate, verify_family_membership
 

@@ -27,10 +27,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .ensembles import _takagi
-from .monotones import E2, MonotoneSpec, _schmidt_min, cut_entanglement
+from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, _schmidt_min, cut_entanglement, pair_concurrences
 from .qcore import (
     PAULIS,
-    SIGMA_YY,
     DensityMatrix,
     InputError,
     PureState,
@@ -39,6 +38,8 @@ from .qcore import (
     min_marginal_eigenvalue,
     pauli_coefficients,
     reduced_density,
+    reduced_stack,
+    three_qubit_stack,
 )
 
 
@@ -140,133 +141,180 @@ SMALL_BUDGET = SearchBudget(random_starts=1, max_evals=400, seed=0)
 _AB_PURE_TOL = 1e-12  # purity threshold for "Charlie already decoupled"
 
 
+def _ab_purities(t: np.ndarray) -> np.ndarray:
+    """tr(rho_AB^2) of each state in the stack t (N, 2, 2, 2)."""
+    rho = reduced_stack(t, (0, 1))
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
+
+
+def _pauli_stack(t: np.ndarray, side: str):
+    """(a, b, T) of the two-qubit reductions rho^{XC}, X = A or B, of each
+    state in the stack t (N, 2, 2, 2): (N, 3), (N, 3) and (N, 3, 3)."""
+    r = pauli_coefficients(reduced_stack(t, (0, 2) if side == "A" else (1, 2)))
+    return r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+
+
 def _pauli_data(psi: PureState, side: str):
-    """(a, b, T) for the two-qubit reduction rho^{XC} with X = A or B."""
-    keep = (0, 2) if side == "A" else (1, 2)
-    r = pauli_coefficients(reduced_density(psi, keep).entries)
-    return r[1:, 0], r[0, 1:], r[1:, 1:]
+    """(a, b, T) for the two-qubit reduction rho^{XC} of one state."""
+    return tuple(x[0] for x in _pauli_stack(psi.tensor_view()[None], side))
 
 
-def _ket_from_direction(n: np.ndarray) -> np.ndarray:
-    """Qubit ket with Bloch vector n (unit): (1 + z, x + iy) or, in the
-    southern hemisphere, (x - iy, 1 - z), normalized.  Unlike angles through
-    arccos(z), both keep the O(delta) tilt of a direction near the poles."""
-    x, y, z = n
-    k = np.array([1.0 + z, x + 1j * y]) if z >= 0.0 else np.array([x - 1j * y, 1.0 - z])
-    return k / np.linalg.norm(k)
+def _antipodal_bases(n: np.ndarray) -> np.ndarray:
+    """Charlie bases (..., 2, 2) for the directions n (..., 3): the first column
+    has Bloch vector n / |n|, the second its antipode.  The ket is (1 + z, x + iy)
+    or, in the southern hemisphere, (x - iy, 1 - z), normalized; unlike angles
+    through arccos(z), both keep the O(delta) tilt of a direction near the poles."""
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    north = z >= 0.0
+    basis = np.empty(n.shape[:-1] + (2, 2), dtype=complex)
+    basis[..., 0, 0] = np.where(north, 1.0 + z, x - 1j * y)
+    basis[..., 1, 0] = np.where(north, x + 1j * y, 1.0 - z)
+    basis[..., 0] /= np.sqrt(np.einsum("...i,...i->...", basis[..., 0], basis[..., 0].conj()).real)[..., None]
+    basis[..., 0, 1] = -basis[..., 1, 0].conj()
+    basis[..., 1, 1] = basis[..., 0, 0].conj()
+    return basis
 
 
-def _antipodal_basis(n: np.ndarray) -> np.ndarray:
-    n = n / np.linalg.norm(n)
-    k0 = _ket_from_direction(n)
-    k1 = np.array([-np.conj(k0[1]), np.conj(k0[0])], dtype=complex)
-    return np.column_stack([k0, k1])
+def _branch_data(t: np.ndarray, bases: np.ndarray, side: str):
+    """Measuring C in each basis of the stack bases (N, K, 2, 2) on the matching
+    state of t (N, 2, 2, 2): per basis and outcome x, the unnormalized branch
+    matrices M_x (A row, B column) (N, K, 2, 2, 2), their probabilities and
+    the mask p >= 1e-14 (N, K, 2), and the normalized conditional marginals
+    on ``side``, I/2 where p < 1e-14 (N, K, 2, 2, 2)."""
+    mats = np.einsum("nabc,nkcx->nkxab", t, bases.conj())
+    probs = (mats.real**2 + mats.imag**2).sum(axis=(-2, -1))
+    if side == "A":
+        rho = mats @ mats.conj().swapaxes(-1, -2)
+    else:
+        rho = mats.swapaxes(-1, -2) @ mats.conj()
+    live = probs >= 1e-14
+    conds = np.where(
+        live[..., None, None], rho / np.where(live, probs, 1.0)[..., None, None], 0.5 * np.eye(2)
+    )
+    return mats, probs, live, conds
 
 
-def _branch_matrices(psi: PureState, basis: np.ndarray):
-    """Unnormalized 2x2 branch matrices M_k (A row, B column) per Charlie ket."""
-    t = psi.tensor_view()
-    return [np.tensordot(t, basis[:, k].conj(), axes=([2], [0])) for k in range(basis.shape[1])]
+@dataclass
+class _CommutingStack:
+    """Charlie bases and their branch geometry on one side, for a stack of
+    states: the fields of ``CommutingBasisResult`` as arrays whose leading axes
+    index the states (and, before a basis is chosen, the candidates)."""
+
+    side: str
+    basis: np.ndarray
+    probabilities: np.ndarray
+    conditional_states: np.ndarray
+    operators: np.ndarray
+    bloch_vectors: np.ndarray
+    antiparallel: np.ndarray
+    residual: np.ndarray
+
+    _ARRAYS = ("basis", "probabilities", "conditional_states", "operators", "bloch_vectors", "antiparallel", "residual")
+
+    def take(self, index) -> "_CommutingStack":
+        return _CommutingStack(self.side, *(getattr(self, f)[index] for f in self._ARRAYS))
+
+    def put(self, row: int, other: "_CommutingStack"):
+        """Overwrite ``row`` with the single entry of ``other``."""
+        for f in self._ARRAYS:
+            getattr(self, f)[row] = getattr(other, f).reshape(getattr(self, f)[row].shape)
+
+    def result(self, row: int, decoupled: bool) -> CommutingBasisResult:
+        return CommutingBasisResult(
+            side=self.side,
+            basis=self.basis[row],
+            probabilities=self.probabilities[row],
+            conditional_states=tuple(self.conditional_states[row]),
+            operators=tuple(self.operators[row]),
+            bloch_vectors=tuple(self.bloch_vectors[row]),
+            alignment="antiparallel" if self.antiparallel[row] else "parallel",
+            residual=float(self.residual[row]),
+            decoupled=decoupled,
+        )
 
 
-def _conditional_marginals(psi: PureState, basis: np.ndarray, side: str):
-    """Branch matrices, their probabilities, and the normalized conditional
-    marginals on ``side`` (None where p < 1e-14) of measuring C in ``basis``."""
-    mats = _branch_matrices(psi, basis)
-    probs = np.array([np.real(np.trace(m @ m.conj().T)) for m in mats])
-    conds = [
-        None if p < 1e-14 else (m @ m.conj().T if side == "A" else m.T @ m.conj()) / p
-        for m, p in zip(mats, probs)
-    ]
-    return mats, probs, conds
+def _basis_geometry(t: np.ndarray, bases: np.ndarray, side: str) -> _CommutingStack:
+    """Branch matrices, conditional marginals on ``side``, their commutator
+    residual and Bloch alignment for the bases (N, K, 2, 2) on t (N, 2, 2, 2),
+    in one pass; zero Bloch vectors count as parallel."""
+    mats, probs, _, conds = _branch_data(t, bases, side)
+    blochs = pauli_coefficients(conds)[..., 1:]
+    c0, c1 = conds[..., 0, :, :], conds[..., 1, :, :]
+    comm = c0 @ c1
+    comm -= comm.conj().swapaxes(-1, -2)  # c1 c0 = (c0 c1)^dag for Hermitian c0, c1
+    residual = np.sqrt(np.einsum("...ab,...ab->...", comm, comm.conj()).real)
+    grams = np.einsum("...xi,...yi->...xy", blochs, blochs)
+    tiny = np.minimum(grams[..., 0, 0], grams[..., 1, 1]) < 1e-22
+    anti = ~tiny & (grams[..., 0, 1] < 0.0)
+    operators = mats if side == "A" else mats.swapaxes(-1, -2)
+    return _CommutingStack(side, bases, probs, conds, operators, blochs, anti, residual)
 
 
 def _candidate_directions(a: np.ndarray, T: np.ndarray):
-    """Unit directions n solving a x (T n) = 0."""
-    candidates = []
-    if np.linalg.norm(a) < 1e-13:
-        # Any direction works; pick the principal axis of T for reproducibility.
-        _, _, vt = np.linalg.svd(T)
-        candidates.append(vt[0])
-        candidates.append(np.array([0.0, 0.0, 1.0]))
-    else:
-        u, s, vt = np.linalg.svd(T)
-        if s[2] > 1e-13:
-            n = np.linalg.solve(T, a)
-            candidates.append(n / np.linalg.norm(n))
-        if s[2] < 1e-7:
-            candidates.append(vt[2])
-    return candidates
-
-
-def _basis_result(psi: PureState, basis: np.ndarray, side: str, decoupled: bool):
-    mats, probs, marginals = _conditional_marginals(psi, basis, side)
-    conds = [0.5 * np.eye(2, dtype=complex) if c is None else c for c in marginals]
-    blochs = [
-        np.zeros(3) if c is None else pauli_coefficients(c)[1:]
-        for c in marginals
-    ]
-    comm = conds[0] @ conds[1] - conds[1] @ conds[0]
-    residual = float(np.linalg.norm(comm))
-    r1, r2 = blochs
-    n1, n2 = np.linalg.norm(r1), np.linalg.norm(r2)
-    if min(n1, n2) < 1e-11:
-        alignment = "parallel"  # zero vectors count as parallel
-    elif float(np.dot(r1, r2)) >= 0.0:
-        alignment = "parallel"
-    else:
-        alignment = "antiparallel"
-    operators = tuple(m if side == "A" else m.T for m in mats)
-    return CommutingBasisResult(
-        side=side,
-        basis=basis,
-        probabilities=probs,
-        conditional_states=tuple(conds),
-        operators=operators,
-        bloch_vectors=tuple(blochs),
-        alignment=alignment,
-        residual=residual,
-        decoupled=decoupled,
-    )
+    """Unit directions n solving a x (T n) = 0 for each row of a (N, 3) and
+    T (N, 3, 3): up to two per row, (N, 2, 3), with a mask (N, 2) of the slots
+    in use (unused ones hold z).  Where a vanishes any direction works: the
+    principal axis of T, then z.  Otherwise n is parallel to T^-1 a where T
+    is invertible, and a null vector of T where T is nearly singular."""
+    _, s, vt = np.linalg.svd(T)
+    free = np.einsum("ni,ni->n", a, a) < 1e-26
+    solvable = ~free & (s[:, 2] > 1e-13)
+    dirs = np.empty((len(a), 2, 3))
+    dirs[:, 0] = np.where(free[:, None], vt[:, 0], (0.0, 0.0, 1.0))
+    if solvable.any():
+        n = np.linalg.solve(T[solvable], a[solvable][:, :, None])[:, :, 0]
+        dirs[solvable, 0] = n / np.linalg.norm(n, axis=1, keepdims=True)
+    null = ~free & (s[:, 2] < 1e-7)
+    dirs[:, 1] = np.where(null[:, None], vt[:, 2], (0.0, 0.0, 1.0))
+    return dirs, np.stack([free | solvable, free | null], axis=1)
 
 
 def commuting_charlie_basis(psi: PureState, side: str) -> CommutingBasisResult:
     """Find an orthonormal Charlie basis with commuting conditional marginals."""
     if side not in ("A", "B"):
         raise InputError("side must be 'A' or 'B'")
-    if psi.dims != (2, 2, 2):
-        raise InputError("expected a three-qubit state")
-    return _commuting_basis(psi, side, reduced_density(psi, (0, 1)).purity() > 1.0 - _AB_PURE_TOL)
+    t = three_qubit_stack([psi])
+    decoupled = bool(_ab_purities(t)[0] > 1.0 - _AB_PURE_TOL)
+    return _commuting_stack(t, side).result(0, decoupled)
 
 
-def _commuting_basis(psi: PureState, side: str, decoupled: bool) -> CommutingBasisResult:
-    """``commuting_charlie_basis`` on a validated state whose AB purity test
-    (``decoupled``) the caller has already made."""
-    a, _, T = _pauli_data(psi, side)
-    results = []
-    for n in _candidate_directions(a, T):
-        results.append(_basis_result(psi, _antipodal_basis(n), side, decoupled))
-    good = [r for r in results if r.residual <= 1e-9]
-    if good:
-        parallel = [r for r in good if r.alignment == "parallel"]
-        return parallel[0] if parallel else good[0]
-    # Fall back to a short local search; the solution is guaranteed to exist.
-    best = min(results, key=lambda r: r.residual)
-    refined = _refine_basis_residual(psi, side, best, decoupled)
-    if refined.residual <= 1e-9:
-        return refined
-    raise ArithmeticError(
-        f"commuting-basis search stalled at residual {refined.residual:.3e}"
+def _commuting_stack(t: np.ndarray, side: str) -> _CommutingStack:
+    """``commuting_charlie_basis`` for every state of the validated stack t
+    (N, 2, 2, 2): the first candidate with residual <= 1e-9 and parallel
+    conditional Bloch vectors, else the first with that residual.  A row with
+    neither falls back to a local search from its best candidate."""
+    a, _, T = _pauli_stack(t, side)
+    dirs, valid = _candidate_directions(a, T)
+    cands = _basis_geometry(t, _antipodal_bases(dirs), side)
+    good = valid & (cands.residual <= 1e-9)
+    parallel = good & ~cands.antiparallel
+    pick = np.where(parallel.any(axis=1), parallel.argmax(axis=1), good.argmax(axis=1))
+    chosen = cands.take((np.arange(len(t)), pick))
+    for row in np.flatnonzero(~good.any(axis=1)):
+        best = int(np.argmin(np.where(valid[row], cands.residual[row], np.inf)))
+        refined = _refine_basis_residual(t[row], side, cands.basis[row, best])
+        if refined.residual.item() > 1e-9:
+            raise ArithmeticError(f"commuting-basis search stalled at residual {refined.residual.item():.3e}")
+        chosen.put(row, refined)
+    return chosen
+
+
+def _refine_basis_residual(t_row: np.ndarray, side: str, basis: np.ndarray) -> _CommutingStack:
+    """Nelder-Mead on the direction's angles, from ``basis``, minimizing the
+    commutator residual of one state (2, 2, 2); the solution is guaranteed to exist."""
+
+    def geometry(x):
+        return _basis_geometry(t_row[None], _basis_at_angles(x)[None, None], side)
+
+    x0 = _ket_angles(basis[:, 0])
+    res = minimize(
+        lambda x: geometry(x).residual.item(),
+        x0,
+        method="Nelder-Mead",
+        options={"maxfev": 400, "xatol": 1e-12, "fatol": 1e-14},
     )
-
-
-def _refine_basis_residual(psi, side, seed_result, decoupled):
-    def objective(x):
-        return _basis_result(psi, _basis_at_angles(x), side, decoupled).residual
-
-    x0 = _ket_angles(seed_result.basis[:, 0])
-    res = minimize(objective, x0, method="Nelder-Mead", options={"maxfev": 400, "xatol": 1e-12, "fatol": 1e-14})
-    return _basis_result(psi, _basis_at_angles(res.x), side, decoupled)
+    return geometry(res.x)
 
 
 def _ket_angles(k: np.ndarray) -> np.ndarray:
@@ -278,7 +326,25 @@ def _ket_angles(k: np.ndarray) -> np.ndarray:
 def _basis_at_angles(x: np.ndarray) -> np.ndarray:
     """Antipodal basis along the direction with polar and azimuthal angles x."""
     n = np.array([np.sin(x[0]) * np.cos(x[1]), np.sin(x[0]) * np.sin(x[1]), np.cos(x[0])])
-    return _antipodal_basis(n)
+    return _antipodal_bases(n)
+
+
+def _e_bases(eta0: np.ndarray, eta1: np.ndarray):
+    """``e_basis_from_etas`` for stacks of ket pairs (N, 2): (eta1 rephased,
+    theta, e0, e1)."""
+    g = np.sum(eta0.conj() * eta1, axis=-1)
+    overlap = np.abs(g)
+    phased = overlap > 1e-14
+    eta1 = np.where(phased[:, None], eta1 * (g.conj() / np.where(phased, overlap, 1.0))[:, None], eta1)
+    theta = 0.5 * np.arccos(np.clip(overlap, 0.0, 1.0))
+    e0 = eta0 + eta1
+    e0 = e0 / np.linalg.norm(e0, axis=-1, keepdims=True)
+    diff = eta0 - eta1
+    nd = np.linalg.norm(diff, axis=-1, keepdims=True)
+    # Where the kets coincide, any orthogonal completion of e0 will do.
+    completion = np.stack([-e0[:, 1].conj(), e0[:, 0].conj()], axis=-1)
+    e1 = np.where(nd < 1e-12, completion, diff / np.where(nd < 1e-12, 1.0, nd))
+    return eta1, theta, e0, e1
 
 
 def e_basis_from_etas(eta0: np.ndarray, eta1: np.ndarray, p: float) -> EBasisResult:
@@ -288,51 +354,93 @@ def e_basis_from_etas(eta0: np.ndarray, eta1: np.ndarray, p: float) -> EBasisRes
     then eta0 = cos(theta) e0 + sin(theta) e1 and eta1 = cos(theta) e0 -
     sin(theta) e1 for theta = arccos(overlap)/2.
     """
-    g = np.vdot(eta0, eta1)
-    if abs(g) > 1e-14:
-        eta1 = eta1 * (np.conj(g) / abs(g))
-    overlap = float(np.clip(abs(g), 0.0, 1.0))
-    theta = 0.5 * np.arccos(overlap)
-    e0 = eta0 + eta1
-    e0 = e0 / np.linalg.norm(e0)
-    diff = eta0 - eta1
-    nd = np.linalg.norm(diff)
-    if nd < 1e-12:
-        # Degenerate: kets coincide, pick any orthogonal completion.
-        e1 = np.array([-np.conj(e0[1]), np.conj(e0[0])], dtype=complex)
-    else:
-        e1 = diff / nd
-    return EBasisResult(eta0=eta0, eta1=eta1, theta=theta, e0=e0, e1=e1, p=p)
+    eta1, theta, e0, e1 = (x[0] for x in _e_bases(eta0[None], eta1[None]))
+    return EBasisResult(eta0=eta0, eta1=eta1, theta=float(theta), e0=e0, e1=e1, p=p)
 
 
-def _eq21_measurement(psi: PureState, res_a: CommutingBasisResult):
-    """Charlie basis for the doubly anti-parallel case.
+def _eq21_bases(res_a: _CommutingStack):
+    """Charlie bases for doubly anti-parallel states, given their side-A
+    commuting bases, and the mask of the states that get the trivial
+    measurement instead.
 
-    Rotates both branches into the shared Schmidt frame of the first branch,
-    where the state takes the form sqrt(p)|00>|eta0> + sqrt(1-p)|11>|eta1>,
-    then measures the symmetric/antisymmetric combination basis of the etas.
+    Rotates both branches into the shared Schmidt frame of the branch with the
+    larger Bloch vector (its SVD frame is non-degenerate), where the state takes
+    the form sqrt(p)|00>|eta0> + sqrt(1-p)|11>|eta1>, then measures the
+    symmetric/antisymmetric combination basis of the etas.
     """
-    mats = _branch_matrices(psi, res_a.basis)
-    # Use the branch with the larger Bloch vector for the (non-degenerate) SVD frame.
-    order = (0, 1)
-    if np.linalg.norm(res_a.bloch_vectors[1]) > np.linalg.norm(res_a.bloch_vectors[0]):
-        order = (1, 0)
-    m_ref = mats[order[0]]
-    u, _, vh = np.linalg.svd(m_ref)
-    rotated = [u.conj().T @ mats[k] @ vh.conj().T for k in range(2)]
-    eta0_c = np.array([rotated[0][0, 0], rotated[1][0, 0]])
-    eta1_c = np.array([rotated[0][1, 1], rotated[1][1, 1]])
-    p = float(np.linalg.norm(eta0_c) ** 2)
-    q = float(np.linalg.norm(eta1_c) ** 2)
+    mats = res_a.operators  # on side A, the branch matrices
+    norms = np.linalg.norm(res_a.bloch_vectors, axis=-1)
+    ref = (norms[:, 1] > norms[:, 0]).astype(int)
+    u, _, vh = np.linalg.svd(mats[np.arange(len(mats)), ref])
+    rotated = u.conj().swapaxes(-1, -2)[:, None] @ mats @ vh.conj().swapaxes(-1, -2)[:, None]
+    eta0_c, eta1_c = rotated[:, :, 0, 0], rotated[:, :, 1, 1]
+    p = np.linalg.norm(eta0_c, axis=1) ** 2
+    q = np.linalg.norm(eta1_c, axis=1) ** 2
     scale = p + q  # off-diagonal leakage is numerical noise
     p, q = p / scale, q / scale
-    if min(p, q) < 1e-14:
-        return Measurement.trivial(), None
-    eb = e_basis_from_etas(eta0_c / np.sqrt(p * scale), eta1_c / np.sqrt(q * scale), p)
+    trivial = np.minimum(p, q) < 1e-14
+    p, q = np.where(trivial, 1.0, p), np.where(trivial, 1.0, q)
+    _, _, e0, e1 = _e_bases(eta0_c / np.sqrt(p * scale)[:, None], eta1_c / np.sqrt(q * scale)[:, None])
     # e-basis coefficients are in the commuting Charlie basis; map back.
-    e0 = res_a.basis @ eb.e0
-    e1 = res_a.basis @ eb.e1
-    return Measurement.projective(np.column_stack([e0, e1])), eb
+    return res_a.basis @ np.stack([e0, e1], axis=-1), trivial
+
+
+# The trivial measurement as a two-outcome stack entry: I, and an outcome that never occurs.
+_TRIVIAL_ELEMENTS = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+
+
+@dataclass(frozen=True)
+class Theorem1Stack:
+    """The Theorem-1 construction for a stack of three-qubit states.
+
+    Per state: the Charlie basis measured (N, 2, 2) unless ``trivial`` (N,)
+    says Charlie measures nothing, its average post-measurement E2
+    ``average``, and the E2 cuts across A|BC and B|AC.  ``commuting`` maps
+    each side whose commuting bases were built to (the rows built, their bases).
+    """
+
+    basis: np.ndarray
+    trivial: np.ndarray
+    average: np.ndarray
+    cut_a: np.ndarray
+    cut_b: np.ndarray
+    commuting: dict
+
+
+def theorem1_stack(states) -> Theorem1Stack:
+    """``theorem1_measurement`` for a sequence of three-qubit states (or their
+    (N, 8) amplitude rows), all in one pass over the stack.
+
+    Decoupled states (AB purity above 1 - 1e-12) measure nothing.  The others
+    measure their side-A commuting basis when its conditional Bloch vectors
+    are parallel; else their side-B basis, built only for those states, when
+    its vectors are parallel; else the Eq. 21 e-basis.
+    """
+    t = three_qubit_stack(states)
+    cut_a, cut_b = E2.eigenvalue_values(_cut_minima(t)).T
+    trivial = _ab_purities(t) > 1.0 - _AB_PURE_TOL
+    basis = np.zeros((len(t), 2, 2), dtype=complex)
+    basis[:, 0, 0] = basis[:, 1, 1] = 1.0
+    commuting = {}
+    rows = np.flatnonzero(~trivial)
+    if rows.size:
+        res_a = _commuting_stack(t[rows], "A")
+        commuting["A"] = (rows, res_a.basis)
+        basis[rows] = res_a.basis
+        anti = np.flatnonzero(res_a.antiparallel)
+        if anti.size:
+            res_b = _commuting_stack(t[rows[anti]], "B")
+            commuting["B"] = (rows[anti], res_b.basis)
+            basis[rows[anti]] = res_b.basis
+            both = res_b.antiparallel
+            if both.any():
+                eq21, eq21_trivial = _eq21_bases(res_a.take(anti[both]))
+                basis[rows[anti[both]]] = eq21
+                trivial[rows[anti[both]]] = eq21_trivial
+    elements = np.einsum("nck,ndk->nkcd", basis, basis.conj())
+    elements[trivial] = _TRIVIAL_ELEMENTS
+    average = _post_measurement_values(t, elements, E2)
+    return Theorem1Stack(basis, trivial, average, cut_a, cut_b, commuting)
 
 
 def theorem1_measurement(psi: PureState):
@@ -346,27 +454,12 @@ def theorem1_measurement(psi: PureState):
 
 
 def _theorem1(psi: PureState):
-    """``theorem1_measurement`` plus the two E2 cuts its average is checked
-    against and the commuting bases it built: (measurement, average, E2 across
-    A|BC, E2 across B|AC, {side: CommutingBasisResult})."""
-    if psi.dims != (2, 2, 2):
-        raise InputError("expected a three-qubit state")
-    cut_a = cut_entanglement(psi, "A|BC", E2)
-    cut_b = cut_entanglement(psi, "B|AC", E2)
-    decoupled = reduced_density(psi, (0, 1)).purity() > 1.0 - _AB_PURE_TOL
-    if decoupled:
-        meas = Measurement.trivial()
-        return meas, average_post_measurement(psi, meas, E2), cut_a, cut_b, {}
-    bases = {"A": _commuting_basis(psi, "A", decoupled)}
-    if bases["A"].alignment == "parallel":
-        meas = Measurement.projective(bases["A"].basis)
-    else:
-        bases["B"] = _commuting_basis(psi, "B", decoupled)
-        if bases["B"].alignment == "parallel":
-            meas = Measurement.projective(bases["B"].basis)
-        else:
-            meas, _ = _eq21_measurement(psi, bases["A"])
-    return meas, average_post_measurement(psi, meas, E2), cut_a, cut_b, bases
+    """``theorem1_stack`` of one state: (measurement, average, E2 across A|BC,
+    E2 across B|AC, {side: commuting basis built})."""
+    th = theorem1_stack([psi])
+    meas = Measurement.trivial() if th.trivial[0] else Measurement.projective(th.basis[0])
+    bases = {side: b[0] for side, (_, b) in th.commuting.items()}
+    return meas, float(th.average[0]), float(th.cut_a[0]), float(th.cut_b[0]), bases
 
 
 def _principal_vector(matrix: np.ndarray) -> np.ndarray:
@@ -380,27 +473,26 @@ def average_post_measurement(psi: PureState, meas: Measurement, m: MonotoneSpec)
     Branches whose AB reduction is not pure (the measurement element leaves C
     correlated) raise rather than silently evaluating a pure-state monotone.
     """
-    n_c = psi.dims[2]
-    if meas.dim != n_c:
+    if meas.dim != psi.dims[2]:
         raise InputError("measurement dimension does not match Charlie's system")
-    t = psi.tensor_view()
-    total = 0.0
-    for elem in meas.elements:
-        branch = np.einsum("cd,abd->abc", elem, t)
-        p = float(np.sum(np.abs(branch) ** 2))
-        if p < 1e-14:
-            continue
-        mat = branch.reshape(4, n_c)
-        rho_ab = mat @ mat.conj().T / p
-        purity = float(np.real(np.trace(rho_ab @ rho_ab)))
-        if purity < 1.0 - 1e-10:
-            raise InputError(
-                "measurement branch leaves a mixed AB state; use rank-1 elements"
-            )
-        # The AB state is the leading left singular vector of the (AB, C) block.
-        phi = np.linalg.svd(mat)[0][:, 0].reshape(2, 2)
-        total += p * m.eigenvalue_fn(float(np.linalg.svd(phi, compute_uv=False)[-1] ** 2))
-    return float(total)
+    return float(_post_measurement_values(psi.tensor_view()[None], np.array(meas.elements)[None], m)[0])
+
+
+def _post_measurement_values(t: np.ndarray, elements: np.ndarray, m: MonotoneSpec) -> np.ndarray:
+    """``average_post_measurement`` for each state of t (N, 2, 2, n_c) and its
+    measurement elements (N, K, n_c, n_c); branches with p < 1e-14 count 0."""
+    n, k, n_c = elements.shape[:3]
+    mat = np.einsum("nkcd,nabd->nkabc", elements, t).reshape(n, k, 4, n_c)
+    p = np.sum(np.abs(mat) ** 2, axis=(-2, -1))
+    live = p >= 1e-14
+    rho_ab = mat @ mat.conj().swapaxes(-1, -2) / np.where(live, p, 1.0)[..., None, None]
+    purity = np.trace(rho_ab @ rho_ab, axis1=-2, axis2=-1).real
+    if np.any(live & (purity < 1.0 - 1e-10)):
+        raise InputError("measurement branch leaves a mixed AB state; use rank-1 elements")
+    # The AB state is the leading left singular vector of the (AB, C) block.
+    phi = np.linalg.svd(mat)[0][..., 0].reshape(n, k, 2, 2)
+    lam = np.linalg.svd(phi, compute_uv=False)[..., -1] ** 2
+    return np.sum(p * m.eigenvalue_values(lam), axis=1, where=live)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +581,8 @@ def _informed_starts(psi: PureState, theorem1):
         cands.append(np.column_stack([_principal_vector(e) for e in meas.elements]))
     try:
         for side in ("A", "B"):
-            # Only the basis is read, so the AB purity test is not repeated.
-            res = bases.get(side) or _commuting_basis(psi, side, decoupled=False)
-            cands.append(res.basis)
+            basis = bases.get(side)
+            cands.append(basis if basis is not None else _commuting_stack(psi.tensor_view()[None], side).basis[0])
     except (ArithmeticError, InputError):
         pass
     return cands
@@ -529,8 +620,7 @@ def _assistance_tau(psi: PureState) -> np.ndarray:
     van Enk, QIC 2003).  Taken from psi, it avoids the square roots of the
     flushed eigenvalues that ``wootters_lambdas`` takes.
     """
-    v = psi.amplitudes.reshape(4, 2)
-    return v.T @ SIGMA_YY @ v
+    return _pair_taus(psi.tensor_view()[None])[0, 0]
 
 
 def _takagi_basis(tau: np.ndarray) -> np.ndarray:
@@ -663,7 +753,7 @@ def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> Lossless
     k_mat = T - np.outer(a, b)
     _, _, vt = np.linalg.svd(k_mat)
     n = vt[2]
-    basis = _antipodal_basis(n)
+    basis = _antipodal_bases(n)
     target = reduced_density(psi, (party,)).entries
     obj, probs, branches = _marginal_preservation_objective(psi, basis, side, target)
     if obj <= tol and probs.min() > 1e-9:
@@ -675,9 +765,9 @@ def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> Lossless
 def _marginal_preservation_objective(psi: PureState, basis: np.ndarray, side: str, target: np.ndarray):
     """Probability-weighted squared distance of the conditional marginals on
     ``side`` from ``target``, that side's global marginal."""
-    mats, probs, conds = _conditional_marginals(psi, basis, side)
-    obj = sum(p * float(np.linalg.norm(c - target) ** 2) for p, c in zip(probs, conds) if c is not None)
-    branches = [None if c is None else mm / np.sqrt(p) for mm, p, c in zip(mats, probs, conds)]
+    mats, probs, live, conds = (x[0, 0] for x in _branch_data(psi.tensor_view()[None], basis[None, None], side))
+    obj = sum(p * float(np.linalg.norm(c - target) ** 2) for p, c, ok in zip(probs, conds, live) if ok)
+    branches = [mm / np.sqrt(p) if ok else None for mm, p, ok in zip(mats, probs, live)]
     return float(obj), probs, branches
 
 
@@ -776,28 +866,33 @@ def corollary_check(
     psi: PureState, tol: float, check_swap: bool = True, seed: int = 0
 ) -> CorollaryReport:
     """Check the cut-symmetry equivalences on a three-qubit state."""
-    from .monotones import wootters_concurrence  # local import avoids cycle at module load
+    return corollary_checks([psi], tol, check_swap, seed)[0]
 
-    cond_i = abs(
-        cut_entanglement(psi, "A|BC", E2) - cut_entanglement(psi, "B|AC", E2)
-    ) <= tol
-    c_ac = wootters_concurrence(reduced_density(psi, (0, 2)))
-    c_bc = wootters_concurrence(reduced_density(psi, (1, 2)))
-    cond_iii = abs(c_ac - c_bc) <= tol
-    res_a = commuting_charlie_basis(psi, "A")
-    applicable = all(np.linalg.norm(r) > tol for r in res_a.bloch_vectors)
-    infid = None
-    cond_ii = None
-    if check_swap:
-        infid = swap_infidelity(psi, seed=seed)
-        cond_ii = infid <= tol
-    return CorollaryReport(
-        i=bool(cond_i),
-        ii=cond_ii,
-        iii=bool(cond_iii),
-        applicable=bool(applicable),
-        swap_infidelity=infid,
-    )
+
+def corollary_checks(states, tol: float, check_swap: bool = True, seed: int = 0) -> list:
+    """``corollary_check`` for each of a sequence of three-qubit states (or
+    their (N, 8) amplitude rows): (i) equal E2 across A|BC and B|AC, (ii) a
+    local-unitary SWAP symmetry, searched state by state, (iii) equal AC and
+    BC concurrences; ``applicable`` when both conditional Bloch vectors of the
+    side-A commuting basis are longer than ``tol``."""
+    t = three_qubit_stack(states)
+    cut_a, cut_b = E2.eigenvalue_values(_cut_minima(t)).T
+    _, c_ac, c_bc = pair_concurrences(t).T
+    blochs = _commuting_stack(t, "A").bloch_vectors
+    applicable = np.all(np.linalg.norm(blochs, axis=-1) > tol, axis=-1)
+    reports = []
+    for row in range(len(t)):
+        infid = swap_infidelity(PureState((2, 2, 2), t[row].reshape(8)), seed=seed) if check_swap else None
+        reports.append(
+            CorollaryReport(
+                i=bool(abs(cut_a[row] - cut_b[row]) <= tol),
+                ii=None if infid is None else infid <= tol,
+                iii=bool(abs(c_ac[row] - c_bc[row]) <= tol),
+                applicable=bool(applicable[row]),
+                swap_infidelity=infid,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -880,14 +975,38 @@ def purify_with_qubit(rho: DensityMatrix) -> PureState:
     """Canonical purification of a rank-<=2 two-qubit state with a qubit helper."""
     if rho.dim != 4:
         raise InputError("expected a two-qubit density matrix")
-    evals, evecs = np.linalg.eigh(rho.entries)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    if evals.size > 2 and evals[2] > 1e-9:
+    return PureState((2, 2, 2), _purifications(rho.entries[None])[0])
+
+
+def _purifications(rho: np.ndarray) -> np.ndarray:
+    """``purify_with_qubit`` for a stack (N, 4, 4) of rank-<=2 two-qubit
+    density matrices: the (N, 8) amplitude rows sum_c sqrt(lam_c) |v_c>|c>
+    over the two leading eigenpairs."""
+    evals, evecs = np.linalg.eigh(rho)
+    evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
+    if np.any(evals[:, -1] < -1e-10):
+        raise InputError("matrix has a negative eigenvalue")
+    if np.any(evals[:, 2] > 1e-9):
         raise InputError("density matrix has rank greater than 2")
-    amps = np.zeros(8, dtype=complex)
-    for c in range(2):
-        amps[c::2] = np.sqrt(max(evals[c], 0.0)) * evecs[:, c]
-    return PureState((2, 2, 2), amps / np.linalg.norm(amps))
+    amps = (np.sqrt(np.maximum(evals[:, None, :2], 0.0)) * evecs[:, :, :2]).reshape(len(rho), 8)
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def eoa_densities(rhos) -> tuple:
+    """Assistance values of a stack (N, 4, 4) of rank-2 two-qubit density
+    matrices via purification, and twice the smaller of the two marginal
+    minimum eigenvalues of each, which the values equal (Eq. 37)."""
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise InputError(f"expected a stack of 4x4 density matrices, got shape {rhos.shape}")
+    if not np.isfinite(rhos).all():
+        raise InputError("matrix entries must be finite")
+    if np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), initial=0.0) > 1e-10:
+        raise InputError("matrix is not Hermitian")
+    if np.any(np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0) > 1e-10):
+        raise InputError("matrix trace is not 1")
+    th = theorem1_stack(_purifications(rhos))
+    return th.average, 2.0 * min_marginal_eigenvalue(rhos)
 
 
 def eoa_density(rho: DensityMatrix) -> float:
@@ -896,16 +1015,16 @@ def eoa_density(rho: DensityMatrix) -> float:
     Equals twice the smaller of the two marginal minimum eigenvalues; the
     identity is asserted against the constructive measurement.
     """
-    psi = purify_with_qubit(rho)
-    meas, avg = theorem1_measurement(psi)
-    expected = 2.0 * min_marginal_eigenvalue(rho.entries)
+    if rho.dim != 4:
+        raise InputError("expected a two-qubit density matrix")
+    avg, expected = (float(x[0]) for x in eoa_densities(rho.entries[None]))
     if abs(avg - expected) > 1e-8:
         raise VerificationError(
             f"assistance value {avg} misses 2*min marginal eigenvalue {expected}",
-            state=psi,
+            state=purify_with_qubit(rho),
             gap=abs(avg - expected),
         )
-    return float(avg)
+    return avg
 
 
 # ---------------------------------------------------------------------------

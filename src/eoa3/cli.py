@@ -95,12 +95,11 @@ def cmd_verify(args) -> int:
         raise InputError("trials must be >= 1")
     if args.tol <= 0:
         raise InputError("tol must be positive")
-    trial_fn = verify.TRIALS[args.target]
+    seeds = range(args.seed, args.seed + args.trials)
     rows = []
     failures = 0
     first_counterexample = None
-    for i in range(args.trials):
-        ok, row, witness = trial_fn(args.seed + i, args.tol)
+    for i, (ok, row, witness) in enumerate(verify.TRIALS[args.target](seeds, args.tol)):
         row = {"trial": i, "seed": args.seed + i, "ok": ok, **row}
         rows.append(row)
         if not ok:

@@ -16,8 +16,8 @@ from .qcore import (
     DensityMatrix,
     InputError,
     PureState,
-    reduced_density,
     schmidt_decompose,
+    three_qubit_stack,
 )
 
 # Rank tolerance for the alpha = 0 step function: smaller eigenvalues count as 0.
@@ -213,22 +213,65 @@ def pure_cut_concurrence(psi: PureState, cut: str) -> float:
     return CONCURRENCE.eigenvalue_fn(_schmidt_min(psi, _CUTS[cut]))
 
 
-def three_tangle(psi: PureState) -> float:
-    """Residual tripartite entanglement from the monogamy relation.
+def _cut_minima(t: np.ndarray) -> np.ndarray:
+    """Smallest squared Schmidt coefficients across A|BC and B|AC of each state
+    in the stack t (N, 2, 2, 2), as (N, 2); ``schmidt_decompose``'s SVD."""
+    mats = np.stack([t.reshape(-1, 2, 4), t.transpose(0, 2, 1, 3).reshape(-1, 2, 4)], axis=1)
+    return np.linalg.svd(mats, full_matrices=False)[1][..., -1] ** 2
+
+
+def cut_values(states, m: MonotoneSpec) -> np.ndarray:
+    """``cut_entanglement`` across A|BC and B|AC of each three-qubit state, as (N, 2)."""
+    return m.eigenvalue_values(_cut_minima(three_qubit_stack(states)))
+
+
+def _pair_taus(t: np.ndarray) -> np.ndarray:
+    """tau = V^T (sy x sy) V of the AB, AC and BC pairs of each state in the
+    stack t (N, 2, 2, 2), as (N, 3, 2, 2); V is the (pair, third party)
+    amplitude matrix, so rho_pair = V V^dag.
+
+    The singular values of tau are the nonzero Wootters lambdas of the rank-2
+    rho_pair: rho rho_tilde = V (V^dag (sy x sy) V^*) V^T (sy x sy) shares its
+    nonzero spectrum with tau^dag tau.
+    """
+    v = np.stack([t, t.transpose(0, 1, 3, 2), t.transpose(0, 2, 3, 1)], axis=1).reshape(-1, 3, 4, 2)
+    return v.swapaxes(-1, -2) @ SIGMA_YY @ v
+
+
+def pair_concurrences(states) -> np.ndarray:
+    """Concurrences of the AB, AC and BC reductions of each three-qubit pure
+    state, as (N, 3): s1 - s2 of the singular values of ``_pair_taus``.
+
+    Unlike ``wootters_concurrence`` of the reduced density matrix, this takes
+    no square roots of eigenvalues that rounding leaves near zero, so it stays
+    accurate to rounding near W.
+    """
+    s = np.linalg.svd(_pair_taus(three_qubit_stack(states)), compute_uv=False)
+    return s[..., 0] - s[..., 1]
+
+
+def three_tangles(states) -> np.ndarray:
+    """Residual tripartite entanglement of each three-qubit pure state, from
+    the monogamy relation.
 
     Computes both the A-centered and B-centered forms and checks they agree;
     the difference identity between them is what makes the quantity party
     symmetric.
     """
+    t = three_qubit_stack(states)
+    c_ab, c_ac, c_bc = pair_concurrences(t).T
+    c_a, c_b = CONCURRENCE.eigenvalue_values(_cut_minima(t)).T
+    tau_a = c_a**2 - c_ab**2 - c_ac**2
+    tau_b = c_b**2 - c_ab**2 - c_bc**2
+    apart = np.flatnonzero(np.abs(tau_a - tau_b) > 1e-8)
+    if apart.size:
+        i = apart[0]
+        raise ArithmeticError(f"party-centered tangle forms disagree: {tau_a[i]} vs {tau_b[i]}")
+    return 0.5 * (tau_a + tau_b)
+
+
+def three_tangle(psi: PureState) -> float:
+    """``three_tangles`` of one state."""
     if psi.dims != (2, 2, 2):
         raise InputError("three-tangle is defined for three qubits")
-    c_ab = wootters_concurrence(reduced_density(psi, (0, 1)))
-    c_ac = wootters_concurrence(reduced_density(psi, (0, 2)))
-    c_bc = wootters_concurrence(reduced_density(psi, (1, 2)))
-    tau_a = pure_cut_concurrence(psi, "A|BC") ** 2 - c_ab**2 - c_ac**2
-    tau_b = pure_cut_concurrence(psi, "B|AC") ** 2 - c_ab**2 - c_bc**2
-    if abs(tau_a - tau_b) > 1e-8:
-        raise ArithmeticError(
-            f"party-centered tangle forms disagree: {tau_a} vs {tau_b}"
-        )
-    return float(0.5 * (tau_a + tau_b))
+    return float(three_tangles([psi])[0])

@@ -154,22 +154,53 @@ def tensor(a: PureState, b: PureState) -> PureState:
 def reduced_density(psi: PureState, keep) -> DensityMatrix:
     """Partial trace of |psi><psi| keeping the listed subsystems."""
     keep = tuple(sorted(int(k) for k in keep))
-    n = psi.num_subsystems
-    if any(k < 0 or k >= n for k in keep):
+    if any(k < 0 or k >= psi.num_subsystems for k in keep):
         raise InputError(f"keep indices {keep} out of range")
-    drop = tuple(i for i in range(n) if i not in keep)
-    t = psi.tensor_view().transpose(keep + drop)
-    d_keep = int(np.prod([psi.dims[k] for k in keep]))
-    mat = t.reshape(d_keep, -1)
-    return DensityMatrix.from_matrix(mat @ mat.conj().T)
+    return DensityMatrix.from_matrix(reduced_stack(psi.tensor_view()[None], keep)[0])
 
 
-def min_marginal_eigenvalue(entries: np.ndarray) -> float:
-    """Smaller of the two single-qubit marginals' minimum eigenvalues of a 4x4 two-qubit matrix."""
-    t = entries.reshape(2, 2, 2, 2)
-    red_a = t.trace(axis1=1, axis2=3)
-    red_b = t.trace(axis1=0, axis2=2)
-    return float(min(np.linalg.eigvalsh(red_a)[0], np.linalg.eigvalsh(red_b)[0]))
+def reduced_stack(t: np.ndarray, keep) -> np.ndarray:
+    """Partial traces keeping the listed subsystems of the pure states in the
+    stack t (N, *dims), as an (N, d, d) array; the caller has validated t."""
+    keep = tuple(sorted(int(k) for k in keep))
+    drop = tuple(i for i in range(t.ndim - 1) if i not in keep)
+    d_keep = int(np.prod([t.shape[1 + k] for k in keep]))
+    mat = t.transpose((0,) + tuple(1 + i for i in keep + drop)).reshape(len(t), d_keep, -1)
+    return mat @ mat.conj().swapaxes(-1, -2)
+
+
+def three_qubit_stack(states) -> np.ndarray:
+    """The (N, 2, 2, 2) amplitude stack of a sequence of three-qubit ``PureState``s,
+    or of an (N, 8) or (N, 2, 2, 2) complex array, which is checked as
+    ``PureState`` checks one state: finite, unit norm within 1e-10, and
+    renormalized where the norm is off by more than ``NORM_TOL``."""
+    if isinstance(states, np.ndarray):
+        t = np.asarray(states, dtype=complex).reshape(len(states), -1)
+        if t.shape[1] != 8:
+            raise InputError(f"expected three-qubit amplitude rows, got shape {states.shape}")
+        nrm = np.linalg.norm(t, axis=1)
+        if not np.isfinite(nrm).all():
+            raise InputError("state amplitudes must be finite")
+        if np.any(np.abs(nrm - 1.0) > 1e-10):
+            raise InputError("state norms are not 1")
+        off = np.abs(nrm - 1.0) > NORM_TOL
+        t = np.where(off[:, None], t / nrm[:, None], t)
+    else:
+        states = list(states)
+        if any(psi.dims != (2, 2, 2) for psi in states):
+            raise InputError("expected a three-qubit state")
+        t = np.array([psi.amplitudes for psi in states], dtype=complex).reshape(len(states), 8)
+    return t.reshape(-1, 2, 2, 2)
+
+
+def min_marginal_eigenvalue(entries: np.ndarray):
+    """Smaller of the two single-qubit marginals' minimum eigenvalues of a 4x4
+    two-qubit matrix, over any leading stack axes (a float for one matrix)."""
+    t = entries.reshape(entries.shape[:-2] + (2, 2, 2, 2))
+    red_a = np.trace(t, axis1=-3, axis2=-1)
+    red_b = np.trace(t, axis1=-4, axis2=-2)
+    lam = np.minimum(np.linalg.eigvalsh(red_a)[..., 0], np.linalg.eigvalsh(red_b)[..., 0])
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def schmidt_decompose(psi: PureState, cut) -> SchmidtForm:

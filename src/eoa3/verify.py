@@ -1,10 +1,13 @@
 """Monte Carlo trials of the paper's claims, one per ``eoa3 verify`` target.
 
-A trial maps ``(seed, tol)`` to ``(ok, row, witness)``: whether the claim
-holds on the instance the seed generates, the per-trial values (CSV rows and
-counterexample reports), and the pure state to report as a counterexample, or
-None where the instance is not a pure state.  The acceptance tests run the
-same trials over their own seed ranges.
+A trial maps ``(seeds, tol)`` to one ``(ok, row, witness)`` per seed: whether
+the claim holds on the instance the seed generates, the per-trial values (CSV
+rows and counterexample reports), and the pure state to report as a
+counterexample, or None where the instance is not a pure state.  The
+closed-form targets (thm1, corollary, ckw, eq37) draw their states one seed
+at a time and check them all in one call of the stacked kernels; thm2,
+prop2 and appendixB run seed by seed.  The acceptance tests run the same
+trials over their own seed ranges.
 
 Package functions are called through their modules so that wrappers installed
 on those modules (``bench/tracing.py``) see the calls.
@@ -15,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import assistance, ensembles, monotones, qcore, states
-from .assistance import VerificationError
 
 # The least tolerance each target compares against (thm1 has none).  Targets
 # absent here (prop2, appendixB, ckw) ignore tol for fixed thresholds.
@@ -27,16 +29,27 @@ def effective_tol(target, tol):
     return max(tol, TOL_FLOORS[target]) if target in TOL_FLOORS else None
 
 
-def _trial_thm1(seed, tol):
-    psi = qcore.haar_random_pure((2, 2, 2), seed)
-    try:
-        rep = assistance.verify_theorem1(psi, effective_tol("thm1", tol))
-        return True, {"gap": rep.gap, "mincut": min(rep.cut_a, rep.cut_b)}, psi
-    except VerificationError as exc:
-        return False, {"gap": exc.gap}, psi
+def _haar_states(seeds, offset=0):
+    return [qcore.haar_random_pure((2, 2, 2), seed + offset) for seed in seeds]
 
 
-def _trial_thm2(seed, tol):
+def _trial_thm1(seeds, tol):
+    psis = _haar_states(seeds)
+    th = assistance.theorem1_stack(psis)
+    mincut = np.minimum(th.cut_a, th.cut_b)
+    gap = np.abs(th.average - mincut)
+    tol = effective_tol("thm1", tol)
+    return [
+        (True, {"gap": float(g), "mincut": float(mc)}, psi) if g <= tol else (False, {"gap": float(g)}, psi)
+        for g, mc, psi in zip(gap, mincut, psis)
+    ]
+
+
+def _trial_thm2(seeds, tol):
+    return [_thm2(seed, tol) for seed in seeds]
+
+
+def _thm2(seed, tol):
     psi = states.generate(states.FamilySpec(kind="thm2", seed=seed))
     verdict = assistance.lossless_classifier(psi, "A|BC", tol=effective_tol("thm2", tol))
     ok = verdict.kind in ("lossless", "decoupled")
@@ -70,7 +83,11 @@ def prop2_instance(seed):
     return h, probs, us
 
 
-def _trial_prop2(seed, tol):
+def _trial_prop2(seeds, tol):
+    return [_prop2(seed) for seed in seeds]
+
+
+def _prop2(seed):
     h, probs, us = prop2_instance(seed)
     preserved, commutes = assistance.unital_fixed_point_check(h, probs, us)
     ok = preserved == commutes
@@ -87,21 +104,27 @@ def _trial_prop2(seed, tol):
     return ok, {"preserved": preserved, "commutes": commutes}, None
 
 
-def _trial_corollary(seed, tol):
+def _eq21_instance(seed):
     rng = np.random.default_rng(seed)
     spec = states.FamilySpec(
         kind="eq21",
         p=float(rng.uniform(0.1, 0.9)),
         overlap=complex(rng.uniform(-0.95, 0.95)),
     )
-    sym = states.generate(spec)
+    return states.generate(spec)
+
+
+def _trial_corollary(seeds, tol):
+    syms = [_eq21_instance(seed) for seed in seeds]
     tol = effective_tol("corollary", tol)
-    rep = assistance.corollary_check(sym, tol)
-    ok = rep.i and rep.ii and rep.iii
-    haar = qcore.haar_random_pure((2, 2, 2), seed + 10**9)
-    rep2 = assistance.corollary_check(haar, tol, check_swap=False)
-    ok = ok and (rep2.i == rep2.iii)
-    return ok, {"symmetric_all": rep.i and rep.ii and rep.iii, "haar_i": rep2.i, "haar_iii": rep2.iii}, sym
+    reps = assistance.corollary_checks(syms, tol)
+    haar_reps = assistance.corollary_checks(_haar_states(seeds, 10**9), tol, check_swap=False)
+    out = []
+    for sym, rep, rep2 in zip(syms, reps, haar_reps):
+        symmetric = rep.i and rep.ii and rep.iii
+        ok = symmetric and (rep2.i == rep2.iii)
+        out.append((ok, {"symmetric_all": symmetric, "haar_i": rep2.i, "haar_iii": rep2.iii}, sym))
+    return out
 
 
 def mixed_marginal_density(seed) -> qcore.DensityMatrix:
@@ -119,7 +142,11 @@ def mixed_marginal_density(seed) -> qcore.DensityMatrix:
         bump += 1
 
 
-def _trial_appendix_b(seed, tol):
+def _trial_appendix_b(seeds, tol):
+    return [_appendix_b(seed) for seed in seeds]
+
+
+def _appendix_b(seed):
     rho = mixed_marginal_density(seed)
     ens = ensembles.entangled_decomposition(rho)
     concs = [monotones.concurrence_pure(s) for _, s in ens.elements]
@@ -129,27 +156,32 @@ def _trial_appendix_b(seed, tol):
     return ok, {"min_concurrence": min(concs), "reconstruction": recon}, None
 
 
-def _trial_ckw(seed, tol):
-    psi = qcore.haar_random_pure((2, 2, 2), seed)
-    tau = monotones.three_tangle(psi)
-    c_ac = monotones.wootters_concurrence(qcore.reduced_density(psi, (0, 2)))
-    c_bc = monotones.wootters_concurrence(qcore.reduced_density(psi, (1, 2)))
-    lhs = c_ac**2 - c_bc**2
-    rhs = monotones.pure_cut_concurrence(psi, "A|BC") ** 2 - monotones.pure_cut_concurrence(psi, "B|AC") ** 2
-    ok = tau >= -1e-9 and abs(lhs - rhs) <= 1e-8
-    return ok, {"tau": tau, "difference_identity": abs(lhs - rhs)}, psi
+def _trial_ckw(seeds, tol):
+    psis = _haar_states(seeds)
+    t = qcore.three_qubit_stack(psis)
+    tau = monotones.three_tangles(t)
+    _, c_ac, c_bc = monotones.pair_concurrences(t).T
+    c_a, c_b = monotones.cut_values(t, monotones.CONCURRENCE).T
+    diff = np.abs((c_ac**2 - c_bc**2) - (c_a**2 - c_b**2))
+    return [
+        (bool(tau_i >= -1e-9 and d <= 1e-8), {"tau": float(tau_i), "difference_identity": float(d)}, psi)
+        for tau_i, d, psi in zip(tau, diff, psis)
+    ]
 
 
-def _trial_eq37(seed, tol):
-    psi = qcore.haar_random_pure((2, 2, 2), seed)
-    rho = qcore.reduced_density(psi, (0, 1))
-    try:
-        value = assistance.eoa_density(rho)
-        expected = 2.0 * qcore.min_marginal_eigenvalue(rho.entries)
-        ok = abs(value - expected) <= effective_tol("eq37", tol)
-        return ok, {"value": value, "expected": expected}, psi
-    except VerificationError as exc:
-        return False, {"gap": exc.gap}, psi
+def _trial_eq37(seeds, tol):
+    psis = _haar_states(seeds)
+    rhos = qcore.reduced_stack(qcore.three_qubit_stack(psis), (0, 1))
+    values, expected = assistance.eoa_densities(rhos)
+    tol = effective_tol("eq37", tol)
+    out = []
+    for value, exp, psi in zip(values, expected, psis):
+        gap = abs(value - exp)
+        if gap > 1e-8:  # eoa_density's own check of the identity
+            out.append((False, {"gap": float(gap)}, psi))
+        else:
+            out.append((bool(gap <= tol), {"value": float(value), "expected": float(exp)}, psi))
+    return out
 
 
 # Target name -> trial, in the order ``eoa3 verify`` lists the targets.

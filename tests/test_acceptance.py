@@ -10,7 +10,7 @@ import numpy as np
 
 from eoa3.assistance import (
     SearchBudget,
-    corollary_check,
+    corollary_checks,
     eoa_numeric,
     lossless_classifier,
     theorem1_measurement,
@@ -41,13 +41,9 @@ def min_cut(psi, m):
 
 def test_criterion_01_theorem1_saturation():
     start = time.time()
-    worst = 0.0
-    ok = True
-    for seed in range(10_000):
-        ok, row, _ = TRIALS["thm1"](seed, 1e-7)
-        if not ok:
-            break
-        worst = max(worst, row["gap"])
+    rows = TRIALS["thm1"](range(10_000), 1e-7)
+    ok = all(ok for ok, _, _ in rows)
+    worst = max(row["gap"] for _, row, _ in rows)
     elapsed = time.time() - start
     print(f"  worst gap {worst:.3e}, {elapsed:.1f}s for 10000 states")
     report(1, "constructive measurement saturates the min-cut", ok and worst <= 1e-7 and elapsed <= 300)
@@ -78,8 +74,7 @@ def test_criterion_03_golden_values():
 
 def test_criterion_04_lossless_family_positive():
     ok = True
-    for seed in range(1000):
-        ok, _, psi = TRIALS["thm2"](seed, 1e-8)
+    for ok, _, psi in TRIALS["thm2"](range(1000), 1e-8):
         if not ok:
             break
         val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
@@ -105,57 +100,38 @@ def test_criterion_05_lossy_negative_cases():
 
 
 def test_criterion_06_fixed_point_equivalence():
-    disagreements = 0
-    for seed in range(10_000):
-        if not TRIALS["prop2"](seed, 1e-7)[0]:
-            disagreements += 1
+    disagreements = sum(not ok for ok, _, _ in TRIALS["prop2"](range(10_000), 1e-7))
     report(6, "minimum-eigenvalue preservation equals commutation", disagreements == 0)
 
 
 def test_criterion_07_ckw_and_cut_symmetry():
     ok = abs(three_tangle(ghz_state()) - 1.0) <= 1e-9
     ok = ok and abs(three_tangle(w_state())) <= 1e-7
-    for seed in range(10_000):
-        if not TRIALS["ckw"](60_000 + seed, 1e-7)[0]:
-            ok = False
-            break
+    ok = ok and all(ok for ok, _, _ in TRIALS["ckw"](range(60_000, 70_000), 1e-7))
     rng = np.random.default_rng(1)
-    for _ in range(1000):
-        psi = generate(
+    symmetric = [
+        generate(
             FamilySpec(
                 kind="eq21",
                 p=float(rng.uniform(0.1, 0.9)),
                 overlap=complex(rng.uniform(-0.95, 0.95)),
             )
         )
-        rep = corollary_check(psi, 1e-6)
-        if not (rep.i and rep.ii and rep.iii):
-            ok = False
-            break
-    for seed in range(1000):
-        psi = haar_random_pure((2, 2, 2), 80_000 + seed)
-        rep = corollary_check(psi, 1e-6, check_swap=False)
-        if rep.i != rep.iii:
-            ok = False
-            break
+        for _ in range(1000)
+    ]
+    ok = ok and all(rep.i and rep.ii and rep.iii for rep in corollary_checks(symmetric, 1e-6))
+    haar = [haar_random_pure((2, 2, 2), 80_000 + seed) for seed in range(1000)]
+    ok = ok and all(rep.i == rep.iii for rep in corollary_checks(haar, 1e-6, check_swap=False))
     report(7, "monogamy relations and cut-symmetry equivalences", ok)
 
 
 def test_criterion_08_density_restatement():
-    ok = True
-    for seed in range(1000):
-        if not TRIALS["eq37"](100_000 + seed, 1e-7)[0]:
-            ok = False
-            break
+    ok = all(ok for ok, _, _ in TRIALS["eq37"](range(100_000, 101_000), 1e-7))
     report(8, "rank-2 density assistance equals twice the smaller eigenvalue", ok)
 
 
 def test_criterion_09_entangled_decompositions():
-    ok = True
-    for seed in range(1000):
-        if not TRIALS["appendixB"](120_000 + seed, 1e-7)[0]:
-            ok = False
-            break
+    ok = all(ok for ok, _, _ in TRIALS["appendixB"](range(120_000, 121_000), 1e-7))
     report(9, "all-entangled decompositions with exact reconstruction", ok)
 
 

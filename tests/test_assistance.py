@@ -427,7 +427,7 @@ def test_analyze_builds_and_scores_theorem1_once(monkeypatch, capsys):
     from eoa3 import assistance
     from eoa3.cli import main
 
-    calls = dict.fromkeys(("_theorem1", "average_post_measurement"), 0)
+    calls = dict.fromkeys(("_theorem1", "average_post_measurement", "_post_measurement_values"), 0)
     for name in calls:
 
         def counted(*args, _name=name, _fn=getattr(assistance, name), **kwargs):
@@ -436,15 +436,17 @@ def test_analyze_builds_and_scores_theorem1_once(monkeypatch, capsys):
 
         monkeypatch.setattr(assistance, name, counted)
     sides = []
-    commuting_basis = assistance._commuting_basis
+    commuting_stack = assistance._commuting_stack
 
-    def recorded(psi, side, decoupled):
+    def recorded(t, side):
         sides.append(side)
-        return commuting_basis(psi, side, decoupled)
+        return commuting_stack(t, side)
 
-    monkeypatch.setattr(assistance, "_commuting_basis", recorded)
+    monkeypatch.setattr(assistance, "_commuting_stack", recorded)
     assert main(["analyze", "--family", "haar", "--monotone", "entropy:1", "--seed", "5"]) == 0
-    assert calls == {"_theorem1": 1, "average_post_measurement": 2}
+    # Theorem 1 scores its measurement under E2 in the stacked kernel, and
+    # analyze scores it once more under the report's monotone.
+    assert calls == {"_theorem1": 1, "average_post_measurement": 1, "_post_measurement_values": 2}
     # The search seeds with the commuting bases Theorem 1 built; it builds none itself.
     assert sides == ["A", "B"]
     monkeypatch.undo()

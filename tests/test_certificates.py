@@ -30,7 +30,7 @@ from eoa3.assistance import (
     theorem1_measurement,
 )
 from eoa3.monotones import CONCURRENCE, ENTROPY_1, MonotoneSpec, wootters_lambdas
-from eoa3.qcore import PureState, haar_random_pure, reduced_density
+from eoa3.qcore import PureState, haar_random_pure, reduced_density, reduced_stack
 from eoa3.states import generate, ghz_state, parse_family, product_state, w_state
 
 
@@ -175,7 +175,12 @@ def test_lossy_solve_builds_each_reduction_once(monkeypatch):
         kept.append(tuple(keep))
         return reduced_density(psi, keep)
 
+    def counted_stack(t, keep):
+        kept.extend([tuple(keep)] * len(t))
+        return reduced_stack(t, keep)
+
     monkeypatch.setattr(assistance, "reduced_density", counted)
+    monkeypatch.setattr(assistance, "reduced_stack", counted_stack)
     psi = haar_random_pure((2, 2, 2), 5)
     eoa_numeric(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=200))
     assert sorted(kept) == [(0, 1), (0, 2), (1, 2)]

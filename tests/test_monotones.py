@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,13 +12,16 @@ from eoa3.monotones import (
     entropy_alpha,
     g_concurrence,
     ky_fan,
+    pair_concurrences,
     pure_cut_concurrence,
     spin_flip,
     three_tangle,
+    three_tangles,
     wootters_concurrence,
 )
 from eoa3.qcore import (
     SIGMA_Y,
+    SIGMA_YY,
     DensityMatrix,
     InputError,
     PureState,
@@ -124,6 +128,43 @@ def test_three_tangle_nonnegative_and_difference_identity():
             - pure_cut_concurrence(psi, "B|AC") ** 2
         )
         assert abs(lhs - rhs) <= 1e-8
+
+
+def _mp_wootters_concurrence(v):
+    """Wootters' definition, max(0, l1 - l2 - l3 - l4) over the square roots of
+    the eigenvalues of rho rho_tilde, rho = V V^dag, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        mat = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in v])
+        rho = mat * mat.H
+        yy = mpmath.matrix(SIGMA_YY.real.tolist())
+        evals = mpmath.eig(rho * (yy * rho.conjugate() * yy), left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in evals), reverse=True)
+        return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))
+
+
+def test_pair_concurrences_near_w_match_40_digit_wootters():
+    # The sampler of test_theorem1_answers_near_w: W + eps z, eps in [4e-10, 1.4e-8].
+    # Square roots of eigenvalues that rounding leaves near zero put
+    # wootters_concurrence up to 3.7e-8 off on these states.
+    rng = np.random.default_rng(0)
+    psis = []
+    for _ in range(300):
+        eps = 10 ** rng.uniform(np.log10(4e-10), np.log10(1.4e-8))
+        z = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps = w_state().amplitudes + eps * z
+        psis.append(PureState((2, 2, 2), amps / np.linalg.norm(amps)))
+    got = pair_concurrences(psis)
+    for psi, row in zip(psis, got):
+        t = psi.tensor_view()
+        for pair, c in zip((t, t.transpose(0, 2, 1), t.transpose(1, 2, 0)), row):
+            assert abs(c - _mp_wootters_concurrence(pair.reshape(4, 2))) <= 1e-14
+
+
+def test_three_tangle_is_the_stacked_kernel_and_rejects_disagreeing_forms():
+    psis = [haar_random_pure((2, 2, 2), seed) for seed in range(50)] + [ghz_state(), w_state(), product_state()]
+    np.testing.assert_array_equal(three_tangles(psis), [three_tangle(psi) for psi in psis])
+    with pytest.raises(InputError):
+        three_tangle(PureState((2, 2, 3), np.ones(12) / np.sqrt(12)))
 
 
 def test_monotone_spec_parse_and_label():

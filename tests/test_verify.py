@@ -14,8 +14,7 @@ def test_cli_rows_fold_the_registry_trial(capsys, target):
     code = main(["verify", target, "--trials", str(trials), "--seed", str(seed), "--format", "csv"])
     csv_out = capsys.readouterr().out
     rows, failures, first = [], 0, None
-    for i in range(trials):
-        ok, row, witness = TRIALS[target](seed + i, tol)
+    for i, (ok, row, witness) in enumerate(TRIALS[target](range(seed, seed + trials), tol)):
         rows.append({"trial": i, "seed": seed + i, "ok": ok, **row})
         failures += not ok
         if not ok and first is None and witness is not None:
