@@ -11,6 +11,7 @@ from .assistance import (
     AssistanceReport,
     CommutingBasisResult,
     EBasisResult,
+    LosslessStack,
     Measurement,
     SearchBudget,
     Theorem1Stack,
@@ -25,6 +26,7 @@ from .assistance import (
     eoa_numeric,
     eoc_lower_bound_search,
     lossless_classifier,
+    lossless_classifiers,
     theorem1_measurement,
     theorem1_stack,
     unital_fixed_point_check,
@@ -33,6 +35,7 @@ from .assistance import (
 from .ensembles import (
     Ensemble,
     entangled_decomposition,
+    entangled_stack,
     equal_concurrence_decomposition,
     hjw_ensemble,
     s0_assistance,

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .ensembles import _takagi
-from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, _schmidt_min, cut_entanglement, pair_concurrences
+from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, cut_entanglement, pair_concurrences
 from .qcore import (
     PAULIS,
     DensityMatrix,
@@ -37,7 +37,6 @@ from .qcore import (
     _stiefel_ascent,
     min_marginal_eigenvalue,
     pauli_coefficients,
-    reduced_density,
     reduced_stack,
     three_qubit_stack,
 )
@@ -152,11 +151,6 @@ def _pauli_stack(t: np.ndarray, side: str):
     state in the stack t (N, 2, 2, 2): (N, 3), (N, 3) and (N, 3, 3)."""
     r = pauli_coefficients(reduced_stack(t, (0, 2) if side == "A" else (1, 2)))
     return r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
-
-
-def _pauli_data(psi: PureState, side: str):
-    """(a, b, T) for the two-qubit reduction rho^{XC} of one state."""
-    return tuple(x[0] for x in _pauli_stack(psi.tensor_view()[None], side))
 
 
 def _antipodal_bases(n: np.ndarray) -> np.ndarray:
@@ -724,62 +718,94 @@ def verify_theorem1(psi: PureState, tol: float) -> Theorem1Report:
     return Theorem1Report(cut_a=cut_a, cut_b=cut_b, constructive=avg, gap=gap)
 
 
+@dataclass(frozen=True)
+class LosslessStack:
+    """``lossless_classifier`` for a stack of states, one entry per state.
+
+    ``kinds`` holds the verdicts and ``objectives`` their objectives (0 for
+    decoupled and maximally mixed states, inf where a marginal near 1/2 ends
+    the test early).  ``tested`` marks the states that reached the
+    marginal-preservation test; for those, ``bases`` is the candidate Charlie
+    basis and ``probabilities`` and ``branches`` its outcome weights and
+    unnormalized branch matrices (zero for the other states).  ``lambda_min``
+    is the cut party's smaller marginal eigenvalue, capped at 1/2.
+    """
+
+    kinds: np.ndarray
+    objectives: np.ndarray
+    tested: np.ndarray
+    bases: np.ndarray
+    probabilities: np.ndarray
+    branches: np.ndarray
+    lambda_min: np.ndarray
+
+
+def lossless_classifiers(states, cut: str, tol: float = 1e-9) -> LosslessStack:
+    """``lossless_classifier`` for a sequence of three-qubit states (or their
+    (N, 8) amplitude rows), all in one pass over the stack.
+
+    The classifier's exits are masks: decoupled (AB purity above 1 - 1e-12),
+    maximally mixed (both marginal minima within ``tol`` of 1/2), lossy early
+    (the cut party's minimum alone that close), and otherwise the branch test
+    on the null direction of T - a b^T: lossless iff the objective is at most
+    ``tol`` and both outcomes have probability above 1e-9.  Only the states
+    that reach the branch test compute it.
+    """
+    if cut not in ("A|BC", "B|AC"):
+        raise InputError("cut must be 'A|BC' or 'B|AC'")
+    side, party = ("A", 0) if cut == "A|BC" else ("B", 1)
+    t = three_qubit_stack(states)
+    decoupled = _ab_purities(t) > 1.0 - _AB_PURE_TOL
+    lam = np.minimum(_cut_minima(t), 0.5)
+    lam_side, lam_other = lam[:, party], lam[:, 1 - party]
+    mixed = ~decoupled & (np.abs(lam_side - 0.5) <= tol) & (np.abs(lam_other - 0.5) <= tol)
+    early = ~decoupled & ~mixed & (lam_side >= 0.5 - tol)
+    tested = ~(decoupled | mixed | early)
+    objectives = np.where(early, np.inf, 0.0)
+    lossless = mixed.copy()
+    bases = np.zeros((len(t), 2, 2), dtype=complex)
+    probs = np.zeros((len(t), 2))
+    mats = np.zeros((len(t), 2, 2, 2), dtype=complex)
+    rows = np.flatnonzero(tested)
+    if rows.size:
+        tr = t[rows]
+        a, b, T = _pauli_stack(tr, side)
+        bases[rows] = _antipodal_bases(np.linalg.svd(T - a[:, :, None] * b[:, None, :])[2][:, 2])
+        mats[rows], probs[rows], live, conds = (x[:, 0] for x in _branch_data(tr, bases[rows, None], side))
+        diff = conds - reduced_stack(tr, (party,))[:, None]
+        dist = np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
+        objectives[rows] = np.sum(probs[rows] * dist, axis=1, where=live)
+        lossless[rows] = (objectives[rows] <= tol) & (probs[rows].min(axis=1) > 1e-9)
+    kinds = np.where(decoupled, "decoupled", np.where(lossless, "lossless", "lossy"))
+    return LosslessStack(kinds, objectives, tested, bases, probs, mats, lam_side)
+
+
 def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> LosslessVerdict:
     """Decide whether helper decoupling can be lossless for strictly concave measures.
 
     Lossless requires either both marginals maximally mixed (every ensemble
     element maximally entangled; for qubits, unital channels are mixed-unitary
     so such a decomposition exists) or a two-outcome Charlie basis whose
-    conditional states preserve the cut party's marginal.
+    conditional states preserve the cut party's marginal.  The N = 1 call of
+    ``lossless_classifiers``.
     """
-    if cut not in ("A|BC", "B|AC"):
-        raise InputError("cut must be 'A|BC' or 'B|AC'")
-    side = "A" if cut == "A|BC" else "B"
-    party = 0 if side == "A" else 1
-    rho_ab = reduced_density(psi, (0, 1))
-    if rho_ab.purity() > 1.0 - _AB_PURE_TOL:
-        return LosslessVerdict(kind="decoupled", certificate={}, objective=0.0)
-    lam_side = min(_schmidt_min(psi, (party,)), 0.5)
-    lam_other = min(_schmidt_min(psi, (1 - party,)), 0.5)
-    if abs(lam_side - 0.5) <= tol and abs(lam_other - 0.5) <= tol:
-        return LosslessVerdict(
-            kind="lossless",
-            certificate={"branch": "maximally-mixed", "lambda_min": lam_side},
-            objective=0.0,
-        )
-    if lam_side >= 0.5 - tol:
-        return LosslessVerdict(kind="lossy", certificate={}, objective=np.inf)
-    a, b, T = _pauli_data(psi, side)
-    k_mat = T - np.outer(a, b)
-    _, _, vt = np.linalg.svd(k_mat)
-    n = vt[2]
-    basis = _antipodal_bases(n)
-    target = reduced_density(psi, (party,)).entries
-    obj, probs, branches = _marginal_preservation_objective(psi, basis, side, target)
-    if obj <= tol and probs.min() > 1e-9:
-        cert = _lossless_certificate(basis, probs, branches, lam_side)
-        return LosslessVerdict(kind="lossless", certificate=cert, objective=obj)
-    return LosslessVerdict(kind="lossy", certificate={"basis": basis}, objective=obj)
+    c = lossless_classifiers([psi], cut, tol)
+    kind, objective = str(c.kinds[0]), float(c.objectives[0])
+    if not c.tested[0]:
+        cert = {"branch": "maximally-mixed", "lambda_min": float(c.lambda_min[0])} if kind == "lossless" else {}
+    elif kind == "lossless":
+        cert = _lossless_certificate(c.bases[0], c.probabilities[0], c.branches[0], c.lambda_min[0])
+    else:
+        cert = {"basis": c.bases[0]}
+    return LosslessVerdict(kind=kind, certificate=cert, objective=objective)
 
 
-def _marginal_preservation_objective(psi: PureState, basis: np.ndarray, side: str, target: np.ndarray):
-    """Probability-weighted squared distance of the conditional marginals on
-    ``side`` from ``target``, that side's global marginal."""
-    mats, probs, live, conds = (x[0, 0] for x in _branch_data(psi.tensor_view()[None], basis[None, None], side))
-    obj = sum(p * float(np.linalg.norm(c - target) ** 2) for p, c, ok in zip(probs, conds, live) if ok)
-    branches = [mm / np.sqrt(p) if ok else None for mm, p, ok in zip(mats, probs, live)]
-    return float(obj), probs, branches
-
-
-def _lossless_certificate(basis, probs, branches, lam):
-    """Recover the decomposition parameters (weights, local unitaries) per branch."""
+def _lossless_certificate(basis, probs, mats, lam):
+    """Recover the decomposition parameters (weights, local unitaries) per branch
+    from the unnormalized branch matrices; both outcomes occur."""
     us, vs = [], []
-    for mm in branches:
-        if mm is None:
-            us.append(None)
-            vs.append(None)
-            continue
-        u, s, vh = np.linalg.svd(mm)
+    for mm, p in zip(mats, probs):
+        u, s, vh = np.linalg.svd(mm / np.sqrt(p))
         # Order so the smaller Schmidt coefficient pairs with |00>.
         ux = u[:, ::-1]
         vx = vh.conj().T[:, ::-1]

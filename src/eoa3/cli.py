@@ -10,6 +10,7 @@ is the one its trials applied (``verify.effective_tol``), null if none.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,7 +24,10 @@ from .qcore import InputError, PureState, density_from_json, state_from_json, st
 VERIFY_TARGETS = tuple(verify.TRIALS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``eoa3`` argument parser, built once per process: ``parse_args``
+    fills a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="eoa3",
         description="Entanglement of assistance for three-qubit pure states",
@@ -150,8 +154,7 @@ def cmd_decompose(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

@@ -67,19 +67,34 @@ def _preconcurrence(y: np.ndarray) -> complex:
     return y @ SIGMA_YY @ y
 
 
+def _element_concurrences(ys: np.ndarray) -> np.ndarray:
+    """Concurrence |y^T (sy x sy) y| / |y|^2 of the normalized element of each
+    subnormalized vector of the stack ys (..., 4); 0 where |y|^2 < 1e-14."""
+    w = (ys.real**2 + ys.imag**2).sum(axis=-1)
+    pre = np.abs(np.sum((ys @ SIGMA_YY) * ys, axis=-1))
+    return np.where(w < 1e-14, 0.0, pre / np.where(w < 1e-14, 1.0, w))
+
+
 def _element_concurrence(y: np.ndarray) -> float:
-    w = float(np.real(np.vdot(y, y)))
-    if w < 1e-14:
-        return 0.0
-    return float(abs(_preconcurrence(y))) / w
+    return float(_element_concurrences(y))
+
+
+def _support_stack(rhos: np.ndarray):
+    """Subnormalized eigenvectors sqrt(lam_k) v_k of each matrix of the stack
+    rhos (N, 4, 4), descending weight, as rows (N, 4, 4), and the mask (N, 4)
+    of the eigenvalues above 1e-12 (a prefix of each row); masked-out rows
+    are zero."""
+    evals, evecs = np.linalg.eigh(rhos)
+    evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
+    support = evals > 1e-12
+    weights = np.sqrt(np.where(support, evals, 0.0))
+    return weights[:, :, None] * evecs.swapaxes(-1, -2), support
 
 
 def _support_vectors(rho: DensityMatrix):
     """Subnormalized eigenvectors spanning the support, descending weight."""
-    evals, evecs = np.linalg.eigh(rho.entries)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    cols = [np.sqrt(lam) * evecs[:, j] for j, lam in enumerate(evals) if lam > 1e-12]
-    return cols
+    ys, support = _support_stack(rho.entries[None])
+    return list(ys[0, support[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +302,49 @@ _MIX_SAMPLES = [(0.25 * np.pi, 0.0), (0.25 * np.pi, 0.5 * np.pi)] + [
 
 
 def entangled_decomposition(rho: DensityMatrix) -> Ensemble:
-    """Decomposition with every element entangled; needs both marginals mixed."""
-    if rho.dim != 4:
+    """Decomposition with every element entangled; needs both marginals mixed.
+
+    The N = 1 call of ``entangled_stack``."""
+    return _subnormalized(entangled_stack([rho])[0], target=rho)
+
+
+def entangled_stack(rhos) -> np.ndarray:
+    """The subnormalized elements of ``entangled_decomposition`` for each of a
+    sequence of two-qubit density matrices, as rows (N, 4, 4): row k of entry n
+    is sqrt(w_k) |phi_k>, and the rows past the rank are zero.
+
+    The elements start as the weighted eigenvectors of one stacked ``eigh``;
+    only the matrices with a product element among them (concurrence <= 1e-6)
+    go through the mixing search.  Raises ``InputError`` unless every matrix
+    has both marginals mixed.
+    """
+    if any(rho.dim != 4 for rho in rhos):
         raise InputError("expected a two-qubit density matrix")
-    if min_marginal_eigenvalue(rho.entries) <= 1e-9:
+    entries = np.array([rho.entries for rho in rhos])
+    if np.any(min_marginal_eigenvalue(entries) <= 1e-9):
         raise InputError(
             "a reduced state is pure; no fully entangled decomposition exists"
         )
-    ys = _support_vectors(rho)
-    if len(ys) < 2:
+    ys, support = _support_stack(entries)
+    if np.any(support.sum(axis=1) < 2):
         raise InputError("expected rank >= 2 with both marginals mixed")
+    products = support & (_element_concurrences(ys) <= 1e-6)
+    for n in np.flatnonzero(products.any(axis=1)):
+        rank = int(support[n].sum())
+        ys[n, :rank] = _eliminate_products(list(ys[n, :rank]))
+    return ys
+
+
+def _eliminate_products(ys: list) -> list:
+    """Mix the product elements of ys away, one at a time, in place."""
     for _ in range(len(ys) + 2):
         product_idx = [j for j, y in enumerate(ys) if _element_concurrence(y) <= 1e-6]
         if not product_idx:
-            break
+            return ys
         j = product_idx[0]
         if not _eliminate_product(ys, j):
             raise ArithmeticError("no mixing partner eliminated the product element")
-    else:
-        raise ArithmeticError("product elimination did not terminate")
-    return _subnormalized(ys, target=rho)
+    raise ArithmeticError("product elimination did not terminate")
 
 
 def _eliminate_product(ys, j) -> bool:
@@ -348,19 +386,27 @@ def s0_assistance(rho: DensityMatrix) -> float:
     if rho.dim != 4:
         raise InputError("expected a two-qubit density matrix")
     lam = min_marginal_eigenvalue(rho.entries)
-    if rho.purity() > 1.0 - 1e-10:
-        verdict = 1.0 if wootters_concurrence(rho) > 1e-9 else 0.0
-    elif lam > 1e-9:
+    pure = rho.purity() > 1.0 - 1e-10
+    if not pure and lam > 1e-9:
         entangled_decomposition(rho)  # existence is the certificate
-        verdict = 1.0
-    else:
-        verdict = 0.0
-    # The step-function value agrees with thresholding the smaller marginal
-    # eigenvalue; keep the two views consistent.
-    step = 1.0 if lam > 1e-9 or (rho.purity() > 1.0 - 1e-10 and wootters_concurrence(rho) > 1e-9) else 0.0
-    if verdict != step:
+    return float(_s0_values([rho], np.array([lam]), np.array([pure]))[0])
+
+
+def _s0_values(rhos, lam: np.ndarray, pure: np.ndarray) -> np.ndarray:
+    """``s0_assistance`` of each of a sequence of two-qubit density matrices,
+    given their smaller marginal eigenvalues ``lam`` and purity tests ``pure``
+    (purity above 1 - 1e-10), for matrices whose all-entangled decomposition
+    has been built wherever one is needed (mixed, lam > 1e-9).
+
+    A pure state scores its Wootters concurrence above 1e-9.  The verdicts
+    must agree with thresholding lam, which can fail only near pure states
+    whose concurrence vanishes; a disagreement raises ``ArithmeticError``.
+    """
+    entangled = np.array([bool(p) and wootters_concurrence(rho) > 1e-9 for rho, p in zip(rhos, pure)])
+    verdict = np.where(pure, entangled, lam > 1e-9)
+    if np.any(verdict != ((lam > 1e-9) | entangled)):
         raise ArithmeticError("step-measure verdicts disagree")
-    return verdict
+    return verdict.astype(float)
 
 
 # ---------------------------------------------------------------------------

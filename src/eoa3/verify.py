@@ -3,11 +3,12 @@
 A trial maps ``(seeds, tol)`` to one ``(ok, row, witness)`` per seed: whether
 the claim holds on the instance the seed generates, the per-trial values (CSV
 rows and counterexample reports), and the pure state to report as a
-counterexample, or None where the instance is not a pure state.  The
-closed-form targets (thm1, corollary, ckw, eq37) draw their states one seed
-at a time and check them all in one call of the stacked kernels; thm2,
-prop2 and appendixB run seed by seed.  The acceptance tests run the same
-trials over their own seed ranges.
+counterexample, or None where the instance is not a pure state.  Every
+target but prop2 draws its instances one seed at a time and checks them all
+in one call of the stacked kernels (thm2 through ``lossless_classifiers``,
+appendixB through ``entangled_stack``); prop2, whose instances vary in size,
+runs seed by seed.  The acceptance tests run the same trials over their own
+seed ranges.
 
 Package functions are called through their modules so that wrappers installed
 on those modules (``bench/tracing.py``) see the calls.
@@ -46,14 +47,12 @@ def _trial_thm1(seeds, tol):
 
 
 def _trial_thm2(seeds, tol):
-    return [_thm2(seed, tol) for seed in seeds]
-
-
-def _thm2(seed, tol):
-    psi = states.generate(states.FamilySpec(kind="thm2", seed=seed))
-    verdict = assistance.lossless_classifier(psi, "A|BC", tol=effective_tol("thm2", tol))
-    ok = verdict.kind in ("lossless", "decoupled")
-    return ok, {"verdict": verdict.kind, "objective": verdict.objective}, psi
+    psis = [states.generate(states.FamilySpec(kind="thm2", seed=seed)) for seed in seeds]
+    c = assistance.lossless_classifiers(psis, "A|BC", effective_tol("thm2", tol))
+    return [
+        (kind != "lossy", {"verdict": str(kind), "objective": float(obj)}, psi)
+        for kind, obj, psi in zip(c.kinds, c.objectives, psis)
+    ]
 
 
 def prop2_instance(seed):
@@ -143,17 +142,20 @@ def mixed_marginal_density(seed) -> qcore.DensityMatrix:
 
 
 def _trial_appendix_b(seeds, tol):
-    return [_appendix_b(seed) for seed in seeds]
-
-
-def _appendix_b(seed):
-    rho = mixed_marginal_density(seed)
-    ens = ensembles.entangled_decomposition(rho)
-    concs = [monotones.concurrence_pure(s) for _, s in ens.elements]
-    mix = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in ens.elements)
-    recon = float(np.max(np.abs(mix - rho.entries)))
-    ok = min(concs) > 0 and recon <= 1e-10 and ensembles.s0_assistance(rho) == 1.0
-    return ok, {"min_concurrence": min(concs), "reconstruction": recon}, None
+    rhos = [mixed_marginal_density(seed) for seed in seeds]
+    ys = ensembles.entangled_stack(rhos)
+    entries = np.array([rho.entries for rho in rhos])
+    weights = np.sum(ys.real**2 + ys.imag**2, axis=-1)
+    element = weights >= 1e-14  # the elements an Ensemble keeps
+    conc = np.min(ensembles._element_concurrences(ys), axis=1, where=element, initial=np.inf)
+    recon = np.max(np.abs(np.einsum("nka,nkb->nab", ys, ys.conj()) - entries), axis=(1, 2))
+    normalized = np.abs(np.sum(weights, axis=1, where=element) - 1.0) <= 1e-12
+    purity = np.trace(entries @ entries, axis1=1, axis2=2).real
+    s0 = ensembles._s0_values(rhos, qcore.min_marginal_eigenvalue(entries), purity > 1.0 - 1e-10)
+    return [
+        (bool(c > 0 and r <= 1e-10 and w_ok and v == 1.0), {"min_concurrence": float(c), "reconstruction": float(r)}, None)
+        for c, r, w_ok, v in zip(conc, recon, normalized, s0)
+    ]
 
 
 def _trial_ckw(seeds, tol):

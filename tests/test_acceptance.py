@@ -13,6 +13,7 @@ from eoa3.assistance import (
     corollary_checks,
     eoa_numeric,
     lossless_classifier,
+    lossless_classifiers,
     theorem1_measurement,
 )
 from eoa3.ensembles import convex_roof_concurrence
@@ -86,10 +87,10 @@ def test_criterion_04_lossless_family_positive():
 
 def test_criterion_05_lossy_negative_cases():
     ok = lossless_classifier(w_state(), "A|BC", 1e-7).kind == "lossy"
-    for seed in range(1000):
-        psi = haar_random_pure((2, 2, 2), 40_000 + seed)
-        if lossless_classifier(psi, "A|BC", 1e-7).kind != "lossy":
-            ok = False
+    psis = [haar_random_pure((2, 2, 2), 40_000 + seed) for seed in range(1000)]
+    ok = ok and bool(np.all(lossless_classifiers(psis, "A|BC", 1e-7).kinds == "lossy"))
+    for psi in psis:
+        if not ok:
             break
         if min_cut(psi, E2) > 0.1:
             val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)

@@ -11,7 +11,7 @@ from eoa3.assistance import (
     _informed_starts,
     _isometries,
     _min_cut,
-    _pauli_data,
+    _pauli_stack,
     _povm_value_grad,
     _theorem1_candidate,
     analyze,
@@ -37,6 +37,7 @@ from eoa3.qcore import (
     haar_random_pure,
     haar_random_unitary,
     reduced_density,
+    three_qubit_stack,
 )
 from eoa3.states import FamilySpec, bell_times_c, generate, ghz_state, parse_family, product_state, w_state
 
@@ -475,10 +476,11 @@ def test_pauli_data_matches_kron_traces(side):
     states = [ghz_state(), w_state(), product_state(), bell_times_c()]
     states += [PureState((2, 2, 2), near), PureState((2, 2, 2), rotation @ near)]
     states += [haar_random_pure((2, 2, 2), seed) for seed in range(500)]
-    for psi in states:
-        for got, ref in zip(_pauli_data(psi, side), _kron_pauli_data(psi, side)):
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-15
+    stack = _pauli_stack(three_qubit_stack(states), side)
+    for i, psi in enumerate(states):
+        for got, ref in zip(stack, _kron_pauli_data(psi, side)):
+            assert got[i].shape == ref.shape
+            assert np.max(np.abs(got[i] - ref)) <= 1e-15
 
 
 def test_verify_theorem1_reports_theorem1_measurement_and_cuts():

@@ -171,15 +171,10 @@ def test_takagi_failure_falls_through_to_the_search(monkeypatch):
 def test_lossy_solve_builds_each_reduction_once(monkeypatch):
     kept = []
 
-    def counted(psi, keep):
-        kept.append(tuple(keep))
-        return reduced_density(psi, keep)
-
     def counted_stack(t, keep):
         kept.extend([tuple(keep)] * len(t))
         return reduced_stack(t, keep)
 
-    monkeypatch.setattr(assistance, "reduced_density", counted)
     monkeypatch.setattr(assistance, "reduced_stack", counted_stack)
     psi = haar_random_pure((2, 2, 2), 5)
     eoa_numeric(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=200))

@@ -176,3 +176,21 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: numerical failure: commuting-basis search stalled at residual 1.0e-08\n"
+
+
+def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    from eoa3 import assistance
+    from eoa3.assistance import SearchBudget
+
+    budgets = []
+    analyze = assistance.analyze
+
+    def recorded(psi, m, budget):
+        budgets.append(budget.max_evals)
+        return analyze(psi, m, budget=SearchBudget(budget.random_starts, 20, budget.seed))
+
+    monkeypatch.setattr(assistance, "analyze", recorded)
+    for argv in (("--budget", "20"), ()):
+        code, _, _ = run(capsys, "analyze", "--family", "w", *argv)
+        assert code == 0
+    assert budgets == [20, 2000]
