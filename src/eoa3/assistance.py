@@ -24,15 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ensembles import _takagi
 from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, cut_entanglement, pair_concurrences
 from .qcore import (
-    PAULIS,
+    PAULI_BASIS,
     DensityMatrix,
     InputError,
     PureState,
+    _block_diagonal,
     _polar,
     _stiefel_ascent,
     min_marginal_eigenvalue,
@@ -277,7 +277,8 @@ def _commuting_stack(t: np.ndarray, side: str) -> _CommutingStack:
     """``commuting_charlie_basis`` for every state of the validated stack t
     (N, 2, 2, 2): the first candidate with residual <= 1e-9 and parallel
     conditional Bloch vectors, else the first with that residual.  A row with
-    neither falls back to a local search from its best candidate."""
+    neither takes the closed form of ``_refine_basis_residual``, oriented like
+    its best candidate."""
     a, _, T = _pauli_stack(t, side)
     dirs, valid = _candidate_directions(a, T)
     cands = _basis_geometry(t, _antipodal_bases(dirs), side)
@@ -289,38 +290,33 @@ def _commuting_stack(t: np.ndarray, side: str) -> _CommutingStack:
         best = int(np.argmin(np.where(valid[row], cands.residual[row], np.inf)))
         refined = _refine_basis_residual(t[row], side, cands.basis[row, best])
         if refined.residual.item() > 1e-9:
-            raise ArithmeticError(f"commuting-basis search stalled at residual {refined.residual.item():.3e}")
+            raise ArithmeticError(f"commuting basis left at residual {refined.residual.item():.3e}")
         chosen.put(row, refined)
     return chosen
 
 
 def _refine_basis_residual(t_row: np.ndarray, side: str, basis: np.ndarray) -> _CommutingStack:
-    """Nelder-Mead on the direction's angles, from ``basis``, minimizing the
-    commutator residual of one state (2, 2, 2); the solution is guaranteed to exist."""
+    """The commuting basis of one state (2, 2, 2) in closed form, for a row
+    whose candidates all miss; its first ket keeps the hemisphere of ``basis``.
 
-    def geometry(x):
-        return _basis_geometry(t_row[None], _basis_at_angles(x)[None, None], side)
-
-    x0 = _ket_angles(basis[:, 0])
-    res = minimize(
-        lambda x: geometry(x).residual.item(),
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": 400, "xatol": 1e-12, "fatol": 1e-14},
-    )
-    return geometry(res.x)
-
-
-def _ket_angles(k: np.ndarray) -> np.ndarray:
-    """Polar and azimuthal angles of the Bloch vector of the qubit ket k."""
-    n = pauli_coefficients(np.outer(k, k.conj()))[1:]
-    return np.array([np.arccos(np.clip(n[2], -1, 1)), np.arctan2(n[1], n[0])])
-
-
-def _basis_at_angles(x: np.ndarray) -> np.ndarray:
-    """Antipodal basis along the direction with polar and azimuthal angles x."""
-    n = np.array([np.sin(x[0]) * np.cos(x[1]), np.sin(x[0]) * np.sin(x[1]), np.cos(x[0])])
-    return _antipodal_bases(n)
+    The X marginals of the two outcomes sum to rho_X, so they commute iff the
+    first one does with rho_X, i.e. is diagonal in the Schmidt frame
+    psi = sum_k sqrt(lam_k) |alpha_k>_X |beta_k>_{YC}.  With v the conjugate
+    of the first Charlie ket, the off-diagonal entry is sqrt(lam_0 lam_1)
+    v^dag H v for H = beta_1^dag beta_0 (the beta_k as Y x C matrices); as
+    tr H = <beta_1|beta_0> = 0, it vanishes iff the Bloch vector of v is
+    orthogonal to Re and Im of h_i = tr(H sigma_i).  Unlike T^-1 a, this
+    takes no difference of nearly equal Pauli data on near-product states.
+    """
+    t = t_row if side == "A" else t_row.transpose(1, 0, 2)
+    beta = np.linalg.svd(t.reshape(2, 4), full_matrices=False)[2].reshape(2, 2, 2)
+    h = beta[1].conj().T @ beta[0]
+    # Re h and Im h as Re tr(H sigma_i) and Re tr(-iH sigma_i); v's Bloch
+    # vector spans their common null space, and conjugation flips its y part.
+    n = np.linalg.svd(pauli_coefficients(np.stack([h, -1j * h]))[:, 1:])[2][2] * (1.0, -1.0, 1.0)
+    if n @ pauli_coefficients(np.outer(basis[:, 0], basis[:, 0].conj()))[1:] < 0.0:
+        n = -n
+    return _basis_geometry(t_row[None], _antipodal_bases(n)[None, None], side)
 
 
 def _e_bases(eta0: np.ndarray, eta1: np.ndarray):
@@ -518,11 +514,19 @@ def _povm_value_grad(w: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec):
     2 Re tr((P U)^dag dU), P the projector on the smaller eigenvector of
     U U^dag.  gap P U = det(U) adj(U)^dag - mu U neither divides by lam nor
     cancels at lam -> 0, and near lam = 1/2 the f' / gap of the concave
-    measures stays finite.  The gradient pulls back through psi_mat^T.
+    measures stays finite.  The gradient pulls back through psi_mat^T;
+    psi_mat may also be a stack (K, 4, n_c), one per POVM.
     """
+    total, g = _outcome_value_grad(psi_mat.conj() @ w, m)
+    return total, psi_mat.swapaxes(-1, -2) @ g
+
+
+def _outcome_value_grad(u: np.ndarray, m: MonotoneSpec):
+    """``_povm_value_grad`` in terms of u = conj(psi_mat) @ w (K, 4, 4): the
+    values, and their Euclidean gradients with respect to u (K, 4, 4)."""
     # conj(M) for every row and outcome, indexed [k, a, b, x]; conjugation
     # leaves p, gap and |det M| unchanged.
-    u = (psi_mat.conj() @ w).reshape(len(w), 2, 2, 4)
+    u = u.reshape(len(u), 2, 2, 4)
     rho_diag = (u * u.conj()).real.sum(axis=2)
     rho_01 = (u[:, 0] * u[:, 1].conj()).sum(axis=1)
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
@@ -538,7 +542,7 @@ def _povm_value_grad(w: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec):
     c_u = np.where(live, f - lam * slope, 0.0) - per_gap * lam * p_live
     adj_h = u[:, ::-1, ::-1].conj() * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]  # adj(U)^dag
     g = 2.0 * (c_u[:, None, None] * u + (per_gap * det)[:, None, None] * adj_h)
-    return total, psi_mat.T @ g.reshape(len(w), 4, 4)
+    return total, g.reshape(len(u), 4, 4)
 
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
@@ -845,38 +849,45 @@ def unital_fixed_point_check(h: np.ndarray, probs, unitaries):
 # Corollary checks
 
 
-def _su2_from_params(x: np.ndarray) -> np.ndarray:
-    angle = np.linalg.norm(x)
-    if angle < 1e-14:
-        return np.eye(2, dtype=complex)
-    axis = x / angle
-    gen = sum(axis[i] * PAULIS[i] for i in range(3))
-    return np.cos(angle) * np.eye(2, dtype=complex) + 1j * np.sin(angle) * gen
-
-
 def swap_infidelity(psi: PureState, seed: int = 0, starts: int = 24, maxfev: int = 600) -> float:
-    """Best found infidelity between SWAP_AB |psi> and (U x V x W)|psi>."""
+    """Best found infidelity between SWAP_AB |psi> and (U x V x W)|psi>.
+
+    The identity is tried first.  Failing it, ``_stiefel_ascent`` climbs the
+    fidelity over (U, V, W) in U(2)^3, held as one 6x6 block-diagonal unitary
+    (``_swap_fidelity_grad``), from the identity and ``starts`` seeded random
+    points exp(i x.sigma), x uniform in [-pi, pi]^3 per factor; ``maxfev``
+    evaluations each, and all stop once one is within 1e-10 of fidelity 1.
+    """
     t = psi.tensor_view()
     target = t.transpose(1, 0, 2)
-
-    def infid(x):
-        u, v, w = (_su2_from_params(x[3 * i : 3 * i + 3]) for i in range(3))
-        rotated = np.einsum("ai,bj,ck,ijk->abc", u, v, w, t)
-        return 1.0 - abs(np.vdot(target, rotated)) ** 2
-
-    best = infid(np.zeros(9))
+    best = 1.0 - abs(np.vdot(target, t)) ** 2
     if best < 1e-10:
         return float(max(best, 0.0))
-    rng = np.random.default_rng(seed)
-    for _ in range(starts):
-        x0 = rng.uniform(-np.pi, np.pi, 9)
-        res = minimize(
-            infid, x0, method="Nelder-Mead", options={"maxfev": maxfev, "fatol": 1e-12}
-        )
-        best = min(best, res.fun)
-        if best < 1e-10:
-            break
-    return float(max(best, 0.0))
+    x = np.random.default_rng(seed).uniform(-np.pi, np.pi, (starts, 3, 3))
+    angle = np.linalg.norm(x, axis=-1)[..., None, None]
+    # exp(i x.sigma) = cos|x| I + i sin|x| (x.sigma) / |x|
+    factors = np.cos(angle) * np.eye(2) + 1j * np.sinc(angle / np.pi) * np.einsum("sfi,ijk->sfjk", x, PAULI_BASIS[1:])
+    z0 = np.concatenate([np.eye(6)[None], _block_diagonal([factors[:, f] for f in range(3)])])
+    z_end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, target), z0, maxfev, 1e-12, 1.0 - 1e-10)
+    fidelity = _swap_fidelity_grad(np.concatenate([z0, z_end]), t, target)[0]
+    return float(max(min(best, 1.0 - fidelity.max()), 0.0))
+
+
+def _swap_fidelity_grad(z: np.ndarray, t: np.ndarray, target: np.ndarray):
+    """F = |a|^2, a = <target|U x V x W|t>, for each block-diagonal unitary
+    U + V + W of the stack z (K, 6, 6), and its Euclidean gradient (K, 6, 6),
+    dF = Re tr(G^dag dZ): 2 a conj(da/dX) in the block of each factor X, zero
+    off the blocks."""
+    u, v, w = (z[:, 2 * f : 2 * f + 2, 2 * f : 2 * f + 2] for f in range(3))
+    tc = target.conj()
+    da_du = np.einsum("abc,sbj,scl,ijl->sai", tc, v, w, t)
+    da_dv = np.einsum("abc,sai,scl,ijl->sbj", tc, u, w, t)
+    da_dw = np.einsum("abc,sai,sbj,ijl->scl", tc, u, v, t)
+    a = np.einsum("sai,sai->s", da_du, u)
+    grad = np.zeros_like(z)
+    for f, da in enumerate((da_du, da_dv, da_dw)):
+        grad[:, 2 * f : 2 * f + 2, 2 * f : 2 * f + 2] = 2.0 * a[:, None, None] * da.conj()
+    return (a * a.conj()).real, grad
 
 
 @dataclass(frozen=True)
@@ -925,71 +936,96 @@ def corollary_checks(states, tol: float, check_swap: bool = True, seed: int = 0)
 # Restricted two-round collaboration search
 
 
-def _apply_local_kraus(psi: PureState, party: int, k: np.ndarray):
-    t = psi.tensor_view()
-    if party == 0:
-        out = np.einsum("ai,ibc->abc", k, t)
-    else:
-        out = np.einsum("bi,aic->abc", k, t)
-    p = float(np.sum(np.abs(out) ** 2))
-    if p < 1e-14:
-        return p, None
-    return p, PureState(psi.dims, out.reshape(-1) / np.sqrt(p))
+def _collaboration_value_grad(z: np.ndarray, t: np.ndarray, m: MonotoneSpec):
+    """Average post-measurement entanglement of each two-round protocol in the
+    stack z (K, 2 + 2 n_c, 12) on the state t (2, 2, n_c), and its Euclidean
+    gradient (K, 2 + 2 n_c, 12), dF = Re tr(G^dag dZ).
+
+    Each z is block-diagonal: the 2 x 4 block [M0^dag, M1^dag] of the Kraus
+    pair on the first qubit (an isometry iff M0^dag M0 + M1^dag M1 = I), then
+    the (n_c, 4) POVM Charlie measures after outcome 0, then the one after
+    outcome 1.  Outcome k leaves the unnormalized state psi_k = (M_k x I x I)
+    psi, whose norm weights its branch, so the value is the sum over k of
+    ``_povm_value_grad`` at psi_k.  With g the gradient with respect to
+    u = conj(psi_k) w_k, dF/dpsi_k = conj(g) w_k^T; as a (qubit, rest) matrix
+    it pulls back to dF/dM_k = (dF/dpsi_k) psi^dag, and the Kraus block takes
+    its adjoint.
+    """
+    n_c = t.shape[2]
+    t_mat = t.reshape(2, 2 * n_c)
+    # [M0; M1] = [M0^dag, M1^dag]^dag, indexed [s, k, a, i].
+    kraus = z[:, :2, :4].conj().swapaxes(-1, -2).reshape(len(z), 2, 2, 2)
+    psi_k = (kraus @ t_mat).reshape(len(z), 2, 4, n_c)
+    total = np.zeros(len(z))
+    grad = np.zeros_like(z)
+    for k in range(2):
+        rows = slice(2 + k * n_c, 2 + (k + 1) * n_c)
+        w = z[:, rows, 4 + 4 * k : 8 + 4 * k]
+        value, g = _outcome_value_grad(psi_k[:, k].conj() @ w, m)
+        total += value
+        grad[:, rows, 4 + 4 * k : 8 + 4 * k] = psi_k[:, k].swapaxes(-1, -2) @ g
+        d_psi = (g.conj() @ w.swapaxes(-1, -2)).reshape(len(z), 2, 2 * n_c)
+        grad[:, :2, 2 * k : 2 * k + 2] = t_mat @ d_psi.conj().swapaxes(-1, -2)
+    return total, grad
 
 
-def _branch_eoa(psi: PureState, m: MonotoneSpec, budget) -> float:
-    if m.kind == "e2":
-        _, avg = theorem1_measurement(psi)
-        return avg
-    val, _ = eoa_numeric(psi, m, budget)
-    return val
+def _measurement_isometry(meas: Measurement) -> np.ndarray:
+    """A POVM isometry (n_c, 4) scoring what ``meas`` scores: the nonzero
+    columns of every E_x^dag, since sum_x E_x^dag E_x = I.  A rank-1 element
+    gives one column, a projector onto b two columns along b, and the trivial
+    measurement the computational basis, all with the same branch states."""
+    cols = [c for e in meas.elements for c in e.conj() if np.any(c)]
+    w = np.zeros((meas.dim, 4), dtype=complex)
+    w[:, : len(cols)] = np.array(cols).T
+    return w
 
 
 def eoc_lower_bound_search(
     psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None
 ) -> float:
-    """Two-round lower bound on the collaboration value.
+    """Two-round LOCC lower bound on the entanglement of collaboration (Gour,
+    PRA 2006).
 
-    Alice or Bob applies a two-element measurement, broadcasts, and Charlie
-    then decouples optimally in each branch.  The trivial first round reduces
-    to the plain assistance search, so the result never falls below it.  All
-    three parties act by LOCC across both cuts, so the min-cut bound holds
-    here too, and the search stops once it is reached within 1e-12.
+    Alice or Bob applies a two-outcome measurement and broadcasts the
+    outcome; Charlie then measures a rank-1 POVM chosen per outcome.  The
+    plain assistance search at the inner budget (1 random start, 200
+    evaluations) is the trivial first round.  Failing the min-cut, one
+    ``_stiefel_ascent`` per measuring party climbs whole protocols
+    (``_collaboration_value_grad``) from ``budget.random_starts`` random ones,
+    and Alice's also from the trivial round followed by the plain search's
+    measurement; ``budget.max_evals`` evaluations each.  Starts and end
+    points count, the plain value wins ties, so the result is never below it.
+    All three parties act by LOCC across both cuts, so the min-cut bound
+    holds here too, and the search stops once it is reached within 1e-12.
     """
     budget = budget or SearchBudget(random_starts=2, max_evals=300)
     inner = SearchBudget(random_starts=1, max_evals=200, seed=budget.seed)
     target = _min_cut(psi, m) - _SEARCH_FATOL
-    best = _branch_eoa(psi, m, inner)
+    best, meas = eoa_numeric(psi, m, inner)
     if best >= target:
         return float(best)
-
-    def value(x, party):
-        v = _su2_from_params(x[:3])
-        s0, s1 = np.sin(x[3]), np.sin(x[4])
-        c0, c1 = np.cos(x[3]), np.cos(x[4])
-        m0 = v @ np.diag([s0, s1]).astype(complex) @ v.conj().T
-        m1 = v @ np.diag([c0, c1]).astype(complex) @ v.conj().T
-        total = 0.0
-        for k in (m0, m1):
-            p, branch = _apply_local_kraus(psi, party, k)
-            if branch is None:
-                continue
-            total += p * _branch_eoa(branch, m, inner)
-        return total
-
+    t = psi.tensor_view()
+    n_c = t.shape[2]
     rng = np.random.default_rng(budget.seed)
+    plain = _measurement_isometry(meas)
     for party in (0, 1):
-        for _ in range(budget.random_starts):
-            x0 = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(0, np.pi / 2, 2)])
-            res = minimize(
-                lambda x: -value(x, party),
-                x0,
-                method="Nelder-Mead",
-                options={"maxfev": budget.max_evals},
-            )
-            best = max(best, -res.fun)
-            if best >= target:
-                return float(best)
+        # Real, then imaginary parts of each random start's three blocks.
+        draws = rng.standard_normal((2, budget.random_starts, 2 + 2 * n_c, 4))
+        kraus = _polar(draws[0, :, :2] + 1j * draws[1, :, :2])
+        povms = _polar((draws[0, :, 2:] + 1j * draws[1, :, 2:]).reshape(-1, n_c, 4)).reshape(-1, 2, n_c, 4)
+        if party == 0:
+            kraus = np.concatenate([np.eye(2, 4)[None], kraus])
+            povms = np.concatenate([np.stack([plain, plain])[None], povms])
+        z0 = _block_diagonal([kraus, povms[:, 0], povms[:, 1]])
+        t_party = t if party == 0 else t.transpose(1, 0, 2)
+
+        def fun(z):
+            return _collaboration_value_grad(z, t_party, m)
+
+        z_end = _stiefel_ascent(fun, z0, budget.max_evals, _SEARCH_FATOL, target)
+        best = float(fun(np.concatenate([z0, z_end]))[0].max(initial=best))
+        if best >= target:
+            break
     return float(best)
 
 

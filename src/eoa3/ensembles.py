@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .monotones import wootters_concurrence
 from .qcore import SIGMA_YY, DensityMatrix, InputError, PureState, _polar, _stiefel_ascent, min_marginal_eigenvalue
@@ -210,9 +209,9 @@ def _equalize_ratios(ys, target):
     """Pairwise real rotations driving every element's concurrence to target.
 
     The signed preconcurrence matrix is real diagonal at entry and stays real
-    symmetric under real rotations; its trace (= target) is invariant, so a
-    rotation angle equalizing the extreme normalized preconcurrences always
-    exists by the intermediate value theorem.
+    symmetric under real rotations; its trace (= target) is invariant, so the
+    largest normalized preconcurrence is at least target and the smallest at
+    most, and ``_equalizing_angle`` mixes the two into one at target.
     """
     ys = [y.copy() for y in ys]
     unlocked = list(range(len(ys)))
@@ -226,21 +225,35 @@ def _equalize_ratios(ys, target):
         if ratios[a] - ratios[b] < 1e-13:
             break
         ya, yb = ys[a], ys[b]
-
-        def ratio(theta):
-            v = np.cos(theta) * ya + np.sin(theta) * yb
-            return float(np.real(_preconcurrence(v))) / float(np.real(np.vdot(v, v)))
-
-        if ratio(0.0) - target < 0 or ratio(np.pi / 2) - target > 0:
-            theta = 0.0  # already within round-off of the target
-        else:
-            theta = brentq(lambda t: ratio(t) - target, 0.0, np.pi / 2, xtol=1e-15)
+        theta = _equalizing_angle(ya, yb, target)
         new_a = np.cos(theta) * ya + np.sin(theta) * yb
         new_b = -np.sin(theta) * ya + np.cos(theta) * yb
         ys[a], ys[b] = new_a, new_b
         unlocked.remove(a)
     return ys
 
+
+def _equalizing_angle(ya: np.ndarray, yb: np.ndarray, target: float) -> float:
+    """The theta in [0, pi/2] at which v = cos(theta) ya + sin(theta) yb has
+    Re(v^T (sy x sy) v) / |v|^2 = target, for ya at or above target and yb at
+    or below.
+
+    P - target N is the real quadratic form A c^2 + 2B cs + C s^2 in
+    (c, s) = (cos theta, sin theta), with A >= 0 >= C; rounding on the wrong
+    side of the target counts as 0.  Its root in [0, pi/2] is
+    tan(theta) = A / (sqrt(B^2 - AC) - B), read where B > 0 as
+    A (B + sqrt(B^2 - AC)) / (-AC) so that neither form subtracts nearly
+    equal terms.  It is 0 at A = 0, and a root of the form at C = 0 too.
+    """
+
+    def form(x, y):
+        return float(np.real(x @ SIGMA_YY @ y)) - target * float(np.real(np.vdot(x, y)))
+
+    a, b, c = max(form(ya, ya), 0.0), form(ya, yb), min(form(yb, yb), 0.0)
+    root = np.sqrt(b * b - a * c)
+    if b <= 0.0:
+        return float(np.arctan2(a, root - b))
+    return float(np.arctan2(a * (b + root), abs(a * c)))
 
 def _zero_concurrence_mix(xs, values):
     """Phases cancelling the total preconcurrence, then an unbiased mixing."""

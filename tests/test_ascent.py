@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from eoa3 import assistance
 from eoa3.assistance import (
     SearchBudget,
+    _collaboration_value_grad,
     _eoa_search,
     _informed_starts,
     _isometries,
     _min_cut,
     _povm_value_grad,
+    _swap_fidelity_grad,
     _theorem1_candidate,
     average_post_measurement,
     eoa_numeric,
@@ -29,6 +31,7 @@ from eoa3.ensembles import _roof_value_grad, purification
 from eoa3.monotones import E2, ENTROPY_1, MonotoneSpec
 from eoa3.qcore import (
     PureState,
+    _block_diagonal,
     _inner,
     _polar,
     _riemannian_gradient,
@@ -77,6 +80,43 @@ def test_riemannian_gradient_matches_central_differences(kind, n_c):
             numeric = (up - down) / (2 * h)
             scale = np.sqrt(_inner(grad, grad) * _inner(z, z))
             assert abs(numeric - _inner(grad, z))[0] <= 1e-6 * scale[0]
+
+
+def _random_blocks(rng, shapes):
+    """Four block-diagonal isometries with random blocks of the given shapes."""
+    return _block_diagonal([_polar(rng.standard_normal((4,) + sh) + 1j * rng.standard_normal((4,) + sh)) for sh in shapes])
+
+
+def _assert_gradient_matches_central_differences(fun, z, rng):
+    h = 1e-5
+    grad = _riemannian_gradient(z, fun(z)[1])
+    on_blocks = z != 0
+    raw = rng.standard_normal((2,) + z.shape) + 1j * rng.standard_normal((2,) + z.shape)
+    for d in [grad, _riemannian_gradient(z, raw[0] * on_blocks), _riemannian_gradient(z, raw[1] * on_blocks)]:
+        numeric = (fun(_polar(z + h * d))[0] - fun(_polar(z - h * d))[0]) / (2 * h)
+        scale = np.sqrt(_inner(grad, grad) * _inner(d, d))
+        assert np.all(np.abs(numeric - _inner(grad, d)) <= 1e-6 * scale)
+
+
+@pytest.mark.parametrize("n_c", [2, 3])
+@pytest.mark.parametrize("kind", GRADIENT_KINDS)
+def test_collaboration_gradient_matches_central_differences(kind, n_c):
+    # The two-round protocol: the Kraus block [M0^dag, M1^dag], then one POVM
+    # per outcome; its gradient runs through psi_k = (M_k x I x I) psi.
+    rng = np.random.default_rng(n_c)
+    m = MonotoneSpec.parse(kind)
+    for seed in range(3):
+        t = haar_random_pure((2, 2, n_c), seed).tensor_view()
+        z = _random_blocks(rng, [(2, 4), (n_c, 4), (n_c, 4)])
+        _assert_gradient_matches_central_differences(lambda x: _collaboration_value_grad(x, t, m), z, rng)
+
+
+def test_swap_fidelity_gradient_matches_central_differences():
+    rng = np.random.default_rng(9)
+    for seed in range(4):
+        t = haar_random_pure((2, 2, 2), seed).tensor_view()
+        z = _random_blocks(rng, [(2, 2), (2, 2), (2, 2)])
+        _assert_gradient_matches_central_differences(lambda x: _swap_fidelity_grad(x, t, t.transpose(1, 0, 2)), z, rng)
 
 
 def test_riemannian_gradient_is_tangent():

@@ -13,6 +13,7 @@ from eoa3.assistance import (
     _min_cut,
     _pauli_stack,
     _povm_value_grad,
+    _swap_fidelity_grad,
     _theorem1_candidate,
     analyze,
     average_post_measurement,
@@ -23,6 +24,7 @@ from eoa3.assistance import (
     eoa_numeric,
     eoc_lower_bound_search,
     lossless_classifier,
+    swap_infidelity,
     theorem1_measurement,
     unital_fixed_point_check,
     verify_theorem1,
@@ -33,7 +35,9 @@ from eoa3.qcore import (
     DensityMatrix,
     InputError,
     PureState,
+    _block_diagonal,
     _polar,
+    _stiefel_ascent,
     haar_random_pure,
     haar_random_unitary,
     reduced_density,
@@ -330,6 +334,41 @@ def test_corollary_examples():
     assert rep.i and rep.ii and rep.iii and rep.applicable
 
 
+def _locally_moved(psi, seed):
+    us = [haar_random_unitary(2, seed + f) for f in range(3)]
+    return PureState((2, 2, 2), np.einsum("ai,bj,ck,ijk->abc", *us, psi.tensor_view()).reshape(8))
+
+
+def test_swap_search_finds_hidden_symmetry():
+    # Eq. 21 states are SWAP_AB-symmetric; random local unitaries hide that
+    # from the identity, and the search over U(2)^3 finds it again.
+    for seed in range(6):
+        psi = _locally_moved(generate(parse_family("eq21", seed)), 100 + 3 * seed)
+        t = psi.tensor_view()
+        assert 1.0 - abs(np.vdot(t.transpose(1, 0, 2), t)) ** 2 > 1e-3
+        assert swap_infidelity(psi) <= 1e-10
+        assert corollary_check(psi, 1e-6).ii
+
+
+def test_swap_search_stays_below_the_identity_on_haar_states():
+    for seed in range(80_000, 80_004):
+        psi = haar_random_pure((2, 2, 2), seed)
+        t = psi.tensor_view()
+        assert 0.0 <= swap_infidelity(psi) <= 1.0 - abs(np.vdot(t.transpose(1, 0, 2), t)) ** 2
+
+
+def test_swap_search_keeps_its_blocks_apart():
+    # The ascent's steps keep (U, V, W) block-diagonal: the off-diagonal
+    # blocks of every end point are exactly 0.
+    t = haar_random_pure((2, 2, 2), 80_001).tensor_view()
+    rng = np.random.default_rng(4)
+    z0 = _block_diagonal([_polar(rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))) for _ in range(3)])
+    blocks = np.kron(np.eye(3), np.ones((2, 2))).astype(bool)
+    end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, t.transpose(1, 0, 2)), z0, 600, 1e-12, 1.0 - 1e-10)
+    assert np.all(end[:, ~blocks] == 0)
+    np.testing.assert_allclose(end @ end.conj().transpose(0, 2, 1), np.broadcast_to(np.eye(6), end.shape), atol=1e-12)
+
+
 def test_eoc_lower_bound():
     val = eoc_lower_bound_search(ghz_state(), E2, SearchBudget(random_starts=1, max_evals=100))
     assert val == pytest.approx(1.0, abs=1e-6)
@@ -346,6 +385,18 @@ def test_eoc_collapse_on_lossless_states():
     numeric, _ = eoa_numeric(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=300))
     eoc = eoc_lower_bound_search(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=150))
     assert abs(eoc - numeric) <= 2e-4
+
+
+def test_eoc_between_assistance_and_min_cut_on_lossy_states():
+    # The joint ascent scores the plain search's value at the inner budget,
+    # so it never falls below it, and a two-round protocol is LOCC across
+    # both cuts, so it stays under the min-cut.
+    for seed in range(300, 305):
+        psi = haar_random_pure((2, 2, 2), seed)
+        plain, _ = eoa_numeric(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=200))
+        bound = _min_cut(psi, ENTROPY_1)
+        assert plain < bound - 1e-3
+        assert plain - 1e-12 <= eoc_lower_bound_search(psi, ENTROPY_1) <= bound + 1e-12
 
 
 @pytest.mark.parametrize("family", ["ghz", "thm2", "eq21", "product", "bell_c"])

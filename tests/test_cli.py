@@ -194,3 +194,30 @@ def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):
         code, _, _ = run(capsys, "analyze", "--family", "w", *argv)
         assert code == 0
     assert budgets == [20, 2000]
+
+
+def test_package_imports_numpy_alone():
+    # eoa3 and its CLI import without scipy, and no module of the package
+    # imports it, at module level or inside a function.
+    import ast
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import eoa3
+
+    package = Path(eoa3.__file__).resolve().parent
+    code = "import sys, eoa3, eoa3.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=package.parent, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), f"{path.name}:{node.lineno}"

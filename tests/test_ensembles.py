@@ -4,6 +4,7 @@ import pytest
 from eoa3.assistance import Measurement
 from eoa3.ensembles import (
     Ensemble,
+    _equalizing_angle,
     convex_roof_concurrence,
     ensemble_from_json,
     ensemble_to_json,
@@ -114,6 +115,41 @@ def test_equal_concurrence_random_spread():
         assert abs(concs[0] - c) <= 1e-8
         assert len(ens.elements) <= 4
         assert reconstruction_error(ens) <= 1e-10
+
+
+def test_equal_concurrence_spread_at_round_off():
+    # The closed-form mixing angle leaves every element at the Wootters
+    # concurrence to within round-off.
+    for seed in range(400):
+        rho = random_density_matrix(4, 2 + seed % 3, seed)
+        c = wootters_concurrence(rho)
+        concs = [concurrence_pure(s) for _, s in equal_concurrence_decomposition(rho).elements]
+        assert max(concs) - min(concs) <= 1e-13
+        assert max(abs(x - c) for x in concs) <= 1e-13
+
+
+def _signed_ratio(y):
+    return float(np.real(y @ SIGMA_YY @ y)) / float(np.real(np.vdot(y, y)))
+
+
+def test_equalizing_angle_at_the_ends():
+    rng = np.random.default_rng(5)
+    yb = rng.normal(size=4) + 1j * rng.normal(size=4)
+    # ya = i(|00> + |11>) has preconcurrence 2 and weight 2: its ratio is
+    # exactly 1, so at target 1 no rotation is needed, whatever yb's sign.
+    ya = np.array([1j, 0, 0, 1j])
+    assert _signed_ratio(ya) == 1.0
+    for sign in (1.0, -1.0):
+        assert _equalizing_angle(ya, sign * yb, 1.0) == 0.0
+    # With yb itself at the target (C = 0), the angle is a root in [0, pi/2]
+    # for either sign of the cross term B.
+    ya = rng.normal(size=4) + 1j * rng.normal(size=4)
+    ya, yb = (ya, yb) if _signed_ratio(ya) > _signed_ratio(yb) else (yb, ya)
+    target = _signed_ratio(yb)
+    for sign in (1.0, -1.0):
+        theta = _equalizing_angle(ya, sign * yb, target)
+        assert 0.0 <= theta <= np.pi / 2
+        assert abs(_signed_ratio(np.cos(theta) * ya + sign * np.sin(theta) * yb) - target) <= 1e-14
 
 
 def test_entangled_decomposition_two_products():
