@@ -21,6 +21,7 @@ directions +/-n produces conditional X-marginals with unnormalized Bloch parts
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -521,12 +522,14 @@ def _povm_value_grad(w: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec):
     return total, psi_mat.swapaxes(-1, -2) @ g
 
 
-def _outcome_value_grad(u: np.ndarray, m: MonotoneSpec):
-    """``_povm_value_grad`` in terms of u = conj(psi_mat) @ w (K, 4, 4): the
-    values, and their Euclidean gradients with respect to u (K, 4, 4)."""
+def _outcome_value_grad(u: np.ndarray, m: MonotoneSpec, grad: bool = True):
+    """``_povm_value_grad`` in terms of u = conj(psi_mat) @ w (K, 4, n_x),
+    n_x outcomes per row: the values, and their Euclidean gradients with
+    respect to u (K, 4, n_x), or None unless ``grad``."""
+    shape = u.shape
     # conj(M) for every row and outcome, indexed [k, a, b, x]; conjugation
     # leaves p, gap and |det M| unchanged.
-    u = u.reshape(len(u), 2, 2, 4)
+    u = u.reshape(len(u), 2, 2, shape[-1])
     rho_diag = (u * u.conj()).real.sum(axis=2)
     rho_01 = (u[:, 0] * u[:, 1].conj()).sum(axis=1)
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
@@ -537,12 +540,14 @@ def _outcome_value_grad(u: np.ndarray, m: MonotoneSpec):
     lam = 2.0 * (det * det.conj()).real / (p_live * (p_live + gap))
     f = m.eigenvalue_values(lam)
     total = np.sum(p * f, axis=1, where=live)
+    if not grad:
+        return total, None
     slope = np.where(live, m.eigenvalue_slopes(lam), 0.0)
     per_gap = slope / np.where(gap > 0.0, gap, 1.0)
     c_u = np.where(live, f - lam * slope, 0.0) - per_gap * lam * p_live
     adj_h = u[:, ::-1, ::-1].conj() * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]  # adj(U)^dag
     g = 2.0 * (c_u[:, None, None] * u + (per_gap * det)[:, None, None] * adj_h)
-    return total, g.reshape(len(u), 4, 4)
+    return total, g.reshape(shape)
 
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
@@ -590,14 +595,18 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     """Best found average entanglement over rank-1 POVMs on Charlie (<= 4 outcomes).
 
     Multi-start Riemannian gradient ascent over the isometries W (W W^dag = I)
-    whose columns are the POVM vectors, seeded with the constructive bases,
-    all starts advanced together; the result is a certified lower bound on
-    the entanglement of assistance.  The Theorem-1 measurement
+    whose columns are the POVM vectors, seeded with the constructive bases
+    and ``budget.random_starts`` random ones; the result is a certified lower
+    bound on the entanglement of assistance.  The Theorem-1 measurement
     counts at the value ``average_post_measurement`` gives it, so the result
     is never below the constructive value ``analyze`` reports.  The search
     stops once a measurement comes within 1e-12 of the min-cut upper bound;
     under ``concurrence`` with a qubit Charlie the Takagi basis reaches the
-    exact concurrence of assistance, and the search is skipped.
+    exact concurrence of assistance, and the search is skipped.  With a
+    qubit Charlie the constructive starts climb first; the random ones climb
+    only if the weak-duality bound of ``_dual_bound`` does not prove the
+    best constructive end optimal to within 1e-12 (it applies to a qubit
+    Charlie only), and are otherwise scored where they start.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
@@ -615,8 +624,8 @@ def _assistance_tau(psi: PureState) -> np.ndarray:
 
     Its singular values are the Wootters lambdas of rho_AB = V V^dag, so its
     trace norm is the concurrence of assistance C_a (Laustsen, Verstraete &
-    van Enk, QIC 2003).  Taken from psi, it avoids the square roots of the
-    flushed eigenvalues that ``wootters_lambdas`` takes.
+    van Enk, QIC 2003).  Taken from psi, it needs none of the eigenvalues
+    of rho_AB that ``wootters_lambdas`` factors rho_AB by.
     """
     return _pair_taus(psi.tensor_view()[None])[0, 0]
 
@@ -635,6 +644,125 @@ def _takagi_basis(tau: np.ndarray) -> np.ndarray:
 _SEARCH_FATOL = 1e-12
 
 
+# The dual bound's Fibonacci grid of the Bloch sphere, the neighbours a grid
+# point must top to seed a climb, the radii of the climb's successive
+# stencils in the chart c + z c_perp of Charlie kets, and the Bloch angle (rad)
+# of the caps around the touching directions outside which h must stay
+# below -_DUAL_DEPTH.  Near-ties on perturbed W, GHZ and eq21 states keep h
+# within 1.2e-8 of 0 there; on 600 lossy Haar states it stayed at most -5e-8.
+_DUAL_GRID_POINTS = 600
+_DUAL_NEIGHBOURS = 12
+_DUAL_RADII = (0.035, 2e-3, 1.2e-4)
+_DUAL_CAP = 0.35
+_DUAL_DEPTH = 1e-7
+
+
+@functools.cache
+def _dual_grid():
+    """The Fibonacci grid of the Bloch sphere as Charlie kets (N, 2), and the
+    indices of each point and its nearest neighbours as the columns of a
+    (1 + ``_DUAL_NEIGHBOURS``, N) table."""
+    k = np.arange(_DUAL_GRID_POINTS) + 0.5
+    z = 1.0 - 2.0 * k / _DUAL_GRID_POINTS
+    azimuth = np.pi * (1.0 + np.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    dirs = np.stack([r * np.cos(azimuth), r * np.sin(azimuth), z], axis=1)
+    near = np.empty((_DUAL_NEIGHBOURS + 1, _DUAL_GRID_POINTS), dtype=int)
+    # Fifty rows of cosines at a time keep the N x N matrix out of memory.
+    for rows in np.split(np.arange(_DUAL_GRID_POINTS), 12):
+        near[:, rows] = np.argpartition(-dirs[rows] @ dirs.T, _DUAL_NEIGHBOURS, axis=1)[:, : _DUAL_NEIGHBOURS + 1].T
+    return _antipodal_bases(dirs)[..., 0], near
+
+
+# The centre and the corners of a unit hexagon in the complex plane.
+_HEXAGON = np.concatenate([[0.0], np.exp(1j * np.pi * np.arange(6) / 3)])
+
+
+def _climb_slack(centers: np.ndarray, slack):
+    """The kets (M, 2) and values (M,) of ``slack`` on the stencils of a Newton
+    climb from each unit ket of centers (K, 2).
+
+    Around a ket c the kets c + z c_perp, normalized, chart the Bloch sphere.
+    Each stage evaluates ``_HEXAGON`` scaled by the next radius of
+    ``_DUAL_RADII`` around each centre, with values h_0 at the centre and h_k
+    at the corners z_k, and fits the quadratic h_0 + Re(conj(g) z) +
+    L |z|^2 / 4 + Re(conj(q) z^2) / 2 to them: g = sum_k (h_k - h_0) z_k / 3,
+    L = 2 sum_k (h_k - h_0) / 3 and q = 2 sum_k (h_k - h_0) z_k^2 / 3 (the
+    least-squares fit; sum_k z_k = sum_k z_k^2 = 0).  The next stage is
+    centred at the fit's maximum z = 2 (2 q conj(g) - L g) / (L^2 - 4 |q|^2)
+    where the fit is concave and that lies within two radii, elsewhere at
+    the best point of the stencil."""
+    kets, values = [], []
+    for radius in _DUAL_RADII:
+        perp = centers[:, ::-1].conj() * (-1.0, 1.0)
+        points = centers[:, None] + (radius * _HEXAGON)[:, None] * perp[:, None]
+        points = (points / np.sqrt((points.real**2 + points.imag**2).sum(axis=2, keepdims=True))).reshape(-1, 2)
+        h = slack(points)
+        kets.append(points)
+        values.append(h)
+        h = h.reshape(-1, 7)
+        rise = h[:, 1:] - h[:, :1]
+        g = rise @ _HEXAGON[1:] / 3.0
+        lap = 2.0 * rise.sum(axis=1) / 3.0
+        q = 2.0 * rise @ _HEXAGON[1:] ** 2 / 3.0
+        det = lap * lap - 4.0 * (q * q.conj()).real
+        concave = (det > 0.0) & (lap < 0.0)
+        step = 2.0 * (2.0 * q * g.conj() - lap * g) / np.where(concave, det, 1.0)
+        step = np.where(concave & (np.abs(step) <= 2.0), step, _HEXAGON[np.argmax(h, axis=1)])
+        centers = centers + radius * step[:, None] * perp
+        centers /= np.sqrt((centers.real**2 + centers.imag**2).sum(axis=1, keepdims=True))
+    return np.concatenate(kets), np.concatenate(values)
+
+
+def _dual_bound(w: np.ndarray, g: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec) -> float:
+    """An upper bound U on the value of every rank-1 POVM on a qubit Charlie,
+    with the multiplier read off the POVM w (2, 4) and its gradient g (2, 4),
+    or inf where the maximum of h below is not isolated.
+
+    One outcome's value phi(w) = p f(lam) is homogeneous of degree 2.  So for
+    every Hermitian Lam and every POVM, sum_x w_x w_x^dag = I,
+
+        sum_x phi(w_x) = tr Lam + sum_x |w_x|^2 h(w_x / |w_x|)
+                      <= tr Lam + 2 max_{|c| = 1} h(c) = U,
+
+    with h(c) = phi(c) - c^dag Lam c, since the weights |w_x|^2 sum to tr I = 2
+    (weak duality, as in the optimality conditions of Yuen, Kennedy & Lax,
+    IEEE Trans. Inf. Theory 1975).  Lam = (G W^dag + W G^dag) / 4 for G the
+    gradient at W: tr Lam = Re tr(G^dag W) / 2 = F(W) by Euler's identity,
+    and at a stationary W, G = 2 Lam W, so h and its gradient vanish at the
+    normalized columns of W, the touching directions; U = F(W) iff h peaks
+    there.
+
+    The maximum is read on ``_dual_grid`` and at the touching directions in
+    one kernel call, then climbed by ``_climb_slack`` from the grid's local
+    maxima and the touching directions.  Where h comes within ``_DUAL_DEPTH``
+    of 0 farther than ``_DUAL_CAP`` from every touching direction, another
+    POVM nearly ties with w (near W, GHZ and eq21 states a ring of them does,
+    near product states nearly every POVM does), and a climb cannot settle
+    which is best: the bound is inf.
+    """
+    lam = (g @ w.conj().T + w @ g.conj().T) / 4.0
+    norms = np.linalg.norm(w, axis=0)
+    touching = (w[:, norms > 1e-7] / norms[norms > 1e-7]).T
+    grid, near = _dual_grid()
+
+    def slack(c):
+        """h at each unit ket of the stack c (K, 2); phi(c) is the value of the one-outcome POVM c."""
+        phi = _outcome_value_grad((c @ psi_mat.conj().T)[:, :, None], m, grad=False)[0]
+        return phi - np.sum(c.conj() * (c @ lam.T), axis=1).real
+
+    h = slack(np.concatenate([grid, touching]))
+    seeds = np.concatenate([grid[h[: len(grid)] >= h[near].max(axis=0)], touching])
+    climbed, h_climbed = _climb_slack(seeds, slack)
+    kets = np.concatenate([grid, touching, climbed])
+    h = np.concatenate([h, h_climbed])
+    # The Bloch angle theta between unit kets a and b has cos(theta) = 2 |<a|b>|^2 - 1.
+    away = (np.abs(kets @ touching.conj().T) ** 2).max(axis=1) < (1.0 + np.cos(_DUAL_CAP)) / 2.0
+    if h.max(where=away, initial=-np.inf) >= -_DUAL_DEPTH:
+        return np.inf
+    return float(np.trace(lam).real + 2.0 * h.max())
+
+
 def _eoa_search(
     psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1, bound: float, certificates=()
 ):
@@ -648,7 +776,15 @@ def _eoa_search(
     once.  Otherwise the best certificate that gets that close is taken and
     the search is skipped; without one the search runs, and stops once any
     start gets that close: the other starts could add at most
-    ``_SEARCH_FATOL``.  Certificates and starts are scored by the search's
+    ``_SEARCH_FATOL``.  With a qubit Charlie the informed starts climb first,
+    and the random starts climb only if neither ``bound`` nor the dual bound
+    of ``_dual_bound`` at the best informed POVM W proves W optimal to within
+    ``_SEARCH_FATOL``: as one outcome's value phi is homogeneous of degree 2
+    and sum_x |w_x|^2 = tr I = 2, every POVM scores sum_x phi(w_x) = tr Lam +
+    sum_x |w_x|^2 h(w_x / |w_x|) <= tr Lam + 2 max_c h(c), h(c) = phi(c) -
+    c^dag Lam c, for any Hermitian Lam.  A random start not climbed is still
+    scored.  With a larger Charlie all starts climb together, from the same
+    draws.  Certificates, starts and ends are scored by the search's
     objective; the Theorem-1 candidate wins every tie.
     """
     certificates = list(certificates)
@@ -665,18 +801,32 @@ def _eoa_search(
     psi_mat = psi.amplitudes.reshape(4, n_c)
     candidates = _isometries(certificates, n_c)
     values = _povm_value_grad(candidates, psi_mat, m)[0]
-    if values.max(initial=-np.inf) < bound - _SEARCH_FATOL:
+    target = bound - _SEARCH_FATOL
+    if values.max(initial=-np.inf) < target:
         # Each random start is the polar factor of a Gaussian (n_c, 4) block
         # drawn as its real parts, then its imaginary parts.
         draws = np.random.default_rng(budget.seed).standard_normal((budget.random_starts, 8 * n_c))
         randoms = _polar((draws[:, : 4 * n_c] + 1j * draws[:, 4 * n_c :]).reshape(-1, n_c, 4))
-        w0 = np.concatenate([_isometries(_informed_starts(psi, theorem1), n_c), randoms])
-        w_end = _stiefel_ascent(
-            lambda w: _povm_value_grad(w, psi_mat, m), w0, budget.max_evals, _SEARCH_FATOL, bound - _SEARCH_FATOL
-        )
+        informed = _isometries(_informed_starts(psi, theorem1), n_c)
+
+        def climb(w):
+            return _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w, budget.max_evals, _SEARCH_FATOL, target)
+
         # Each start, then its end point, so the first maximum is the first best POVM.
-        candidates = np.stack([w0, w_end], axis=1).reshape(-1, n_c, 4)
-        values = _povm_value_grad(candidates, psi_mat, m)[0]
+        if n_c == 2:
+            candidates = np.stack([informed, climb(informed)], axis=1).reshape(-1, 2, 4)
+            values, grads = _povm_value_grad(candidates, psi_mat, m)
+            best = int(np.argmax(values))
+            ends = randoms
+            if values[best] < target and _dual_bound(candidates[best], grads[best], psi_mat, m) > values[best] + _SEARCH_FATOL:
+                ends = climb(randoms)
+            tail = np.stack([randoms, ends], axis=1).reshape(-1, 2, 4)
+            candidates = np.concatenate([candidates, tail])
+            values = np.concatenate([values, _povm_value_grad(tail, psi_mat, m)[0]])
+        else:
+            w0 = np.concatenate([informed, randoms])
+            candidates = np.stack([w0, climb(w0)], axis=1).reshape(-1, n_c, 4)
+            values = _povm_value_grad(candidates, psi_mat, m)[0]
     best = int(np.argmax(values))
     best_val = float(values[best])
     if theorem1 is not None and theorem1[0] >= best_val:

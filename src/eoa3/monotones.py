@@ -177,23 +177,29 @@ def spin_flip(rho_entries: np.ndarray) -> np.ndarray:
 def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
     """Square roots of the eigenvalues of rho * rho_tilde, non-increasing.
 
-    Computed from the Hermitian product sqrt(rho) rho_tilde sqrt(rho), which
-    shares the spectrum of rho * rho_tilde but avoids a non-Hermitian solver.
+    They are the singular values of tau = V^T (sy x sy) V for any V with
+    rho = V V^dag: rho rho_tilde = V (V^dag (sy x sy) V^*) V^T (sy x sy)
+    shares its spectrum with tau^dag tau.  V = evecs sqrt(evals) comes from
+    one ``eigh`` of rho, with eigenvalues below 1e-13 of the largest
+    flushed to 0.  Unlike the square roots of the eigenvalues of
+    sqrt(rho) rho_tilde sqrt(rho), this takes no square root of an
+    eigenvalue that rounding leaves near 0 after the product.
     """
     if rho.dim != 4:
         raise InputError("Wootters concurrence is defined for two qubits")
     evals, evecs = np.linalg.eigh(rho.entries)
-    sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    prod = sqrt_rho @ spin_flip(rho.entries) @ sqrt_rho
-    mu = np.linalg.eigvalsh(prod)
-    # Round-off noise of order eps in mu would turn into sqrt(eps)-sized
-    # lambdas on rank-deficient inputs; flush it to zero first.
-    mu = np.clip(mu, 0.0, None)
-    mu[mu < 1e-13 * max(1.0, mu.max(initial=0.0))] = 0.0
-    return np.sqrt(mu)[::-1]
+    evals = np.where(evals < 1e-13 * max(evals[-1], 0.0), 0.0, evals)
+    v = evecs * np.sqrt(evals)
+    return np.linalg.svd(v.T @ SIGMA_YY @ v, compute_uv=False)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
+    """max(0, l1 - l2 - l3 - l4) over ``wootters_lambdas``.
+
+    C is not Lipschitz where rho loses rank: an eigenvalue eps of rho moves
+    the lambdas by about sqrt(eps), so a true eigenvalue below the flush of
+    ``wootters_lambdas`` moves C by up to about sqrt(1e-13 max(evals)).
+    """
     lam = wootters_lambdas(rho)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 

@@ -267,22 +267,53 @@ def test_fast_budget_matches_the_default_budget_on_lossy_states():
     assert max(shortfalls) <= 1e-6
 
 
-def test_search_scores_its_ends_with_the_objective(monkeypatch):
-    # The ascent's end points are scored by the search's objective, as the
-    # certificates are; the reported value is the best of them.
-    psi = haar_random_pure((2, 2, 2), 11)
-    ends = []
+def _recorded_ascents(monkeypatch):
+    """Record (starts, ends) of every ``_stiefel_ascent`` the search runs."""
+    runs = []
     ascent = assistance._stiefel_ascent
 
-    def recorded(*args):
-        ends.append(ascent(*args))
-        return ends[-1]
+    def recorded(fun, w0, *args):
+        runs.append((w0, ascent(fun, w0, *args)))
+        return runs[-1][1]
 
     monkeypatch.setattr(assistance, "_stiefel_ascent", recorded)
+    return runs
+
+
+def test_search_scores_its_ends_with_the_objective(monkeypatch):
+    # The ascents' end points, and the random start the dual bound leaves
+    # unclimbed, are scored by the search's objective, as the certificates
+    # are; the reported value is the best of them.
+    psi = haar_random_pure((2, 2, 2), 11)
+    psi_mat = psi.amplitudes.reshape(4, 2)
+    runs = _recorded_ascents(monkeypatch)
     val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
-    (end,) = ends
-    assert val == _povm_value_grad(end, psi.amplitudes.reshape(4, 2), ENTROPY_1)[0].max()
+    starts = _starts(psi, ENTROPY_1, FAST_BUDGET)
+    ((climbed, end),) = runs
+    np.testing.assert_array_equal(climbed, starts[:-1])
+    assert val == _povm_value_grad(np.concatenate([starts, end]), psi_mat, ENTROPY_1)[0].max()
     assert val < _min_cut(psi, ENTROPY_1) - 1e-3
+
+
+def test_random_starts_climb_when_the_dual_bound_does_not_fire(monkeypatch):
+    # With the dual bound off, the random starts climb from the same draws,
+    # after the informed ones, to the ends one joint ascent reaches.
+    for seed in (11, 12, 13):
+        psi = haar_random_pure((2, 2, 2), seed)
+        psi_mat = psi.amplitudes.reshape(4, 2)
+        runs = _recorded_ascents(monkeypatch)
+        monkeypatch.setattr(assistance, "_dual_bound", lambda *args: np.inf)
+        val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
+        starts = _starts(psi, ENTROPY_1, FAST_BUDGET)
+        (informed, informed_end), (randoms, random_end) = runs
+        np.testing.assert_array_equal(np.concatenate([informed, randoms]), starts)
+        monkeypatch.undo()
+        joint = _stiefel_ascent(
+            lambda w: _povm_value_grad(w, psi_mat, ENTROPY_1), starts, FAST_BUDGET.max_evals, 1e-12, _min_cut(psi, ENTROPY_1) - 1e-12
+        )
+        np.testing.assert_array_equal(np.concatenate([informed_end, random_end]), joint)
+        scored = np.concatenate([starts, joint])
+        assert val == _povm_value_grad(scored, psi_mat, ENTROPY_1)[0].max()
 
 
 @pytest.mark.parametrize("n_c", [2, 3, 4])

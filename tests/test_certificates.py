@@ -1,9 +1,13 @@
-"""Exact certificates the POVM search tries before its optimizer.
+"""Exact certificates the POVM search tries before its optimizer, and the
+dual bound that lets it skip its random starts.
 
 Under ``concurrence`` with a qubit Charlie the entanglement of assistance is
 C_a = ||tau||_1, tau = V^T (sy x sy) V (Laustsen, Verstraete & van Enk, QIC
 2003), and the Takagi basis of tau reaches it.  On lossless states the
-classifier's marginal-preserving basis reaches the min-cut.
+classifier's marginal-preserving basis reaches the min-cut.  With a qubit
+Charlie, weak duality bounds every POVM by tr Lam + 2 max_c (phi(c) -
+c^dag Lam c), Lam read off the best informed POVM; where that bound meets the
+informed value the random starts are scored but not climbed.
 """
 
 import numpy as np
@@ -15,6 +19,7 @@ from eoa3 import assistance
 from eoa3.assistance import (
     Measurement,
     SearchBudget,
+    _SEARCH_FATOL,
     _assistance_tau,
     _eoa_search,
     _informed_starts,
@@ -29,7 +34,7 @@ from eoa3.assistance import (
     eoa_numeric,
     theorem1_measurement,
 )
-from eoa3.monotones import CONCURRENCE, ENTROPY_1, MonotoneSpec, wootters_lambdas
+from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, wootters_lambdas
 from eoa3.qcore import PureState, haar_random_pure, reduced_density, reduced_stack
 from eoa3.states import generate, ghz_state, parse_family, product_state, w_state
 
@@ -69,8 +74,8 @@ def test_trace_norm_matches_wootters_lambdas_on_haar_states():
 
 
 def test_takagi_measurement_reaches_trace_norm_near_w():
-    # Here the Wootters sum drifts by up to 3.7e-8: it takes square roots of
-    # eigenvalues flushed to zero.  The Takagi basis and the trace norm do not.
+    # Rank-2 pair states close to W, where square roots of eigenvalues that
+    # rounding leaves near zero would drift by up to 3.7e-8.
     rng = np.random.default_rng(0)
     for _ in range(300):
         eps = 10 ** rng.uniform(np.log10(4e-10), np.log10(1.4e-8))
@@ -145,7 +150,7 @@ def test_lossy_report_is_the_full_search(monkeypatch):
     rep = analyze(psi, ENTROPY_1, budget)
     assert len(calls) == 1
     assert rep.lossless_verdict.kind == "lossy"
-    # No bound stop and no certificate: the search as it ran before certificates.
+    # No min-cut stop and no certificate basis: the search with the bound at inf.
     ref_val, _ = _eoa_search(psi, ENTROPY_1, budget, _theorem1_candidate(psi, ENTROPY_1), np.inf)
     assert rep.eoa_numeric == ref_val
     meas, _ = theorem1_measurement(psi)
@@ -193,3 +198,79 @@ def test_informed_starts_reuse_the_theorem1_bases():
             np.testing.assert_array_equal(g, r)
         for g, side in zip(got[3:], ("A", "B")):
             np.testing.assert_array_equal(g, commuting_charlie_basis(psi, side).basis)
+
+
+def _recorded_bounds(monkeypatch):
+    """Record (U, value of the POVM U is read off) at each dual bound the search takes."""
+    bounds = []
+    dual_bound = assistance._dual_bound
+
+    def recorded(w, g, psi_mat, m):
+        u = dual_bound(w, g, psi_mat, m)
+        bounds.append((u, _povm_value_grad(w[None], psi_mat, m)[0][0]))
+        return u
+
+    monkeypatch.setattr(assistance, "_dual_bound", recorded)
+    return bounds
+
+
+def _without_dual_bound(search):
+    """``search()`` with the dual bound at +inf, so the random starts always climb."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assistance, "_dual_bound", lambda *args: np.inf)
+        return search()
+
+
+# The bases of test_search_near_special_states_is_finite_and_bounded, and Haar states.
+_DUAL_BASES = {name: _BASES[name] for name in ("ghz", "w", "product", "eq21")}
+_DUAL_BASES["haar"] = lambda seed: haar_random_pure((2, 2, 2), 300_000 + seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_DUAL_BASES)),
+    seed=st.integers(0, 50),
+    kind=st.sampled_from(["e2", "ek:2", "entropy:0.5", "entropy:1"]),
+    log_eps=st.one_of(st.just(-np.inf), st.floats(-14.0, -1.0)),
+    z_seed=st.integers(0, 2**32 - 1),
+)
+def test_dual_bound_is_sound_near_special_states(family, seed, kind, log_eps, z_seed):
+    # A search whose random starts always climb, with four of them and a
+    # tenfold budget, never beats the dual bound; where the bound fires, it
+    # does not beat the certified search either.
+    rng = np.random.default_rng(z_seed)
+    psi = _perturbed(_DUAL_BASES[family](seed), 10.0**log_eps, rng.normal(size=8) + 1j * rng.normal(size=8))
+    m = MonotoneSpec.parse(kind)
+    budget = SearchBudget(random_starts=4, max_evals=2000, seed=seed)
+
+    def search():
+        return _eoa_search(psi, m, budget, _theorem1_candidate(psi, m), _min_cut(psi, m))[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        bounds = _recorded_bounds(patch)
+        certified = search()
+    climbed = _without_dual_bound(search)
+    for u, informed in bounds:
+        assert climbed <= u + 1e-12
+        if u <= informed + _SEARCH_FATOL:
+            assert abs(certified - climbed) <= 1e-12
+
+
+def test_dual_bound_fires_on_lossy_haar_states(monkeypatch):
+    # The first 100 lossy states of criterion 5 (seeds 40 000 + j with E2
+    # min-cut above 0.1), at the acceptance gate's budget.
+    budget = SearchBudget(random_starts=1, max_evals=200)
+    bounds = _recorded_bounds(monkeypatch)
+    fired = 0
+    j = 0
+    for _ in range(100):
+        while _min_cut(psi := haar_random_pure((2, 2, 2), 40_000 + j), E2) <= 0.1:
+            j += 1
+        j += 1
+        bounds.clear()
+        val, _ = eoa_numeric(psi, ENTROPY_1, budget)
+        ((u, informed),) = bounds
+        fired += u <= informed + _SEARCH_FATOL
+        climbed, _ = _without_dual_bound(lambda: eoa_numeric(psi, ENTROPY_1, budget))
+        assert abs(val - climbed) <= 1e-14
+    assert fired >= 95

@@ -142,22 +142,33 @@ def _mp_wootters_concurrence(v):
         return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))
 
 
-def test_pair_concurrences_near_w_match_40_digit_wootters():
-    # The sampler of test_theorem1_answers_near_w: W + eps z, eps in [4e-10, 1.4e-8].
-    # Square roots of eigenvalues that rounding leaves near zero put
-    # wootters_concurrence up to 3.7e-8 off on these states.
+def _near_w_states(count):
+    """The sampler of test_theorem1_answers_near_w: W + eps z, eps in [4e-10, 1.4e-8]."""
     rng = np.random.default_rng(0)
     psis = []
-    for _ in range(300):
+    for _ in range(count):
         eps = 10 ** rng.uniform(np.log10(4e-10), np.log10(1.4e-8))
         z = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps = w_state().amplitudes + eps * z
         psis.append(PureState((2, 2, 2), amps / np.linalg.norm(amps)))
+    return psis
+
+
+def test_pair_concurrences_near_w_match_40_digit_wootters():
+    psis = _near_w_states(300)
     got = pair_concurrences(psis)
     for psi, row in zip(psis, got):
         t = psi.tensor_view()
         for pair, c in zip((t, t.transpose(0, 2, 1), t.transpose(1, 2, 0)), row):
             assert abs(c - _mp_wootters_concurrence(pair.reshape(4, 2))) <= 1e-14
+
+
+def test_wootters_concurrence_near_w_matches_40_digit_value():
+    # The reduced density matrix has rank 2: a square root of an eigenvalue
+    # that rounding leaves near zero would put C up to 3.0e-8 off here.
+    for psi in _near_w_states(100):
+        got = wootters_concurrence(reduced_density(psi, (0, 1)))
+        assert abs(got - _mp_wootters_concurrence(psi.tensor_view().reshape(4, 2))) <= 1e-14
 
 
 def test_three_tangle_is_the_stacked_kernel_and_rejects_disagreeing_forms():
