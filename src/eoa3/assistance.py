@@ -603,10 +603,12 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     stops once a measurement comes within 1e-12 of the min-cut upper bound;
     under ``concurrence`` with a qubit Charlie the Takagi basis reaches the
     exact concurrence of assistance, and the search is skipped.  With a
-    qubit Charlie the constructive starts climb first; the random ones climb
-    only if the weak-duality bound of ``_dual_bound`` does not prove the
-    best constructive end optimal to within 1e-12 (it applies to a qubit
-    Charlie only), and are otherwise scored where they start.
+    qubit Charlie the constructive starts climb first, and stop as soon as
+    the weak-duality bound of ``_dual_bound`` proves the first of them to
+    become stationary optimal to within 1e-12; failing that, the bound is
+    taken again at the best constructive end.  The random starts climb
+    only if neither bound certifies (it applies to a qubit Charlie only),
+    and are otherwise scored where they start.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
@@ -778,14 +780,18 @@ def _eoa_search(
     start gets that close: the other starts could add at most
     ``_SEARCH_FATOL``.  With a qubit Charlie the informed starts climb first,
     and the random starts climb only if neither ``bound`` nor the dual bound
-    of ``_dual_bound`` at the best informed POVM W proves W optimal to within
+    of ``_dual_bound`` proves an informed POVM W optimal to within
     ``_SEARCH_FATOL``: as one outcome's value phi is homogeneous of degree 2
     and sum_x |w_x|^2 = tr I = 2, every POVM scores sum_x phi(w_x) = tr Lam +
     sum_x |w_x|^2 h(w_x / |w_x|) <= tr Lam + 2 max_c h(c), h(c) = phi(c) -
-    c^dag Lam c, for any Hermitian Lam.  A random start not climbed is still
-    scored.  With a larger Charlie all starts climb together, from the same
-    draws.  Certificates, starts and ends are scored by the search's
-    objective; the Theorem-1 candidate wins every tie.
+    c^dag Lam c, for any Hermitian Lam.  The bound is taken at most twice:
+    as the ascent's ``settle`` at the first informed start to pass the
+    gradient test, where a certificate stops every informed start at once,
+    and, if that one does not certify, at the best informed end.  A random
+    start not climbed is still scored.  With a larger Charlie all starts
+    climb together, from the same draws.  Certificates, starts and ends are
+    scored by the search's objective; the Theorem-1 candidate wins every
+    tie.
     """
     certificates = list(certificates)
     if m.kind == "concurrence" and psi.dims[2] == 2:
@@ -809,16 +815,26 @@ def _eoa_search(
         randoms = _polar((draws[:, : 4 * n_c] + 1j * draws[:, 4 * n_c :]).reshape(-1, n_c, 4))
         informed = _isometries(_informed_starts(psi, theorem1), n_c)
 
-        def climb(w):
-            return _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w, budget.max_evals, _SEARCH_FATOL, target)
+        def climb(w, settle=None):
+            return _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w, budget.max_evals, _SEARCH_FATOL, target, settle)
 
         # Each start, then its end point, so the first maximum is the first best POVM.
         if n_c == 2:
-            candidates = np.stack([informed, climb(informed)], axis=1).reshape(-1, 2, 4)
+            certified = []
+
+            def settle(w, g, value):
+                certified.append(_dual_bound(w, g, psi_mat, m) <= value + _SEARCH_FATOL)
+                return certified[0]
+
+            candidates = np.stack([informed, climb(informed, settle)], axis=1).reshape(-1, 2, 4)
             values, grads = _povm_value_grad(candidates, psi_mat, m)
             best = int(np.argmax(values))
             ends = randoms
-            if values[best] < target and _dual_bound(candidates[best], grads[best], psi_mat, m) > values[best] + _SEARCH_FATOL:
+            if (
+                values[best] < target
+                and not any(certified)
+                and _dual_bound(candidates[best], grads[best], psi_mat, m) > values[best] + _SEARCH_FATOL
+            ):
                 ends = climb(randoms)
             tail = np.stack([randoms, ends], axis=1).reshape(-1, 2, 4)
             candidates = np.concatenate([candidates, tail])

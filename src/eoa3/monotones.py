@@ -169,11 +169,6 @@ def concurrence_pure(phi: PureState) -> float:
 g_concurrence = concurrence_pure
 
 
-def spin_flip(rho_entries: np.ndarray) -> np.ndarray:
-    """rho_tilde = (sy x sy) rho* (sy x sy) in the computational basis."""
-    return SIGMA_YY @ rho_entries.conj() @ SIGMA_YY
-
-
 def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
     """Square roots of the eigenvalues of rho * rho_tilde, non-increasing.
 

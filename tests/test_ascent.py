@@ -31,6 +31,7 @@ from eoa3.ensembles import _roof_value_grad, purification
 from eoa3.monotones import E2, ENTROPY_1, MonotoneSpec
 from eoa3.qcore import (
     PureState,
+    _GRAD_TOL,
     _block_diagonal,
     _inner,
     _polar,
@@ -199,6 +200,55 @@ def test_ascent_stops_every_start_at_the_target():
     end = _stiefel_ascent(counted, w0, 200, 1e-12, start.max())
     assert len(calls) == 1
     np.testing.assert_array_equal(end, w0)
+
+
+def _settle_cases():
+    """(objective, starts, target) of the search's starts on lossy Haar states under entropy:1."""
+    for seed in range(11, 17):
+        psi = haar_random_pure((2, 2, 2), seed)
+        psi_mat = psi.amplitudes.reshape(4, 2)
+        fun = lambda w, psi_mat=psi_mat: _povm_value_grad(w, psi_mat, ENTROPY_1)
+        yield fun, _starts(psi, ENTROPY_1, FAST_BUDGET), _min_cut(psi, ENTROPY_1) - 1e-12
+
+
+def test_refusing_settle_leaves_the_ascent_unchanged():
+    # settle is asked at most once, about a start that passed the gradient
+    # test; after a refusal the ascent ends where it ends without one.
+    asked = 0
+    for fun, w0, target in _settle_cases():
+        calls = []
+
+        def refuse(w, egrad, value):
+            calls.append((w, egrad, value))
+            return False
+
+        end = _stiefel_ascent(fun, w0, 200, 1e-12, target, refuse)
+        np.testing.assert_array_equal(end, _stiefel_ascent(fun, w0, 200, 1e-12, target))
+        assert len(calls) <= 1
+        for w, egrad, value in calls:
+            assert value == fun(w[None])[0][0]
+            grad = _riemannian_gradient(w[None], egrad[None])
+            assert np.sqrt(_inner(grad, grad)[0]) <= _GRAD_TOL * value
+        asked += len(calls)
+    assert asked >= 4
+
+
+def test_accepting_settle_ends_every_start_where_it_is():
+    # Accepting at evaluation r ends every start where an ascent cut at r
+    # evaluations leaves it.
+    for fun, w0, target in _settle_cases():
+        evals, settled = [], []
+
+        def counted(w):
+            evals.append(1)
+            return fun(w)
+
+        end = _stiefel_ascent(counted, w0, 200, 1e-12, target, lambda *args: settled.append(len(evals)) or True)
+        assert settled == [len(evals)]
+        np.testing.assert_array_equal(end, _stiefel_ascent(fun, w0, len(evals), 1e-12, target))
+        evals.clear()
+        _stiefel_ascent(counted, w0, 200, 1e-12, target)
+        assert settled[0] < len(evals)
 
 
 _BASES = {

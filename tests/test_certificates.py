@@ -249,6 +249,8 @@ def test_dual_bound_is_sound_near_special_states(family, seed, kind, log_eps, z_
     with pytest.MonkeyPatch.context() as patch:
         bounds = _recorded_bounds(patch)
         certified = search()
+    # One bound at the informed ascent's first stationary start, one at its best end.
+    assert len(bounds) <= 2
     climbed = _without_dual_bound(search)
     for u, informed in bounds:
         assert climbed <= u + 1e-12
@@ -274,3 +276,31 @@ def test_dual_bound_fires_on_lossy_haar_states(monkeypatch):
         climbed, _ = _without_dual_bound(lambda: eoa_numeric(psi, ENTROPY_1, budget))
         assert abs(val - climbed) <= 1e-14
     assert fired >= 95
+
+
+def test_settled_ascent_evaluates_less_on_lossy_haar_states(monkeypatch):
+    # The same 100 states: stopping the informed ascent where its first
+    # stationary start is certified costs fewer objective evaluations than
+    # an ascent whose settle always refuses.
+    budget = SearchBudget(random_starts=1, max_evals=200)
+    states = []
+    j = 0
+    while len(states) < 100:
+        psi = haar_random_pure((2, 2, 2), 40_000 + j)
+        j += 1
+        if _min_cut(psi, E2) > 0.1:
+            states.append(psi)
+    calls = []
+    povm_value_grad = assistance._povm_value_grad
+    monkeypatch.setattr(assistance, "_povm_value_grad", lambda *args: calls.append(1) or povm_value_grad(*args))
+
+    def evaluations():
+        calls.clear()
+        for psi in states:
+            eoa_numeric(psi, ENTROPY_1, budget)
+        return len(calls)
+
+    settled = evaluations()
+    ascent = assistance._stiefel_ascent
+    monkeypatch.setattr(assistance, "_stiefel_ascent", lambda *args: ascent(*args[:5], lambda *_: False))
+    assert settled < evaluations()

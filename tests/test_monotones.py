@@ -14,13 +14,11 @@ from eoa3.monotones import (
     ky_fan,
     pair_concurrences,
     pure_cut_concurrence,
-    spin_flip,
     three_tangle,
     three_tangles,
     wootters_concurrence,
 )
 from eoa3.qcore import (
-    SIGMA_Y,
     SIGMA_YY,
     DensityMatrix,
     InputError,
@@ -295,10 +293,3 @@ def test_pure_cut_concurrence_matches_old_formula():
         for cut, party in (("A|BC", 0), ("B|AC", 1)):
             det = np.linalg.det(reduced_density(psi, (party,)).entries).real
             assert abs(pure_cut_concurrence(psi, cut) - 2.0 * np.sqrt(max(det, 0.0))) <= 1e-14
-
-
-def test_spin_flip_matches_kron_formula():
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    for seed in range(200):
-        rho = random_density_matrix(4, 1 + seed % 4, seed).entries
-        assert np.array_equal(spin_flip(rho), yy @ rho.conj() @ yy)
