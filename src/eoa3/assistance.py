@@ -376,18 +376,15 @@ def _eq21_bases(res_a: _CommutingStack):
     return res_a.basis @ np.stack([e0, e1], axis=-1), trivial
 
 
-# The trivial measurement as a two-outcome stack entry: I, and an outcome that never occurs.
-_TRIVIAL_ELEMENTS = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
-
-
 @dataclass(frozen=True)
 class Theorem1Stack:
     """The Theorem-1 construction for a stack of three-qubit states.
 
-    Per state: the Charlie basis measured (N, 2, 2) unless ``trivial`` (N,)
-    says Charlie measures nothing, its average post-measurement E2
-    ``average``, and the E2 cuts across A|BC and B|AC.  ``commuting`` maps
-    each side whose commuting bases were built to (the rows built, their bases).
+    Per state: the Charlie basis measured (N, 2, 2), the computational basis
+    where ``trivial`` (N,) says Charlie measures nothing, its average
+    post-measurement E2 ``average`` as ``_basis_values`` scores it, and the
+    E2 cuts across A|BC and B|AC.  ``commuting`` maps each side whose
+    commuting bases were built to (the rows built, their bases).
     """
 
     basis: np.ndarray
@@ -428,9 +425,9 @@ def theorem1_stack(states) -> Theorem1Stack:
                 eq21, eq21_trivial = _eq21_bases(res_a.take(anti[both]))
                 basis[rows[anti[both]]] = eq21
                 trivial[rows[anti[both]]] = eq21_trivial
-    elements = np.einsum("nck,ndk->nkcd", basis, basis.conj())
-    elements[trivial] = _TRIVIAL_ELEMENTS
-    average = _post_measurement_values(t, elements, E2)
+    # Where Charlie measures nothing every basis leaves AB as it is, so the computational one scores it.
+    basis[trivial] = np.eye(2)
+    average = _basis_values(t.reshape(-1, 4, 2), basis, E2)
     return Theorem1Stack(basis, trivial, average, cut_a, cut_b, commuting)
 
 
@@ -440,50 +437,42 @@ def theorem1_measurement(psi: PureState):
     Returns the measurement and its achieved average post-measurement E2,
     which equals min(E2 across A|BC, E2 across B|AC).
     """
-    meas, avg, _, _, _ = _theorem1(psi)
+    meas, _, avg, _, _, _ = _theorem1(psi)
     return meas, avg
 
 
 def _theorem1(psi: PureState):
-    """``theorem1_stack`` of one state: (measurement, average, E2 across A|BC,
-    E2 across B|AC, {side: commuting basis built})."""
+    """``theorem1_stack`` of one state: (measurement, the basis scored,
+    average, E2 across A|BC, E2 across B|AC, {side: commuting basis built})."""
     th = theorem1_stack([psi])
     meas = Measurement.trivial() if th.trivial[0] else Measurement.projective(th.basis[0])
     bases = {side: b[0] for side, (_, b) in th.commuting.items()}
-    return meas, float(th.average[0]), float(th.cut_a[0]), float(th.cut_b[0]), bases
-
-
-def _principal_vector(matrix: np.ndarray) -> np.ndarray:
-    _, evecs = np.linalg.eigh(matrix)
-    return evecs[:, -1]
+    return meas, th.basis[0], float(th.average[0]), float(th.cut_a[0]), float(th.cut_b[0]), bases
 
 
 def average_post_measurement(psi: PureState, meas: Measurement, m: MonotoneSpec) -> float:
     """Sum_x p_x E(phi_x) over the normalized post-measurement AB states.
 
-    Branches whose AB reduction is not pure (the measurement element leaves C
-    correlated) raise rather than silently evaluating a pure-state monotone.
+    Each nonzero row of each element is scored as one rank-1 outcome of
+    ``_measurement_isometry`` by the search's kernel; the rows of an element
+    whose branch is pure all leave that branch's AB state, so their values
+    add up to the branch's.  Branches whose AB reduction is not pure (the
+    measurement element leaves C correlated) raise rather than silently
+    evaluating a pure-state monotone.
     """
     if meas.dim != psi.dims[2]:
         raise InputError("measurement dimension does not match Charlie's system")
-    return float(_post_measurement_values(psi.tensor_view()[None], np.array(meas.elements)[None], m)[0])
-
-
-def _post_measurement_values(t: np.ndarray, elements: np.ndarray, m: MonotoneSpec) -> np.ndarray:
-    """``average_post_measurement`` for each state of t (N, 2, 2, n_c) and its
-    measurement elements (N, K, n_c, n_c); branches with p < 1e-14 count 0."""
-    n, k, n_c = elements.shape[:3]
-    mat = np.einsum("nkcd,nabd->nkabc", elements, t).reshape(n, k, 4, n_c)
-    p = np.sum(np.abs(mat) ** 2, axis=(-2, -1))
+    psi_mat = psi.amplitudes.reshape(4, meas.dim)
+    # Branch x as an (AB, C) block; its AB state is pure iff the block has rank 1.
+    mats = psi_mat @ np.array(meas.elements).swapaxes(-1, -2)
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    p = np.trace(gram, axis1=-2, axis2=-1).real
     live = p >= 1e-14
-    rho_ab = mat @ mat.conj().swapaxes(-1, -2) / np.where(live, p, 1.0)[..., None, None]
-    purity = np.trace(rho_ab @ rho_ab, axis1=-2, axis2=-1).real
+    purity = np.einsum("kij,kji->k", gram, gram).real / np.where(live, p, 1.0) ** 2
     if np.any(live & (purity < 1.0 - 1e-10)):
         raise InputError("measurement branch leaves a mixed AB state; use rank-1 elements")
-    # The AB state is the leading left singular vector of the (AB, C) block.
-    phi = np.linalg.svd(mat)[0][..., 0].reshape(n, k, 2, 2)
-    lam = np.linalg.svd(phi, compute_uv=False)[..., -1] ** 2
-    return np.sum(p * m.eigenvalue_values(lam), axis=1, where=live)
+    u = psi_mat.conj() @ _measurement_isometry(meas)
+    return float(_outcome_value_grad(u[None], m, grad=False)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +486,15 @@ def _isometries(bases, n_c: int) -> np.ndarray:
     for block, basis in zip(w, bases):
         block[:, : basis.shape[1]] = basis
     return w
+
+
+def _basis_values(psi_mat: np.ndarray, bases: np.ndarray, m: MonotoneSpec) -> np.ndarray:
+    """Average post-measurement entanglement under ``m`` of measuring each
+    qubit-Charlie basis of bases (K, 2, 2) on psi_mat (4, 2), or on the
+    matching state of a stack (K, 4, 2).  Each basis is scored as the search
+    scores its rows, padded by ``_isometries``: the kernel's last bit depends
+    on that shape, and the search's tie rule compares the two values."""
+    return _outcome_value_grad(psi_mat.conj() @ _isometries(bases, 2), m, grad=False)[0]
 
 
 def _povm_value_grad(w: np.ndarray, psi_mat: np.ndarray, m: MonotoneSpec):
@@ -552,15 +550,15 @@ def _outcome_value_grad(u: np.ndarray, m: MonotoneSpec, grad: bool = True):
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
     """The Theorem-1 measurement as (its value under ``m``, measurement, the
-    commuting bases built for it), or None where that construction does not
-    apply."""
+    basis scored, the commuting bases built for it), or None where that
+    construction does not apply."""
     if psi.dims[2] != 2:
         return None
     try:
-        meas, _, _, _, bases = _theorem1(psi)
-        return average_post_measurement(psi, meas, m), meas, bases
-    except (ArithmeticError, InputError):
+        meas, basis, _, _, _, bases = _theorem1(psi)
+    except ArithmeticError:
         return None
+    return float(_basis_values(psi.amplitudes.reshape(4, 2), basis[None], m)[0]), meas, basis, bases
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -569,8 +567,8 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 def _informed_starts(psi: PureState, theorem1):
     """Projective bases worth seeding the POVM search with, given the Theorem-1 candidate.
 
-    The commuting bases the candidate carries are reused; a side it did not
-    build is built here.
+    The Theorem-1 basis and the commuting bases the candidate carries are
+    reused; a side it did not build is built here.
     """
     n_c = psi.dims[2]
     cands = [np.eye(n_c, dtype=complex)]
@@ -579,14 +577,14 @@ def _informed_starts(psi: PureState, theorem1):
     cands.append(_HADAMARD)
     if theorem1 is None:
         return cands
-    _, meas, bases = theorem1
+    _, meas, basis, bases = theorem1
     if len(meas.elements) == 2:
-        cands.append(np.column_stack([_principal_vector(e) for e in meas.elements]))
+        cands.append(basis)
     try:
         for side in ("A", "B"):
-            basis = bases.get(side)
-            cands.append(basis if basis is not None else _commuting_stack(psi.tensor_view()[None], side).basis[0])
-    except (ArithmeticError, InputError):
+            built = bases.get(side)
+            cands.append(built if built is not None else _commuting_stack(psi.tensor_view()[None], side).basis[0])
+    except ArithmeticError:
         pass
     return cands
 
@@ -597,9 +595,9 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     Multi-start Riemannian gradient ascent over the isometries W (W W^dag = I)
     whose columns are the POVM vectors, seeded with the constructive bases
     and ``budget.random_starts`` random ones; the result is a certified lower
-    bound on the entanglement of assistance.  The Theorem-1 measurement
-    counts at the value ``average_post_measurement`` gives it, so the result
-    is never below the constructive value ``analyze`` reports.  The search
+    bound on the entanglement of assistance.  The Theorem-1 basis counts at
+    the value the search's own kernel gives it (``_basis_values``), so the
+    result is never below the constructive value ``analyze`` reports.  The search
     stops once a measurement comes within 1e-12 of the min-cut upper bound;
     under ``concurrence`` with a qubit Charlie the Takagi basis reaches the
     exact concurrence of assistance, and the search is skipped.  With a
@@ -789,9 +787,9 @@ def _eoa_search(
     gradient test, where a certificate stops every informed start at once,
     and, if that one does not certify, at the best informed end.  A random
     start not climbed is still scored.  With a larger Charlie all starts
-    climb together, from the same draws.  Certificates, starts and ends are
-    scored by the search's objective; the Theorem-1 candidate wins every
-    tie.
+    climb together, from the same draws.  Certificates, starts, ends and the
+    Theorem-1 candidate are all scored by one kernel, ``_outcome_value_grad``,
+    in one (K, n_c, 4) shape; the Theorem-1 candidate wins every tie.
     """
     certificates = list(certificates)
     if m.kind == "concurrence" and psi.dims[2] == 2:
@@ -876,7 +874,7 @@ class Theorem1Report:
 
 def verify_theorem1(psi: PureState, tol: float) -> Theorem1Report:
     """Check the constructive measurement saturates the min-cut E2 bound."""
-    _, avg, cut_a, cut_b, _ = _theorem1(psi)
+    _, _, avg, cut_a, cut_b, _ = _theorem1(psi)
     mincut = min(cut_a, cut_b)
     gap = abs(avg - mincut)
     if gap > tol:
@@ -1136,12 +1134,13 @@ def _collaboration_value_grad(z: np.ndarray, t: np.ndarray, m: MonotoneSpec):
 
 
 def _measurement_isometry(meas: Measurement) -> np.ndarray:
-    """A POVM isometry (n_c, 4) scoring what ``meas`` scores: the nonzero
-    columns of every E_x^dag, since sum_x E_x^dag E_x = I.  A rank-1 element
-    gives one column, a projector onto b two columns along b, and the trivial
-    measurement the computational basis, all with the same branch states."""
+    """A POVM isometry (n_c, max(4, outcomes)) scoring what ``meas`` scores:
+    the nonzero columns of every E_x^dag, since sum_x E_x^dag E_x = I.  A
+    rank-1 element gives one column, a projector onto b one column along b
+    per nonzero entry of b, and the trivial measurement the computational
+    basis, all with the same branch states."""
     cols = [c for e in meas.elements for c in e.conj() if np.any(c)]
-    w = np.zeros((meas.dim, 4), dtype=complex)
+    w = np.zeros((meas.dim, max(4, len(cols))), dtype=complex)
     w[:, : len(cols)] = np.array(cols).T
     return w
 
@@ -1292,8 +1291,8 @@ class AssistanceReport:
 def analyze(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None) -> AssistanceReport:
     cut_a = cut_entanglement(psi, "A|BC", m)
     cut_b = cut_entanglement(psi, "B|AC", m)
-    meas, _, _, _, bases = _theorem1(psi)
-    constructive = average_post_measurement(psi, meas, m)
+    meas, basis, _, _, _, bases = _theorem1(psi)
+    constructive = float(_basis_values(psi.amplitudes.reshape(4, 2), basis[None], m)[0])
     cut = "A|BC" if cut_a <= cut_b else "B|AC"
     verdict = lossless_classifier(psi, cut, tol=1e-7)
     # The marginal-preserving basis reaches the min-cut (every branch keeps
@@ -1301,7 +1300,7 @@ def analyze(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None)
     certificates = []
     if verdict.kind == "lossless" and "basis" in verdict.certificate:
         certificates.append(verdict.certificate["basis"])
-    theorem1 = (constructive, meas, bases)
+    theorem1 = (constructive, meas, basis, bases)
     numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, theorem1, min(cut_a, cut_b), certificates)
     return AssistanceReport(
         cut_a=cut_a,

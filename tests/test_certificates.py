@@ -103,7 +103,8 @@ _BASES = {
 )
 # Near a product branch, 2 sqrt(lam (1 - lam)) amplifies the ~1e-17 noise of
 # an eigh eigenvalue: taken that way, lam scores 4.3316e-07 here against
-# ||tau||_1 = 4.3294e-07.  average_post_measurement takes lam from an SVD.
+# ||tau||_1 = 4.3294e-07.  average_post_measurement takes lam in closed form,
+# 2 |det M|^2 / (p (p + gap)), as the search's kernel does.
 @example(family="product", seed=0, log_eps=-7.0, z_seed=0)
 def test_concurrence_certificate_never_raises_or_exceeds_trace_norm(family, seed, log_eps, z_seed):
     rng = np.random.default_rng(z_seed)
@@ -192,7 +193,7 @@ def test_informed_starts_reuse_the_theorem1_bases():
         psi = haar_random_pure((2, 2, 2), seed)
         cand = _theorem1_candidate(psi, ENTROPY_1)
         got = _informed_starts(psi, cand)
-        ref = _informed_starts(psi, (cand[0], cand[1], {}))
+        ref = _informed_starts(psi, (*cand[:3], {}))
         assert len(got) == len(ref) == 5
         for g, r in zip(got, ref):
             np.testing.assert_array_equal(g, r)

@@ -144,6 +144,22 @@ def test_analyze_numeric_not_below_constructive(capsys, monotone, seed):
     assert payload["eoaNumeric"] >= payload["eoaConstructive"]
 
 
+def test_analyze_numeric_not_below_constructive_on_the_benchmark_mix(capsys):
+    # The checks of the analyze-report benchmark, on its family x monotone
+    # cycle: unit k takes family k mod 8 and monotone k mod 5.
+    families = ("haar", "w", "ghz", "product", "bell_c", "eq21", "thm2", "corollary")
+    monotones = ("e2", "entropy:1", "entropy:0.5", "concurrence", "ek:2")
+    for k in range(200):
+        family, monotone = families[k % 8], monotones[k % 5]
+        code, out, _ = run(capsys, "analyze", "--family", family, "--monotone", monotone, "--seed", str(3_500_000 + k))
+        assert code == 0
+        payload = json.loads(out)
+        min_cut = min(payload["cutA"], payload["cutB"])
+        assert payload["eoaConstructive"] <= payload["eoaNumeric"] <= min_cut + 1e-6, k
+        if monotone == "e2":
+            assert abs(payload["eoaConstructive"] - min_cut) <= 1e-7, k
+
+
 @pytest.mark.parametrize(
     "argv", [("verify", "thm1", "--budget", "5"), ("analyze", "--family", "w", "--tol", "1e-7")]
 )
