@@ -12,8 +12,8 @@ Bloch vector, T the 3x3 correlation matrix -- measuring C along the antipodal
 directions +/-n produces conditional X-marginals with unnormalized Bloch parts
 (a +/- T n)/2 and weights (1 +/- b.n)/2.  Two facts follow directly:
 
-* the conditional marginals commute iff a x (T n) = 0, which is solved in
-  closed form (n parallel to T^-1 a, or a null vector of T);
+* the conditional marginals commute iff a x (T n) = 0 (``_commuting_stack``
+  solves it in closed form in the Schmidt frame of X);
 * both conditional marginals equal the global marginal iff (T - a b^T) n = 0,
   so the marginal-preserving basis of the lossless classifier is a null
   vector of that 3x3 matrix.
@@ -139,6 +139,9 @@ class SearchBudget:
 SMALL_BUDGET = SearchBudget(random_starts=1, max_evals=400, seed=0)
 
 _AB_PURE_TOL = 1e-12  # purity threshold for "Charlie already decoupled"
+# Side-A ||beta_1^dag beta_0||_F (see ``_commuting_stack``) at or below which
+# a state counts as an Eq. 21 state.
+_EQ21_OVERLAP = 1e-10
 
 
 def _ab_purities(t: np.ndarray) -> np.ndarray:
@@ -172,12 +175,12 @@ def _antipodal_bases(n: np.ndarray) -> np.ndarray:
 
 
 def _branch_data(t: np.ndarray, bases: np.ndarray, side: str):
-    """Measuring C in each basis of the stack bases (N, K, 2, 2) on the matching
-    state of t (N, 2, 2, 2): per basis and outcome x, the unnormalized branch
-    matrices M_x (A row, B column) (N, K, 2, 2, 2), their probabilities and
-    the mask p >= 1e-14 (N, K, 2), and the normalized conditional marginals
-    on ``side``, I/2 where p < 1e-14 (N, K, 2, 2, 2)."""
-    mats = np.einsum("nabc,nkcx->nkxab", t, bases.conj())
+    """Measuring C in each basis of the stack bases (N, 2, 2) on the matching
+    state of t (N, 2, 2, 2): per outcome x, the unnormalized branch matrices
+    M_x (A row, B column) (N, 2, 2, 2), their probabilities and the mask
+    p >= 1e-14 (N, 2), and the normalized conditional marginals on ``side``,
+    I/2 where p < 1e-14 (N, 2, 2, 2)."""
+    mats = np.einsum("nabc,ncx->nxab", t, bases.conj())
     probs = (mats.real**2 + mats.imag**2).sum(axis=(-2, -1))
     if side == "A":
         rho = mats @ mats.conj().swapaxes(-1, -2)
@@ -193,8 +196,9 @@ def _branch_data(t: np.ndarray, bases: np.ndarray, side: str):
 @dataclass
 class _CommutingStack:
     """Charlie bases and their branch geometry on one side, for a stack of
-    states: the fields of ``CommutingBasisResult`` as arrays whose leading axes
-    index the states (and, before a basis is chosen, the candidates)."""
+    states: the fields of ``CommutingBasisResult`` as arrays whose leading axis
+    indexes the states, and ``overlap``, ||beta_1^dag beta_0||_F of
+    ``_commuting_stack``, which vanishes on the Eq. 21 states."""
 
     side: str
     basis: np.ndarray
@@ -204,16 +208,12 @@ class _CommutingStack:
     bloch_vectors: np.ndarray
     antiparallel: np.ndarray
     residual: np.ndarray
+    overlap: np.ndarray
 
-    _ARRAYS = ("basis", "probabilities", "conditional_states", "operators", "bloch_vectors", "antiparallel", "residual")
+    _ARRAYS = ("basis", "probabilities", "conditional_states", "operators", "bloch_vectors", "antiparallel", "residual", "overlap")
 
     def take(self, index) -> "_CommutingStack":
         return _CommutingStack(self.side, *(getattr(self, f)[index] for f in self._ARRAYS))
-
-    def put(self, row: int, other: "_CommutingStack"):
-        """Overwrite ``row`` with the single entry of ``other``."""
-        for f in self._ARRAYS:
-            getattr(self, f)[row] = getattr(other, f).reshape(getattr(self, f)[row].shape)
 
     def result(self, row: int, decoupled: bool) -> CommutingBasisResult:
         return CommutingBasisResult(
@@ -229,42 +229,6 @@ class _CommutingStack:
         )
 
 
-def _basis_geometry(t: np.ndarray, bases: np.ndarray, side: str) -> _CommutingStack:
-    """Branch matrices, conditional marginals on ``side``, their commutator
-    residual and Bloch alignment for the bases (N, K, 2, 2) on t (N, 2, 2, 2),
-    in one pass; zero Bloch vectors count as parallel."""
-    mats, probs, _, conds = _branch_data(t, bases, side)
-    blochs = pauli_coefficients(conds)[..., 1:]
-    c0, c1 = conds[..., 0, :, :], conds[..., 1, :, :]
-    comm = c0 @ c1
-    comm -= comm.conj().swapaxes(-1, -2)  # c1 c0 = (c0 c1)^dag for Hermitian c0, c1
-    residual = np.sqrt(np.einsum("...ab,...ab->...", comm, comm.conj()).real)
-    grams = np.einsum("...xi,...yi->...xy", blochs, blochs)
-    tiny = np.minimum(grams[..., 0, 0], grams[..., 1, 1]) < 1e-22
-    anti = ~tiny & (grams[..., 0, 1] < 0.0)
-    operators = mats if side == "A" else mats.swapaxes(-1, -2)
-    return _CommutingStack(side, bases, probs, conds, operators, blochs, anti, residual)
-
-
-def _candidate_directions(a: np.ndarray, T: np.ndarray):
-    """Unit directions n solving a x (T n) = 0 for each row of a (N, 3) and
-    T (N, 3, 3): up to two per row, (N, 2, 3), with a mask (N, 2) of the slots
-    in use (unused ones hold z).  Where a vanishes any direction works: the
-    principal axis of T, then z.  Otherwise n is parallel to T^-1 a where T
-    is invertible, and a null vector of T where T is nearly singular."""
-    _, s, vt = np.linalg.svd(T)
-    free = np.einsum("ni,ni->n", a, a) < 1e-26
-    solvable = ~free & (s[:, 2] > 1e-13)
-    dirs = np.empty((len(a), 2, 3))
-    dirs[:, 0] = np.where(free[:, None], vt[:, 0], (0.0, 0.0, 1.0))
-    if solvable.any():
-        n = np.linalg.solve(T[solvable], a[solvable][:, :, None])[:, :, 0]
-        dirs[solvable, 0] = n / np.linalg.norm(n, axis=1, keepdims=True)
-    null = ~free & (s[:, 2] < 1e-7)
-    dirs[:, 1] = np.where(null[:, None], vt[:, 2], (0.0, 0.0, 1.0))
-    return dirs, np.stack([free | solvable, free | null], axis=1)
-
-
 def commuting_charlie_basis(psi: PureState, side: str) -> CommutingBasisResult:
     """Find an orthonormal Charlie basis with commuting conditional marginals."""
     if side not in ("A", "B"):
@@ -276,29 +240,9 @@ def commuting_charlie_basis(psi: PureState, side: str) -> CommutingBasisResult:
 
 def _commuting_stack(t: np.ndarray, side: str) -> _CommutingStack:
     """``commuting_charlie_basis`` for every state of the validated stack t
-    (N, 2, 2, 2): the first candidate with residual <= 1e-9 and parallel
-    conditional Bloch vectors, else the first with that residual.  A row with
-    neither takes the closed form of ``_refine_basis_residual``, oriented like
-    its best candidate."""
-    a, _, T = _pauli_stack(t, side)
-    dirs, valid = _candidate_directions(a, T)
-    cands = _basis_geometry(t, _antipodal_bases(dirs), side)
-    good = valid & (cands.residual <= 1e-9)
-    parallel = good & ~cands.antiparallel
-    pick = np.where(parallel.any(axis=1), parallel.argmax(axis=1), good.argmax(axis=1))
-    chosen = cands.take((np.arange(len(t)), pick))
-    for row in np.flatnonzero(~good.any(axis=1)):
-        best = int(np.argmin(np.where(valid[row], cands.residual[row], np.inf)))
-        refined = _refine_basis_residual(t[row], side, cands.basis[row, best])
-        if refined.residual.item() > 1e-9:
-            raise ArithmeticError(f"commuting basis left at residual {refined.residual.item():.3e}")
-        chosen.put(row, refined)
-    return chosen
-
-
-def _refine_basis_residual(t_row: np.ndarray, side: str, basis: np.ndarray) -> _CommutingStack:
-    """The commuting basis of one state (2, 2, 2) in closed form, for a row
-    whose candidates all miss; its first ket keeps the hemisphere of ``basis``.
+    (N, 2, 2, 2), in closed form, with the branch matrices, conditional
+    marginals on ``side``, their commutator residual and Bloch alignment
+    (zero Bloch vectors count as parallel).
 
     The X marginals of the two outcomes sum to rho_X, so they commute iff the
     first one does with rho_X, i.e. is diagonal in the Schmidt frame
@@ -308,16 +252,34 @@ def _refine_basis_residual(t_row: np.ndarray, side: str, basis: np.ndarray) -> _
     tr H = <beta_1|beta_0> = 0, it vanishes iff the Bloch vector of v is
     orthogonal to Re and Im of h_i = tr(H sigma_i).  Unlike T^-1 a, this
     takes no difference of nearly equal Pauli data on near-product states.
+    The first outcome is the one whose marginal leans further towards
+    alpha_0, v^dag D v >= v_perp^dag D v_perp for D = lam_0 beta_0^dag beta_0
+    - lam_1 beta_1^dag beta_1, as it is for n parallel to T^-1 a.  The
+    ``overlap`` ||H||_F vanishes on the Eq. 21 states, where the beta_k are
+    |k>|eta_k>, so every Charlie basis commutes.
     """
-    t = t_row if side == "A" else t_row.transpose(1, 0, 2)
-    beta = np.linalg.svd(t.reshape(2, 4), full_matrices=False)[2].reshape(2, 2, 2)
-    h = beta[1].conj().T @ beta[0]
+    tx = t if side == "A" else t.transpose(0, 2, 1, 3)
+    _, s, vh = np.linalg.svd(tx.reshape(-1, 2, 4), full_matrices=False)
+    beta = vh.reshape(-1, 2, 2, 2)
+    h = beta[:, 1].conj().swapaxes(-1, -2) @ beta[:, 0]
     # Re h and Im h as Re tr(H sigma_i) and Re tr(-iH sigma_i); v's Bloch
-    # vector spans their common null space, and conjugation flips its y part.
-    n = np.linalg.svd(pauli_coefficients(np.stack([h, -1j * h]))[:, 1:])[2][2] * (1.0, -1.0, 1.0)
-    if n @ pauli_coefficients(np.outer(basis[:, 0], basis[:, 0].conj()))[1:] < 0.0:
-        n = -n
-    return _basis_geometry(t_row[None], _antipodal_bases(n)[None, None], side)
+    # vector spans their common null space.
+    n = np.linalg.svd(pauli_coefficients(np.stack([h, -1j * h], axis=1))[..., 1:])[2][:, 2]
+    lean = pauli_coefficients(np.einsum("nk,nkyc,nkyd->ncd", s**2 * (1.0, -1.0), beta.conj(), beta))[:, 1:]
+    n = np.where(np.einsum("ni,ni->n", n, lean)[:, None] < 0.0, -n, n)
+    # Conjugation flips the y part of the Bloch vector.
+    bases = _antipodal_bases(n * (1.0, -1.0, 1.0))
+    mats, probs, _, conds = _branch_data(t, bases, side)
+    blochs = pauli_coefficients(conds)[..., 1:]
+    comm = conds[:, 0] @ conds[:, 1]
+    comm -= comm.conj().swapaxes(-1, -2)  # c1 c0 = (c0 c1)^dag for Hermitian c0, c1
+    residual = np.sqrt(np.einsum("...ab,...ab->...", comm, comm.conj()).real)
+    grams = np.einsum("...xi,...yi->...xy", blochs, blochs)
+    tiny = np.minimum(grams[..., 0, 0], grams[..., 1, 1]) < 1e-22
+    anti = ~tiny & (grams[..., 0, 1] < 0.0)
+    operators = mats if side == "A" else mats.swapaxes(-1, -2)
+    overlap = np.sqrt(np.einsum("nab,nab->n", h, h.conj()).real)
+    return _CommutingStack(side, bases, probs, conds, operators, blochs, anti, residual, overlap)
 
 
 def _e_bases(eta0: np.ndarray, eta1: np.ndarray):
@@ -349,31 +311,26 @@ def e_basis_from_etas(eta0: np.ndarray, eta1: np.ndarray, p: float) -> EBasisRes
     return EBasisResult(eta0=eta0, eta1=eta1, theta=float(theta), e0=e0, e1=e1, p=p)
 
 
-def _eq21_bases(res_a: _CommutingStack):
-    """Charlie bases for doubly anti-parallel states, given their side-A
-    commuting bases, and the mask of the states that get the trivial
-    measurement instead.
+def _eq21_bases(res_a: _CommutingStack) -> np.ndarray:
+    """Charlie bases for Eq. 21 states, detected or doubly anti-parallel,
+    given their side-A commuting bases.
 
     Rotates both branches into the shared Schmidt frame of the branch with the
     larger Bloch vector (its SVD frame is non-degenerate), where the state takes
     the form sqrt(p)|00>|eta0> + sqrt(1-p)|11>|eta1>, then measures the
-    symmetric/antisymmetric combination basis of the etas.
+    symmetric/antisymmetric combination basis of the etas.  The AB purity of
+    that form falls 2 p (1 - p) (1 - |<eta0|eta1>|^2) short of 1, so on a
+    state that is not decoupled both weights exceed 5e-13.
     """
     mats = res_a.operators  # on side A, the branch matrices
     norms = np.linalg.norm(res_a.bloch_vectors, axis=-1)
     ref = (norms[:, 1] > norms[:, 0]).astype(int)
     u, _, vh = np.linalg.svd(mats[np.arange(len(mats)), ref])
     rotated = u.conj().swapaxes(-1, -2)[:, None] @ mats @ vh.conj().swapaxes(-1, -2)[:, None]
-    eta0_c, eta1_c = rotated[:, :, 0, 0], rotated[:, :, 1, 1]
-    p = np.linalg.norm(eta0_c, axis=1) ** 2
-    q = np.linalg.norm(eta1_c, axis=1) ** 2
-    scale = p + q  # off-diagonal leakage is numerical noise
-    p, q = p / scale, q / scale
-    trivial = np.minimum(p, q) < 1e-14
-    p, q = np.where(trivial, 1.0, p), np.where(trivial, 1.0, q)
-    _, _, e0, e1 = _e_bases(eta0_c / np.sqrt(p * scale)[:, None], eta1_c / np.sqrt(q * scale)[:, None])
+    eta0, eta1 = rotated[:, :, 0, 0], rotated[:, :, 1, 1]
+    _, _, e0, e1 = _e_bases(*(eta / np.linalg.norm(eta, axis=1, keepdims=True) for eta in (eta0, eta1)))
     # e-basis coefficients are in the commuting Charlie basis; map back.
-    return res_a.basis @ np.stack([e0, e1], axis=-1), trivial
+    return res_a.basis @ np.stack([e0, e1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -400,13 +357,16 @@ def theorem1_stack(states) -> Theorem1Stack:
     (N, 8) amplitude rows), all in one pass over the stack.
 
     Decoupled states (AB purity above 1 - 1e-12) measure nothing.  The others
-    measure their side-A commuting basis when its conditional Bloch vectors
-    are parallel; else their side-B basis, built only for those states, when
-    its vectors are parallel; else the Eq. 21 e-basis.
+    whose side-A ``overlap`` is at most ``_EQ21_OVERLAP`` are Eq. 21 states
+    and measure the Eq. 21 e-basis.  The rest measure their side-A commuting
+    basis when its conditional Bloch vectors are parallel; else their side-B
+    basis, built only for those states, when its vectors are parallel; else
+    the Eq. 21 e-basis.
     """
     t = three_qubit_stack(states)
     cut_a, cut_b = E2.eigenvalue_values(_cut_minima(t)).T
     trivial = _ab_purities(t) > 1.0 - _AB_PURE_TOL
+    # Where Charlie measures nothing every basis leaves AB as it is, so the computational one scores it.
     basis = np.zeros((len(t), 2, 2), dtype=complex)
     basis[:, 0, 0] = basis[:, 1, 1] = 1.0
     commuting = {}
@@ -415,18 +375,15 @@ def theorem1_stack(states) -> Theorem1Stack:
         res_a = _commuting_stack(t[rows], "A")
         commuting["A"] = (rows, res_a.basis)
         basis[rows] = res_a.basis
-        anti = np.flatnonzero(res_a.antiparallel)
+        eq21 = res_a.overlap <= _EQ21_OVERLAP
+        anti = np.flatnonzero(res_a.antiparallel & ~eq21)
         if anti.size:
             res_b = _commuting_stack(t[rows[anti]], "B")
             commuting["B"] = (rows[anti], res_b.basis)
             basis[rows[anti]] = res_b.basis
-            both = res_b.antiparallel
-            if both.any():
-                eq21, eq21_trivial = _eq21_bases(res_a.take(anti[both]))
-                basis[rows[anti[both]]] = eq21
-                trivial[rows[anti[both]]] = eq21_trivial
-    # Where Charlie measures nothing every basis leaves AB as it is, so the computational one scores it.
-    basis[trivial] = np.eye(2)
+            eq21[anti[res_b.antiparallel]] = True
+        if eq21.any():
+            basis[rows[eq21]] = _eq21_bases(res_a.take(eq21))
     average = _basis_values(t.reshape(-1, 4, 2), basis, E2)
     return Theorem1Stack(basis, trivial, average, cut_a, cut_b, commuting)
 
@@ -554,10 +511,7 @@ def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
     construction does not apply."""
     if psi.dims[2] != 2:
         return None
-    try:
-        meas, basis, _, _, _, bases = _theorem1(psi)
-    except ArithmeticError:
-        return None
+    meas, basis, _, _, _, bases = _theorem1(psi)
     return float(_basis_values(psi.amplitudes.reshape(4, 2), basis[None], m)[0]), meas, basis, bases
 
 
@@ -580,12 +534,9 @@ def _informed_starts(psi: PureState, theorem1):
     _, meas, basis, bases = theorem1
     if len(meas.elements) == 2:
         cands.append(basis)
-    try:
-        for side in ("A", "B"):
-            built = bases.get(side)
-            cands.append(built if built is not None else _commuting_stack(psi.tensor_view()[None], side).basis[0])
-    except ArithmeticError:
-        pass
+    for side in ("A", "B"):
+        built = bases.get(side)
+        cands.append(built if built is not None else _commuting_stack(psi.tensor_view()[None], side).basis[0])
     return cands
 
 
@@ -939,7 +890,7 @@ def lossless_classifiers(states, cut: str, tol: float = 1e-9) -> LosslessStack:
         tr = t[rows]
         a, b, T = _pauli_stack(tr, side)
         bases[rows] = _antipodal_bases(np.linalg.svd(T - a[:, :, None] * b[:, None, :])[2][:, 2])
-        mats[rows], probs[rows], live, conds = (x[:, 0] for x in _branch_data(tr, bases[rows, None], side))
+        mats[rows], probs[rows], live, conds = _branch_data(tr, bases[rows], side)
         diff = conds - reduced_stack(tr, (party,))[:, None]
         dist = np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
         objectives[rows] = np.sum(probs[rows] * dist, axis=1, where=live)

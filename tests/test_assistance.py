@@ -19,6 +19,7 @@ from eoa3.assistance import (
     average_post_measurement,
     commuting_charlie_basis,
     corollary_check,
+    corollary_checks,
     e_basis_from_etas,
     eoa_density,
     eoa_numeric,
@@ -44,7 +45,16 @@ from eoa3.qcore import (
     reduced_density,
     three_qubit_stack,
 )
-from eoa3.states import FamilySpec, bell_times_c, generate, ghz_state, parse_family, product_state, w_state
+from eoa3.states import (
+    FamilySpec,
+    bell_times_c,
+    generate,
+    ghz_state,
+    parse_family,
+    product_state,
+    swap_symmetric_two_qubit,
+    w_state,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -156,15 +166,16 @@ def test_theorem1_holds_near_special_states(family, seed, log_eps, z_seed):
 # Rows of parse_family(f, s), s < 200, that theorem1_stack measures in the
 # side-A commuting basis, the side-B one, the Eq. 21 e-basis, or not at all.
 # Under the other monotones the constructive value depends on which basis is
-# picked: every Charlie basis commutes on eq21, so it never needs Eq. 21, and
-# every corollary state is Bell_AB x |c>, so it is decoupled.
+# picked: every eq21 state has ||beta_1^dag beta_0|| = 0 on side A, so it
+# takes the Eq. 21 e-basis, and every corollary state is Bell_AB x |c>, so it
+# is decoupled.
 _THEOREM1_BRANCHES = {
     "haar": (89, 111, 0, 0),
     "w": (200, 0, 0, 0),
     "ghz": (0, 0, 200, 0),
     "product": (0, 0, 0, 200),
     "bell_c": (0, 0, 0, 200),
-    "eq21": (200, 0, 0, 0),
+    "eq21": (0, 0, 200, 0),
     "thm2": (200, 0, 0, 0),
     "corollary": (0, 0, 0, 200),
 }
@@ -182,6 +193,67 @@ def test_theorem1_branch_per_family():
         e_basis = ~(th.trivial | side_a | side_b)
         counts[family] = tuple(int(x.sum()) for x in (side_a, side_b, e_basis, th.trivial))
     assert counts == _THEOREM1_BRANCHES
+
+
+_MONOTONES = [MonotoneSpec.parse(label) for label in ("e2", "entropy:1", "entropy:0.5", "concurrence", "ek:2")]
+
+
+def test_constructive_reaches_min_cut_on_lossless_families():
+    # Eq. 21 and Theorem-2 states decouple losslessly for every monotone, so
+    # the constructive measurement must reach the min-cut under each, in any
+    # local frame.  With p = 1/2, and on GHZ, rho_A is I/2 and the Schmidt
+    # frame of the side-A detector is arbitrary.
+    plain = [generate(parse_family("eq21", s)) for s in range(60)]
+    plain += [generate(FamilySpec(kind="eq21", p=0.5, overlap=o)) for o in np.linspace(-0.9, 0.9, 10)]
+    plain += [generate(parse_family("thm2", s)) for s in range(20)] + [ghz_state()]
+    psis = plain + [_locally_moved(psi, 10 * k + 1) for k, psi in enumerate(plain)]
+    psis += [_locally_moved(ghz_state(), 10 * k + 2) for k in range(10)]
+    for psi in psis:
+        for m in _MONOTONES:
+            rep = analyze(psi, m)
+            assert abs(rep.eoa_constructive - min(rep.cut_a, rep.cut_b)) <= 1e-12
+
+
+def _product_across_one_cut(phi, side):
+    """|0> on ``side`` times the two-qubit amplitudes phi (2, 2) on the other
+    party and C."""
+    t = np.zeros((2, 2, 2), dtype=complex)
+    if side == "A":
+        t[0] = phi
+    else:
+        t[:, 0] = phi
+    return PureState((2, 2, 2), t.reshape(8))
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("angle", [np.pi / 4, 0.3, 1e-3])
+def test_theorem1_measures_states_product_across_one_cut(side, angle):
+    # sqrt(lam_0 lam_1) ||beta_1^dag beta_0|| is 0 here although Charlie is
+    # not decoupled; ||beta_1^dag beta_0|| is at least min(cos, sin).
+    psi = _product_across_one_cut(np.diag([np.cos(angle), np.sin(angle)]), side)
+    meas, avg = theorem1_measurement(psi)
+    assert len(meas.elements) == 2
+    assert abs(avg - min(cut_entanglement(psi, "A|BC", E2), cut_entanglement(psi, "B|AC", E2))) <= 1e-12
+    for m in _MONOTONES:
+        average_post_measurement(psi, meas, m)
+
+
+def _swap_symmetric_state(seed):
+    """sqrt(p)|Phi+>|0> + sqrt(1-p)|phi>|1> with phi drawn from the symmetric
+    subspace, the fixed space for U = I.  For the Haar U of the corollary
+    family that space is spanned by |Phi+> alone, so those states are
+    decoupled; these are not."""
+    phi = swap_symmetric_two_qubit(np.eye(2), seed)
+    return generate(FamilySpec(kind="corollary_symmetric", seed=seed, u_local=np.eye(2), phi=phi))
+
+
+def test_corollary_holds_on_swap_symmetric_states():
+    psis = [_swap_symmetric_state(s) for s in range(40)]
+    th = theorem1_stack(psis)
+    assert not th.trivial.any()
+    assert np.max(np.abs(th.average - np.minimum(th.cut_a, th.cut_b))) <= 1e-12
+    for rep in corollary_checks(psis, 1e-9):
+        assert rep.i and rep.ii and rep.iii
 
 
 def test_anti_parallel_balance():
