@@ -33,6 +33,7 @@ from .qcore import (
     DensityMatrix,
     InputError,
     PureState,
+    _GRAD_TOL,
     _block_diagonal,
     _polar,
     _stiefel_ascent,
@@ -552,12 +553,13 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     stops once a measurement comes within 1e-12 of the min-cut upper bound;
     under ``concurrence`` with a qubit Charlie the Takagi basis reaches the
     exact concurrence of assistance, and the search is skipped.  With a
-    qubit Charlie the constructive starts climb first, and stop as soon as
-    the weak-duality bound of ``_dual_bound`` proves the first of them to
-    become stationary optimal to within 1e-12; failing that, the bound is
-    taken again at the best constructive end.  The random starts climb
-    only if neither bound certifies (it applies to a qubit Charlie only),
-    and are otherwise scored where they start.
+    qubit Charlie the constructive bases first climb the Bloch sphere by
+    Newton steps (``_bloch_newton``), and stop as soon as the weak-duality
+    bound of ``_dual_bound`` proves the first of them to become stationary
+    optimal among all POVMs to within 1e-12; failing that, the bound is
+    taken again at the best Newton end.  Only if neither bound certifies do
+    the Newton ends and the random starts climb the ascent; otherwise the
+    random starts are scored where they start.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
@@ -714,6 +716,126 @@ def _dual_bound(w: np.ndarray, g: np.ndarray, psi_mat: np.ndarray, m: MonotoneSp
     return float(np.trace(lam).real + 2.0 * h.max())
 
 
+# The Bloch chart of qubit-Charlie bases: around a basis W the bases W R(z),
+# R(z) = [[1, -conj z], [z, 1]] / sqrt(1 + |z|^2), cover every basis but the
+# swap of W's.  _CHART_Z are the points where ``_chart_derivatives`` reads
+# the gradient: at 0, and at the steps along x and y of the forward
+# differences that give the Hessian.  _TRUST_RADIUS is the initial bound on
+# |z| of a step of ``_bloch_newton``.
+_CHART_STEP = 1e-5
+_TRUST_RADIUS = 0.5
+
+
+def _rotations(z: np.ndarray) -> np.ndarray:
+    """R(z) for each entry of the complex array z, as z.shape + (2, 2)."""
+    scale = 1.0 / np.sqrt(1.0 + z.real**2 + z.imag**2)
+    r = np.empty(z.shape + (2, 2), dtype=complex)
+    r[..., 0, 0] = r[..., 1, 1] = scale
+    r[..., 1, 0] = scale * z
+    r[..., 0, 1] = -scale * z.conj()
+    return r
+
+
+_CHART_Z = np.array([0.0, _CHART_STEP, 1j * _CHART_STEP])
+_CHART_R = _rotations(_CHART_Z)
+# dR/dx and dR/dy at each point of _CHART_Z, indexed [point, axis, i, j]:
+# R = N A for N = 1 / sqrt(1 + |z|^2) = R_00, so dR = N dA - (x dx + y dy)
+# N^2 R, with dA/dx = [[0, -1], [1, 0]] and dA/dy = [[0, i], [i, 0]].
+_CHART_D = (
+    (_CHART_R[:, 0, 0, None, None, None] * np.array([[[0, -1], [1, 0]], [[0, 1j], [1j, 0]]]))
+    - (np.stack([_CHART_Z.real, _CHART_Z.imag], axis=1) * _CHART_R[:, 0, 0, None].real ** 2)[:, :, None, None]
+    * _CHART_R[:, None]
+)
+
+
+def _chart_derivatives(psi_mat: np.ndarray, bases: np.ndarray, m: MonotoneSpec):
+    """The value under ``m`` of measuring each qubit-Charlie basis W of bases
+    (K, 2, 2) on psi_mat (4, 2), and the gradient (K, 2) and Hessian (K, 2, 2)
+    of z -> F(W R(z)) at z = 0, in the coordinates (Re z, Im z).
+
+    With V = conj(psi_mat) W, the outcomes of W R(z) leave AB in the columns
+    of V R(z), so dF = Re tr((V^dag G)^dag dR) for G the gradient of
+    ``_outcome_value_grad`` there.  The Hessian is the forward difference of
+    that gradient between z = 0 and the steps of ``_CHART_Z``, symmetrized;
+    a basis takes three rows of one kernel call.
+    """
+    v = psi_mat.conj() @ bases
+    u = v[:, None] @ _CHART_R
+    values, g = _outcome_value_grad(u.reshape(-1, 4, 2), m)
+    pulled = v.conj().swapaxes(1, 2)[:, None] @ g.reshape(u.shape)
+    grads = np.einsum("kpij,paij->kpa", pulled.conj(), _CHART_D).real
+    hess = (grads[:, 1:] - grads[:, :1]) / _CHART_STEP
+    return values[::3], grads[:, 0], (hess + hess.swapaxes(1, 2)) / 2.0
+
+
+def _bloch_newton(psi_mat: np.ndarray, m: MonotoneSpec, bases: np.ndarray, max_evals: int, target: float):
+    """Climb the value of each qubit-Charlie basis of bases (K, 2, 2) on
+    psi_mat (4, 2) over the Bloch sphere; return the end bases and whether
+    the dual bound certified one of them.
+
+    Each round moves every basis W to W R(z), with the gradient g and
+    Hessian H of ``_chart_derivatives``: z is the Newton step -H^-1 g where H
+    is negative definite, and elsewhere a step along g, to the maximum of
+    the quadratic model where that is nearer than the basis's trust radius.
+    A step is cut to the radius; after a gain the radius doubles, up to
+    ``_TRUST_RADIUS``, and a step that loses value is undone and the radius
+    quartered.  A basis stops when its gradient norm falls below
+    ``_GRAD_TOL`` times its value (the test ``_stiefel_ascent`` applies to
+    the same point), when its radius times that norm is at most
+    ``_SEARCH_FATOL``, or after ``max_evals`` evaluations; all stop once
+    one scores ``target``.  In the first evaluation where a basis is
+    stationary below ``target``, ``_dual_bound`` is taken at the best such
+    basis, and if it certifies that basis every basis ends where it is.
+    """
+    ends = bases.copy()
+    if max_evals < 1:
+        return ends, False
+    w = bases
+    value, grad, hess = _chart_derivatives(psi_mat, w, m)
+    radius = np.full(len(w), _TRUST_RADIUS)
+    ids = np.arange(len(w))
+    bounded = False
+    for evals in range(1, max_evals + 1):
+        norm2 = (grad * grad).sum(axis=1)
+        stationary = norm2 <= 2.0 * (_GRAD_TOL * value) ** 2
+        if value.max() >= target:
+            break
+        if not bounded and stationary.any():
+            bounded = True
+            k = np.flatnonzero(stationary)[np.argmax(value[stationary])]
+            best = _isometries(w[k : k + 1], 2)
+            best_value, best_grad = _povm_value_grad(best, psi_mat, m)
+            if _dual_bound(best[0], best_grad[0], psi_mat, m) <= best_value[0] + _SEARCH_FATOL:
+                ends[ids] = w
+                return ends, True
+        going = ~stationary & (radius * radius * norm2 > _SEARCH_FATOL**2)
+        if evals == max_evals or not going.any():
+            break
+        if not going.all():
+            ends[ids[~going]] = w[~going]
+            ids, w, value, grad, hess, radius, norm2 = (x[going] for x in (ids, w, value, grad, hess, radius, norm2))
+        # -H^-1 g in closed form where H = [[a, b], [b, c]] is negative
+        # definite; elsewhere the maximum of the model along g, where it has
+        # one within the radius, else the step along g to the radius.
+        a, b, c = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+        gx, gy = grad[:, 0], grad[:, 1]
+        det = a * c - b * b
+        concave = (a < 0.0) & (det > 0.0)
+        newton = ((b * gy - c * gx) + 1j * (b * gx - a * gy)) / np.where(concave, det, 1.0)
+        curv = a * gx * gx + 2.0 * b * gx * gy + c * gy * gy
+        along = (gx + 1j * gy) * (norm2 / np.maximum(-curv, norm2 * np.sqrt(norm2) / radius))
+        step = np.where(concave, newton, along)
+        step *= np.minimum(1.0, radius / np.abs(step))
+        trial = w @ _rotations(step)
+        t_value, t_grad, t_hess = _chart_derivatives(psi_mat, trial, m)
+        ok = t_value >= value
+        w, hess = np.where(ok[:, None, None], trial, w), np.where(ok[:, None, None], t_hess, hess)
+        value, grad = np.where(ok, t_value, value), np.where(ok[:, None], t_grad, grad)
+        radius = np.where(ok, np.minimum(2.0 * radius, _TRUST_RADIUS), radius / 4.0)
+    ends[ids] = w
+    return ends, False
+
+
 def _eoa_search(
     psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1, bound: float, certificates=()
 ):
@@ -725,20 +847,9 @@ def _eoa_search(
     ``certificates``, Charlie bases worth trying before any search.  A
     Theorem-1 candidate within ``_SEARCH_FATOL`` of the bound is returned at
     once.  Otherwise the best certificate that gets that close is taken and
-    the search is skipped; without one the search runs, and stops once any
-    start gets that close: the other starts could add at most
-    ``_SEARCH_FATOL``.  With a qubit Charlie the informed starts climb first,
-    and the random starts climb only if neither ``bound`` nor the dual bound
-    of ``_dual_bound`` proves an informed POVM W optimal to within
-    ``_SEARCH_FATOL``: as one outcome's value phi is homogeneous of degree 2
-    and sum_x |w_x|^2 = tr I = 2, every POVM scores sum_x phi(w_x) = tr Lam +
-    sum_x |w_x|^2 h(w_x / |w_x|) <= tr Lam + 2 max_c h(c), h(c) = phi(c) -
-    c^dag Lam c, for any Hermitian Lam.  The bound is taken at most twice:
-    as the ascent's ``settle`` at the first informed start to pass the
-    gradient test, where a certificate stops every informed start at once,
-    and, if that one does not certify, at the best informed end.  A random
-    start not climbed is still scored.  With a larger Charlie all starts
-    climb together, from the same draws.  Certificates, starts, ends and the
+    ``_povm_search`` is skipped; without one it runs, from the informed
+    starts, and stops once any start gets that close: the other starts could
+    add at most ``_SEARCH_FATOL``.  Certificates, starts, ends and the
     Theorem-1 candidate are all scored by one kernel, ``_outcome_value_grad``,
     in one (K, n_c, 4) shape; the Theorem-1 candidate wins every tie.
     """
@@ -758,45 +869,57 @@ def _eoa_search(
     values = _povm_value_grad(candidates, psi_mat, m)[0]
     target = bound - _SEARCH_FATOL
     if values.max(initial=-np.inf) < target:
-        # Each random start is the polar factor of a Gaussian (n_c, 4) block
-        # drawn as its real parts, then its imaginary parts.
-        draws = np.random.default_rng(budget.seed).standard_normal((budget.random_starts, 8 * n_c))
-        randoms = _polar((draws[:, : 4 * n_c] + 1j * draws[:, 4 * n_c :]).reshape(-1, n_c, 4))
-        informed = _isometries(_informed_starts(psi, theorem1), n_c)
-
-        def climb(w, settle=None):
-            return _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w, budget.max_evals, _SEARCH_FATOL, target, settle)
-
-        # Each start, then its end point, so the first maximum is the first best POVM.
-        if n_c == 2:
-            certified = []
-
-            def settle(w, g, value):
-                certified.append(_dual_bound(w, g, psi_mat, m) <= value + _SEARCH_FATOL)
-                return certified[0]
-
-            candidates = np.stack([informed, climb(informed, settle)], axis=1).reshape(-1, 2, 4)
-            values, grads = _povm_value_grad(candidates, psi_mat, m)
-            best = int(np.argmax(values))
-            ends = randoms
-            if (
-                values[best] < target
-                and not any(certified)
-                and _dual_bound(candidates[best], grads[best], psi_mat, m) > values[best] + _SEARCH_FATOL
-            ):
-                ends = climb(randoms)
-            tail = np.stack([randoms, ends], axis=1).reshape(-1, 2, 4)
-            candidates = np.concatenate([candidates, tail])
-            values = np.concatenate([values, _povm_value_grad(tail, psi_mat, m)[0]])
-        else:
-            w0 = np.concatenate([informed, randoms])
-            candidates = np.stack([w0, climb(w0)], axis=1).reshape(-1, n_c, 4)
-            values = _povm_value_grad(candidates, psi_mat, m)[0]
+        candidates, values = _povm_search(psi_mat, m, budget, _informed_starts(psi, theorem1), target)
     best = int(np.argmax(values))
     best_val = float(values[best])
     if theorem1 is not None and theorem1[0] >= best_val:
         return theorem1[:2]
     return best_val, _povm_measurement(candidates[best])
+
+
+def _povm_search(psi_mat: np.ndarray, m: MonotoneSpec, budget: SearchBudget, informed, target: float):
+    """The POVMs (K, n_c, 4) that the search of ``_eoa_search`` scores on
+    psi_mat (4, n_c), and their values: each start, then its end, so the
+    first maximum is the first best POVM.  The starts are the bases of
+    informed and ``budget.random_starts`` random isometries; every climb
+    stops once a POVM scores ``target``.
+
+    With a qubit Charlie the informed bases climb the Bloch sphere by
+    ``_bloch_newton``, which takes the weak-duality bound of
+    ``_dual_bound``, over every POVM, at the first of them to become
+    stationary, and stops there if it certifies.  Failing that, the bound
+    is taken again at the best Newton end.  Only if neither certifies do
+    the Newton ends and the random starts climb ``_stiefel_ascent``
+    together; otherwise the random starts are scored where they start.
+    With a larger Charlie all starts climb ``_stiefel_ascent`` together,
+    from the same draws.
+    """
+    n_c = psi_mat.shape[1]
+    # Each random start is the polar factor of a Gaussian (n_c, 4) block
+    # drawn as its real parts, then its imaginary parts.
+    draws = np.random.default_rng(budget.seed).standard_normal((budget.random_starts, 8 * n_c))
+    randoms = _polar((draws[:, : 4 * n_c] + 1j * draws[:, 4 * n_c :]).reshape(-1, n_c, 4))
+
+    def climbed(w0):
+        ends = _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w0, budget.max_evals, _SEARCH_FATOL, target)
+        return np.stack([w0, ends], axis=1).reshape(-1, n_c, 4)
+
+    if n_c != 2:
+        candidates = climbed(np.concatenate([_isometries(informed, n_c), randoms]))
+        return candidates, _povm_value_grad(candidates, psi_mat, m)[0]
+    starts = np.array(informed)
+    ends, certified = _bloch_newton(psi_mat, m, starts, budget.max_evals, target)
+    candidates = _isometries(np.stack([starts, ends], axis=1).reshape(-1, 2, 2), 2)
+    values, grads = _povm_value_grad(candidates, psi_mat, m)
+    best = int(np.argmax(values))
+    tail = randoms
+    if (
+        values[best] < target
+        and not certified
+        and _dual_bound(candidates[best], grads[best], psi_mat, m) > values[best] + _SEARCH_FATOL
+    ):
+        tail = climbed(np.concatenate([candidates[1::2], randoms]))
+    return np.concatenate([candidates, tail]), np.concatenate([values, _povm_value_grad(tail, psi_mat, m)[0]])
 
 
 def _povm_measurement(w: np.ndarray) -> Measurement:

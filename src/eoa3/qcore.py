@@ -325,7 +325,7 @@ _MEMORY = 0.85
 _GRAD_TOL = 1e-9
 
 
-def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: float, settle=None) -> np.ndarray:
+def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: float) -> np.ndarray:
     """Maximize ``fun``, which maps a stack to its values and Euclidean gradients
     (dF = Re tr(G^dag dW)), from every point of the stack w0 (K, n, d),
     W W^dag = I; return the end points.
@@ -338,12 +338,6 @@ def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: f
     ``_GRAD_TOL`` times its value, when a step too short to gain ``fatol``
     fails, or after ``max_evals`` evaluations, line-search trials included;
     all stop once one scores ``target``.  Zero columns of W stay zero.
-
-    ``settle(w, egrad, value)``, if given, is called at most once: in the
-    first round where a start stops on the gradient test below ``target``,
-    on the best such start, with its point, Euclidean gradient and value.
-    If it returns True every start ends where it is; otherwise the ascent
-    goes on as without it.
     """
     end = w0.copy()
     if max_evals < 1:
@@ -377,13 +371,6 @@ def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: f
         long_step ^= ok
         top = max(top, value.max())
         going = np.where(ok, norm2 > (_GRAD_TOL * value) ** 2, step * norm2 > fatol)
-        if settle is not None and top < target:
-            stationary = np.flatnonzero(ok & ~going)
-            if stationary.size:
-                k = stationary[np.argmax(value[stationary])]
-                if settle(w[k], t_egrad[k], value[k]):
-                    break
-                settle = None
         if not going.all():
             end[ids[~going]] = w[~going]
             ids, w, value, grad, norm2 = ids[going], w[going], value[going], grad[going], norm2[going]

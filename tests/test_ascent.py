@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 from eoa3 import assistance
 from eoa3.assistance import (
     SearchBudget,
+    _basis_values,
+    _chart_derivatives,
     _collaboration_value_grad,
     _eoa_search,
     _informed_starts,
     _isometries,
     _min_cut,
     _povm_value_grad,
+    _rotations,
     _swap_fidelity_grad,
     _theorem1_candidate,
     average_post_measurement,
@@ -31,7 +34,6 @@ from eoa3.ensembles import _roof_value_grad, purification
 from eoa3.monotones import E2, ENTROPY_1, MonotoneSpec
 from eoa3.qcore import (
     PureState,
-    _GRAD_TOL,
     _block_diagonal,
     _inner,
     _polar,
@@ -120,6 +122,35 @@ def test_swap_fidelity_gradient_matches_central_differences():
         _assert_gradient_matches_central_differences(lambda x: _swap_fidelity_grad(x, t, t.transpose(1, 0, 2)), z, rng)
 
 
+@pytest.mark.parametrize("kind", ["e2", "entropy:1", "entropy:0.5", "concurrence", "ek:2"])
+def test_chart_derivatives_match_central_differences(kind):
+    # z -> F(W R(z)) about z = 0, read by _basis_values along the chart axes
+    # 1 and i: the gradient against first central differences, and the
+    # forward-difference Hessian against second central differences.
+    rng = np.random.default_rng(5)
+    m = MonotoneSpec.parse(kind)
+    h1, h2 = 1e-5, 1e-4
+    axes = (1.0, 1j)
+    for seed in range(4):
+        psi_mat = haar_random_pure((2, 2, 2), seed).amplitudes.reshape(4, 2)
+        w = _polar(rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
+        value, grad, hess = _chart_derivatives(psi_mat, w, m)
+
+        def f(z):
+            return _basis_values(psi_mat, w @ _rotations(np.full(len(w), z)), m)
+
+        np.testing.assert_allclose(value, f(0.0), rtol=0.0, atol=1e-15)
+        numeric = np.stack([(f(h1 * a) - f(-h1 * a)) / (2 * h1) for a in axes], axis=1)
+        assert np.all(np.abs(numeric - grad) <= 1e-6 * np.abs(grad).max(axis=1, keepdims=True))
+        second = np.array(
+            [
+                [(f(h2 * (a + b)) - f(h2 * (a - b)) - f(h2 * (b - a)) + f(-h2 * (a + b))) / (4 * h2 * h2) for b in axes]
+                for a in axes
+            ]
+        ).transpose(2, 0, 1)
+        assert np.all(np.abs(second - hess) <= 1e-3 * np.abs(hess).max(axis=(1, 2), keepdims=True))
+
+
 def test_riemannian_gradient_is_tangent():
     rng = np.random.default_rng(0)
     psi_mat = haar_random_pure((2, 2, 3), 0).amplitudes.reshape(4, 3)
@@ -202,55 +233,6 @@ def test_ascent_stops_every_start_at_the_target():
     np.testing.assert_array_equal(end, w0)
 
 
-def _settle_cases():
-    """(objective, starts, target) of the search's starts on lossy Haar states under entropy:1."""
-    for seed in range(11, 17):
-        psi = haar_random_pure((2, 2, 2), seed)
-        psi_mat = psi.amplitudes.reshape(4, 2)
-        fun = lambda w, psi_mat=psi_mat: _povm_value_grad(w, psi_mat, ENTROPY_1)
-        yield fun, _starts(psi, ENTROPY_1, FAST_BUDGET), _min_cut(psi, ENTROPY_1) - 1e-12
-
-
-def test_refusing_settle_leaves_the_ascent_unchanged():
-    # settle is asked at most once, about a start that passed the gradient
-    # test; after a refusal the ascent ends where it ends without one.
-    asked = 0
-    for fun, w0, target in _settle_cases():
-        calls = []
-
-        def refuse(w, egrad, value):
-            calls.append((w, egrad, value))
-            return False
-
-        end = _stiefel_ascent(fun, w0, 200, 1e-12, target, refuse)
-        np.testing.assert_array_equal(end, _stiefel_ascent(fun, w0, 200, 1e-12, target))
-        assert len(calls) <= 1
-        for w, egrad, value in calls:
-            assert value == fun(w[None])[0][0]
-            grad = _riemannian_gradient(w[None], egrad[None])
-            assert np.sqrt(_inner(grad, grad)[0]) <= _GRAD_TOL * value
-        asked += len(calls)
-    assert asked >= 4
-
-
-def test_accepting_settle_ends_every_start_where_it_is():
-    # Accepting at evaluation r ends every start where an ascent cut at r
-    # evaluations leaves it.
-    for fun, w0, target in _settle_cases():
-        evals, settled = [], []
-
-        def counted(w):
-            evals.append(1)
-            return fun(w)
-
-        end = _stiefel_ascent(counted, w0, 200, 1e-12, target, lambda *args: settled.append(len(evals)) or True)
-        assert settled == [len(evals)]
-        np.testing.assert_array_equal(end, _stiefel_ascent(fun, w0, len(evals), 1e-12, target))
-        evals.clear()
-        _stiefel_ascent(counted, w0, 200, 1e-12, target)
-        assert settled[0] < len(evals)
-
-
 _BASES = {
     "product": lambda seed: product_state(),
     "w": lambda seed: w_state(),
@@ -317,52 +299,63 @@ def test_fast_budget_matches_the_default_budget_on_lossy_states():
     assert max(shortfalls) <= 1e-6
 
 
-def _recorded_ascents(monkeypatch):
-    """Record (starts, ends) of every ``_stiefel_ascent`` the search runs."""
-    runs = []
-    ascent = assistance._stiefel_ascent
+def _recorded_climbs(monkeypatch):
+    """Record (starts, ends) of every ``_bloch_newton`` and ``_stiefel_ascent`` the search runs."""
+    runs = {"newton": [], "ascent": []}
+    newton, ascent = assistance._bloch_newton, assistance._stiefel_ascent
 
-    def recorded(fun, w0, *args):
-        runs.append((w0, ascent(fun, w0, *args)))
-        return runs[-1][1]
+    def recorded_newton(psi_mat, m, bases, *args):
+        ends, certified = newton(psi_mat, m, bases, *args)
+        runs["newton"].append((bases, ends))
+        return ends, certified
 
-    monkeypatch.setattr(assistance, "_stiefel_ascent", recorded)
+    def recorded_ascent(fun, w0, *args):
+        runs["ascent"].append((w0, ascent(fun, w0, *args)))
+        return runs["ascent"][-1][1]
+
+    monkeypatch.setattr(assistance, "_bloch_newton", recorded_newton)
+    monkeypatch.setattr(assistance, "_stiefel_ascent", recorded_ascent)
     return runs
 
 
 def test_search_scores_its_ends_with_the_objective(monkeypatch):
-    # The ascents' end points, and the random start the dual bound leaves
-    # unclimbed, are scored by the search's objective, as the certificates
-    # are; the reported value is the best of them.
+    # With the dual bound off, every start and end of the Newton climb and of
+    # the ascent after it is scored by the search's objective, as the
+    # certificates are; the reported value is the best of them.
     psi = haar_random_pure((2, 2, 2), 11)
     psi_mat = psi.amplitudes.reshape(4, 2)
-    runs = _recorded_ascents(monkeypatch)
+    runs = _recorded_climbs(monkeypatch)
+    monkeypatch.setattr(assistance, "_dual_bound", lambda *args: np.inf)
     val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
     starts = _starts(psi, ENTROPY_1, FAST_BUDGET)
-    ((climbed, end),) = runs
-    np.testing.assert_array_equal(climbed, starts[:-1])
-    assert val == _povm_value_grad(np.concatenate([starts, end]), psi_mat, ENTROPY_1)[0].max()
+    ((bases, newton_ends),) = runs["newton"]
+    ((climbed, ends),) = runs["ascent"]
+    np.testing.assert_array_equal(_isometries(bases, 2), starts[:-1])
+    scored = np.concatenate([starts, _isometries(newton_ends, 2), climbed, ends])
+    assert val == _povm_value_grad(scored, psi_mat, ENTROPY_1)[0].max()
     assert val < _min_cut(psi, ENTROPY_1) - 1e-3
 
 
 def test_random_starts_climb_when_the_dual_bound_does_not_fire(monkeypatch):
-    # With the dual bound off, the random starts climb from the same draws,
-    # after the informed ones, to the ends one joint ascent reaches.
+    # With the dual bound off, the Newton ends and then the random starts,
+    # from the same draws, climb as one ascent, to the ends a direct call
+    # reaches from them.
     for seed in (11, 12, 13):
         psi = haar_random_pure((2, 2, 2), seed)
         psi_mat = psi.amplitudes.reshape(4, 2)
-        runs = _recorded_ascents(monkeypatch)
+        runs = _recorded_climbs(monkeypatch)
         monkeypatch.setattr(assistance, "_dual_bound", lambda *args: np.inf)
         val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
         starts = _starts(psi, ENTROPY_1, FAST_BUDGET)
-        (informed, informed_end), (randoms, random_end) = runs
-        np.testing.assert_array_equal(np.concatenate([informed, randoms]), starts)
+        ((bases, newton_ends),) = runs["newton"]
+        ((climbed, ends),) = runs["ascent"]
+        np.testing.assert_array_equal(climbed, np.concatenate([_isometries(newton_ends, 2), starts[len(bases) :]]))
         monkeypatch.undo()
         joint = _stiefel_ascent(
-            lambda w: _povm_value_grad(w, psi_mat, ENTROPY_1), starts, FAST_BUDGET.max_evals, 1e-12, _min_cut(psi, ENTROPY_1) - 1e-12
+            lambda w: _povm_value_grad(w, psi_mat, ENTROPY_1), climbed, FAST_BUDGET.max_evals, 1e-12, _min_cut(psi, ENTROPY_1) - 1e-12
         )
-        np.testing.assert_array_equal(np.concatenate([informed_end, random_end]), joint)
-        scored = np.concatenate([starts, joint])
+        np.testing.assert_array_equal(ends, joint)
+        scored = np.concatenate([starts, climbed, joint])
         assert val == _povm_value_grad(scored, psi_mat, ENTROPY_1)[0].max()
 
 

@@ -35,7 +35,7 @@ from eoa3.assistance import (
     theorem1_measurement,
 )
 from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, wootters_lambdas
-from eoa3.qcore import PureState, haar_random_pure, reduced_density, reduced_stack
+from eoa3.qcore import PureState, _stiefel_ascent, haar_random_pure, reduced_density, reduced_stack
 from eoa3.states import generate, ghz_state, parse_family, product_state, w_state
 
 
@@ -116,13 +116,13 @@ def test_concurrence_certificate_never_raises_or_exceeds_trace_norm(family, seed
 
 def _count_searches(monkeypatch):
     calls = []
-    search = assistance._stiefel_ascent
+    search = assistance._povm_search
 
     def counted(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(assistance, "_stiefel_ascent", counted)
+    monkeypatch.setattr(assistance, "_povm_search", counted)
     return calls
 
 
@@ -279,29 +279,75 @@ def test_dual_bound_fires_on_lossy_haar_states(monkeypatch):
     assert fired >= 95
 
 
-def test_settled_ascent_evaluates_less_on_lossy_haar_states(monkeypatch):
-    # The same 100 states: stopping the informed ascent where its first
-    # stationary start is certified costs fewer objective evaluations than
-    # an ascent whose settle always refuses.
-    budget = SearchBudget(random_starts=1, max_evals=200)
+def _lossy_haar_states(count):
+    """The first lossy states of criterion 5: seeds 40 000 + j with E2 min-cut above 0.1."""
     states = []
     j = 0
-    while len(states) < 100:
+    while len(states) < count:
         psi = haar_random_pure((2, 2, 2), 40_000 + j)
         j += 1
         if _min_cut(psi, E2) > 0.1:
             states.append(psi)
+    return states
+
+
+def test_certified_newton_evaluates_less_on_lossy_haar_states(monkeypatch):
+    # The 100 states of test_dual_bound_fires_on_lossy_haar_states: the whole
+    # certified search, Theorem-1 candidate and dual bound included, makes
+    # fewer objective calls than the ascent of its informed starts alone.
+    budget = SearchBudget(random_starts=1, max_evals=200)
+    states = _lossy_haar_states(100)
+    ascended = 0
+    for psi in states:
+        psi_mat = psi.amplitudes.reshape(4, 2)
+        w0 = _isometries(_informed_starts(psi, _theorem1_candidate(psi, ENTROPY_1)), 2)
+        calls = []
+        _stiefel_ascent(
+            lambda w: calls.append(1) or _povm_value_grad(w, psi_mat, ENTROPY_1),
+            w0,
+            budget.max_evals,
+            _SEARCH_FATOL,
+            _min_cut(psi, ENTROPY_1) - _SEARCH_FATOL,
+        )
+        ascended += len(calls)
     calls = []
-    povm_value_grad = assistance._povm_value_grad
-    monkeypatch.setattr(assistance, "_povm_value_grad", lambda *args: calls.append(1) or povm_value_grad(*args))
+    kernel = assistance._outcome_value_grad
+    monkeypatch.setattr(assistance, "_outcome_value_grad", lambda *args, **kwargs: calls.append(1) or kernel(*args, **kwargs))
+    for psi in states:
+        eoa_numeric(psi, ENTROPY_1, budget)
+    assert len(calls) < ascended
 
-    def evaluations():
-        calls.clear()
-        for psi in states:
-            eoa_numeric(psi, ENTROPY_1, budget)
-        return len(calls)
 
-    settled = evaluations()
+@pytest.mark.parametrize("kind", ["entropy:1", "entropy:0.5"])
+def test_newton_certificates_hold_against_a_heavy_search(monkeypatch, kind):
+    # Where the Newton path claims a certificate at the acceptance gate's
+    # budget, a search with eight random starts, a tenfold budget and the
+    # dual bound off finds nothing more than 1e-12 above it.
+    m = MonotoneSpec.parse(kind)
+    bounds = _recorded_bounds(monkeypatch)
+    certified = 0
+    for psi in _lossy_haar_states(100):
+        bounds.clear()
+        val, _ = eoa_numeric(psi, m, SearchBudget(random_starts=1, max_evals=200))
+        if any(u <= informed + _SEARCH_FATOL for u, informed in bounds):
+            certified += 1
+            heavy, _ = _without_dual_bound(lambda: eoa_numeric(psi, m, SearchBudget(random_starts=8, max_evals=2000)))
+            assert val >= heavy - 1e-12
+    assert certified >= 95
+
+
+def test_w_under_entropy_half_takes_the_fallback(monkeypatch):
+    # A ring of near-ties surrounds the W state's optimum under entropy:0.5:
+    # at the CLI budget the dual bound is inf on every seed, so no
+    # certificate is claimed and the random starts climb.
+    bounds = _recorded_bounds(monkeypatch)
+    calls = []
     ascent = assistance._stiefel_ascent
-    monkeypatch.setattr(assistance, "_stiefel_ascent", lambda *args: ascent(*args[:5], lambda *_: False))
-    assert settled < evaluations()
+    monkeypatch.setattr(assistance, "_stiefel_ascent", lambda *args: calls.append(1) or ascent(*args))
+    m = MonotoneSpec.parse("entropy:0.5")
+    for seed in range(100):
+        bounds.clear()
+        calls.clear()
+        analyze(generate(parse_family("w", seed)), m, SearchBudget(random_starts=2, max_evals=2000, seed=seed))
+        assert bounds and all(np.isinf(u) for u, _ in bounds)
+        assert len(calls) == 1
