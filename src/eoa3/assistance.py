@@ -196,12 +196,12 @@ def _branch_data(t: np.ndarray, bases: np.ndarray, side: str):
 
 @dataclass
 class _CommutingStack:
-    """Charlie bases and their branch geometry on one side, for a stack of
-    states: the fields of ``CommutingBasisResult`` as arrays whose leading axis
-    indexes the states, and ``overlap``, ||beta_1^dag beta_0||_F of
-    ``_commuting_stack``, which vanishes on the Eq. 21 states."""
+    """Side-A Charlie bases and their branch geometry for a stack of states:
+    the fields of ``CommutingBasisResult`` as arrays whose leading axis
+    indexes the states; ``overlap``, ||beta_1^dag beta_0||_F of
+    ``_commuting_stack``, which vanishes on the Eq. 21 states; and
+    ``minimum``, the smaller squared Schmidt coefficient across A|BC."""
 
-    side: str
     basis: np.ndarray
     probabilities: np.ndarray
     conditional_states: np.ndarray
@@ -210,15 +210,14 @@ class _CommutingStack:
     antiparallel: np.ndarray
     residual: np.ndarray
     overlap: np.ndarray
-
-    _ARRAYS = ("basis", "probabilities", "conditional_states", "operators", "bloch_vectors", "antiparallel", "residual", "overlap")
+    minimum: np.ndarray
 
     def take(self, index) -> "_CommutingStack":
-        return _CommutingStack(self.side, *(getattr(self, f)[index] for f in self._ARRAYS))
+        return _CommutingStack(*(x[index] for x in vars(self).values()))
 
-    def result(self, row: int, decoupled: bool) -> CommutingBasisResult:
+    def result(self, row: int, side: str, decoupled: bool) -> CommutingBasisResult:
         return CommutingBasisResult(
-            side=self.side,
+            side=side,
             basis=self.basis[row],
             probabilities=self.probabilities[row],
             conditional_states=tuple(self.conditional_states[row]),
@@ -236,20 +235,21 @@ def commuting_charlie_basis(psi: PureState, side: str) -> CommutingBasisResult:
         raise InputError("side must be 'A' or 'B'")
     t = three_qubit_stack([psi])
     decoupled = bool(_ab_purities(t)[0] > 1.0 - _AB_PURE_TOL)
-    return _commuting_stack(t, side).result(0, decoupled)
+    return _commuting_stack(t if side == "A" else t.transpose(0, 2, 1, 3)).result(0, side, decoupled)
 
 
-def _commuting_stack(t: np.ndarray, side: str) -> _CommutingStack:
-    """``commuting_charlie_basis`` for every state of the validated stack t
-    (N, 2, 2, 2), in closed form, with the branch matrices, conditional
-    marginals on ``side``, their commutator residual and Bloch alignment
-    (zero Bloch vectors count as parallel).
+def _commuting_stack(t: np.ndarray) -> _CommutingStack:
+    """``commuting_charlie_basis`` on side A for every state of the validated
+    stack t (N, 2, 2, 2), in closed form, with the branch matrices, conditional
+    marginals on A, their commutator residual and Bloch alignment (zero Bloch
+    vectors count as parallel), and the Schmidt minimum across A|BC.  Side B
+    of a state is side A of its A <-> B swap t.transpose(0, 2, 1, 3).
 
-    The X marginals of the two outcomes sum to rho_X, so they commute iff the
-    first one does with rho_X, i.e. is diagonal in the Schmidt frame
-    psi = sum_k sqrt(lam_k) |alpha_k>_X |beta_k>_{YC}.  With v the conjugate
+    The A marginals of the two outcomes sum to rho_A, so they commute iff the
+    first one does with rho_A, i.e. is diagonal in the Schmidt frame
+    psi = sum_k sqrt(lam_k) |alpha_k>_A |beta_k>_{BC}.  With v the conjugate
     of the first Charlie ket, the off-diagonal entry is sqrt(lam_0 lam_1)
-    v^dag H v for H = beta_1^dag beta_0 (the beta_k as Y x C matrices); as
+    v^dag H v for H = beta_1^dag beta_0 (the beta_k as B x C matrices); as
     tr H = <beta_1|beta_0> = 0, it vanishes iff the Bloch vector of v is
     orthogonal to Re and Im of h_i = tr(H sigma_i).  Unlike T^-1 a, this
     takes no difference of nearly equal Pauli data on near-product states.
@@ -257,10 +257,10 @@ def _commuting_stack(t: np.ndarray, side: str) -> _CommutingStack:
     alpha_0, v^dag D v >= v_perp^dag D v_perp for D = lam_0 beta_0^dag beta_0
     - lam_1 beta_1^dag beta_1, as it is for n parallel to T^-1 a.  The
     ``overlap`` ||H||_F vanishes on the Eq. 21 states, where the beta_k are
-    |k>|eta_k>, so every Charlie basis commutes.
+    |k>|eta_k>, so every Charlie basis commutes.  The Schmidt frame's SVD
+    also gives ``minimum``, bit for bit the ``cut_entanglement`` minimum.
     """
-    tx = t if side == "A" else t.transpose(0, 2, 1, 3)
-    _, s, vh = np.linalg.svd(tx.reshape(-1, 2, 4), full_matrices=False)
+    _, s, vh = np.linalg.svd(t.reshape(-1, 2, 4), full_matrices=False)
     beta = vh.reshape(-1, 2, 2, 2)
     h = beta[:, 1].conj().swapaxes(-1, -2) @ beta[:, 0]
     # Re h and Im h as Re tr(H sigma_i) and Re tr(-iH sigma_i); v's Bloch
@@ -270,7 +270,7 @@ def _commuting_stack(t: np.ndarray, side: str) -> _CommutingStack:
     n = np.where(np.einsum("ni,ni->n", n, lean)[:, None] < 0.0, -n, n)
     # Conjugation flips the y part of the Bloch vector.
     bases = _antipodal_bases(n * (1.0, -1.0, 1.0))
-    mats, probs, _, conds = _branch_data(t, bases, side)
+    mats, probs, _, conds = _branch_data(t, bases, "A")
     blochs = pauli_coefficients(conds)[..., 1:]
     comm = conds[:, 0] @ conds[:, 1]
     comm -= comm.conj().swapaxes(-1, -2)  # c1 c0 = (c0 c1)^dag for Hermitian c0, c1
@@ -278,9 +278,8 @@ def _commuting_stack(t: np.ndarray, side: str) -> _CommutingStack:
     grams = np.einsum("...xi,...yi->...xy", blochs, blochs)
     tiny = np.minimum(grams[..., 0, 0], grams[..., 1, 1]) < 1e-22
     anti = ~tiny & (grams[..., 0, 1] < 0.0)
-    operators = mats if side == "A" else mats.swapaxes(-1, -2)
     overlap = np.sqrt(np.einsum("nab,nab->n", h, h.conj()).real)
-    return _CommutingStack(side, bases, probs, conds, operators, blochs, anti, residual, overlap)
+    return _CommutingStack(bases, probs, conds, mats, blochs, anti, residual, overlap, s[:, -1] ** 2)
 
 
 def _e_bases(eta0: np.ndarray, eta1: np.ndarray):
@@ -339,54 +338,49 @@ class Theorem1Stack:
     """The Theorem-1 construction for a stack of three-qubit states.
 
     Per state: the Charlie basis measured (N, 2, 2), the computational basis
-    where ``trivial`` (N,) says Charlie measures nothing, its average
-    post-measurement E2 ``average`` as ``_basis_values`` scores it, and the
-    E2 cuts across A|BC and B|AC.  ``commuting`` maps each side whose
-    commuting bases were built to (the rows built, their bases).
+    where Charlie measures nothing; the ``branch`` (N,) that chose it, "A" or
+    "B" for a commuting side, "eq21" for the Eq. 21 e-basis, "trivial" for
+    none; its average post-measurement E2 ``average`` as ``_basis_values``
+    scores it; the smallest squared Schmidt coefficients ``minima`` (N, 2)
+    across A|BC and B|AC; and the commuting bases ``sides`` (N, 2, 2, 2) of
+    side A and side B.
     """
 
     basis: np.ndarray
-    trivial: np.ndarray
+    branch: np.ndarray
     average: np.ndarray
-    cut_a: np.ndarray
-    cut_b: np.ndarray
-    commuting: dict
+    minima: np.ndarray
+    sides: np.ndarray
 
 
 def theorem1_stack(states) -> Theorem1Stack:
     """``theorem1_measurement`` for a sequence of three-qubit states (or their
     (N, 8) amplitude rows), all in one pass over the stack.
 
-    Decoupled states (AB purity above 1 - 1e-12) measure nothing.  The others
-    whose side-A ``overlap`` is at most ``_EQ21_OVERLAP`` are Eq. 21 states
-    and measure the Eq. 21 e-basis.  The rest measure their side-A commuting
-    basis when its conditional Bloch vectors are parallel; else their side-B
-    basis, built only for those states, when its vectors are parallel; else
-    the Eq. 21 e-basis.
+    One ``_commuting_stack`` call on the 2N stack of every state and its
+    A <-> B swap builds both commuting sides of every state, and its SVD
+    gives both cut minima.  Decoupled states (AB purity above 1 - 1e-12)
+    measure nothing.  The others whose side-A ``overlap`` is at most
+    ``_EQ21_OVERLAP`` are Eq. 21 states and measure the Eq. 21 e-basis.  The
+    rest measure their side-A commuting basis when its conditional Bloch
+    vectors are parallel; else their side-B basis when its vectors are
+    parallel; else the Eq. 21 e-basis.
     """
     t = three_qubit_stack(states)
-    cut_a, cut_b = E2.eigenvalue_values(_cut_minima(t)).T
+    n = len(t)
+    both = _commuting_stack(np.concatenate([t, t.transpose(0, 2, 1, 3)]))
+    anti_a, anti_b = both.antiparallel[:n], both.antiparallel[n:]
     trivial = _ab_purities(t) > 1.0 - _AB_PURE_TOL
+    eq21 = ~trivial & ((both.overlap[:n] <= _EQ21_OVERLAP) | (anti_a & anti_b))
+    branch = np.select([trivial, eq21, anti_a], ["trivial", "eq21", "B"], "A")
+    sides = both.basis.reshape(2, n, 2, 2).swapaxes(0, 1)
+    basis = np.where((branch == "B")[:, None, None], sides[:, 1], sides[:, 0])
     # Where Charlie measures nothing every basis leaves AB as it is, so the computational one scores it.
-    basis = np.zeros((len(t), 2, 2), dtype=complex)
-    basis[:, 0, 0] = basis[:, 1, 1] = 1.0
-    commuting = {}
-    rows = np.flatnonzero(~trivial)
-    if rows.size:
-        res_a = _commuting_stack(t[rows], "A")
-        commuting["A"] = (rows, res_a.basis)
-        basis[rows] = res_a.basis
-        eq21 = res_a.overlap <= _EQ21_OVERLAP
-        anti = np.flatnonzero(res_a.antiparallel & ~eq21)
-        if anti.size:
-            res_b = _commuting_stack(t[rows[anti]], "B")
-            commuting["B"] = (rows[anti], res_b.basis)
-            basis[rows[anti]] = res_b.basis
-            eq21[anti[res_b.antiparallel]] = True
-        if eq21.any():
-            basis[rows[eq21]] = _eq21_bases(res_a.take(eq21))
+    basis[trivial] = np.eye(2)
+    if eq21.any():
+        basis[eq21] = _eq21_bases(both.take(np.flatnonzero(eq21)))
     average = _basis_values(t.reshape(-1, 4, 2), basis, E2)
-    return Theorem1Stack(basis, trivial, average, cut_a, cut_b, commuting)
+    return Theorem1Stack(basis, branch, average, both.minimum.reshape(2, n).T, sides)
 
 
 def theorem1_measurement(psi: PureState):
@@ -395,17 +389,14 @@ def theorem1_measurement(psi: PureState):
     Returns the measurement and its achieved average post-measurement E2,
     which equals min(E2 across A|BC, E2 across B|AC).
     """
-    meas, _, avg, _, _, _ = _theorem1(psi)
-    return meas, avg
+    meas, th = _theorem1(psi)
+    return meas, float(th.average[0])
 
 
 def _theorem1(psi: PureState):
-    """``theorem1_stack`` of one state: (measurement, the basis scored,
-    average, E2 across A|BC, E2 across B|AC, {side: commuting basis built})."""
+    """The measurement of ``theorem1_stack`` on one state, and that stack."""
     th = theorem1_stack([psi])
-    meas = Measurement.trivial() if th.trivial[0] else Measurement.projective(th.basis[0])
-    bases = {side: b[0] for side, (_, b) in th.commuting.items()}
-    return meas, th.basis[0], float(th.average[0]), float(th.cut_a[0]), float(th.cut_b[0]), bases
+    return (Measurement.trivial() if th.branch[0] == "trivial" else Measurement.projective(th.basis[0])), th
 
 
 def average_post_measurement(psi: PureState, meas: Measurement, m: MonotoneSpec) -> float:
@@ -508,37 +499,28 @@ def _outcome_value_grad(u: np.ndarray, m: MonotoneSpec, grad: bool = True):
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
     """The Theorem-1 measurement as (its value under ``m``, measurement, the
-    basis scored, the commuting bases built for it), or None where that
-    construction does not apply."""
+    basis scored, the side-A and side-B commuting bases (2, 2, 2), the cuts
+    E(A|BC) and E(B|AC) under ``m`` (2,)), or None where that construction
+    does not apply."""
     if psi.dims[2] != 2:
         return None
-    meas, basis, _, _, _, bases = _theorem1(psi)
-    return float(_basis_values(psi.amplitudes.reshape(4, 2), basis[None], m)[0]), meas, basis, bases
+    meas, th = _theorem1(psi)
+    value = float(_basis_values(psi.amplitudes.reshape(4, 2), th.basis, m)[0])
+    return value, meas, th.basis[0], th.sides[0], m.eigenvalue_values(th.minima[0])
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def _informed_starts(psi: PureState, theorem1):
-    """Projective bases worth seeding the POVM search with, given the Theorem-1 candidate.
-
-    The Theorem-1 basis and the commuting bases the candidate carries are
-    reused; a side it did not build is built here.
-    """
-    n_c = psi.dims[2]
-    cands = [np.eye(n_c, dtype=complex)]
-    if n_c != 2:
-        return cands
-    cands.append(_HADAMARD)
+    """Projective bases worth seeding the POVM search with, given the
+    Theorem-1 candidate: the computational basis, and with a qubit Charlie
+    the Hadamard basis, the Theorem-1 basis where it has two outcomes, and
+    the side-A and side-B commuting bases the candidate carries."""
     if theorem1 is None:
-        return cands
-    _, meas, basis, bases = theorem1
-    if len(meas.elements) == 2:
-        cands.append(basis)
-    for side in ("A", "B"):
-        built = bases.get(side)
-        cands.append(built if built is not None else _commuting_stack(psi.tensor_view()[None], side).basis[0])
-    return cands
+        return [np.eye(psi.dims[2], dtype=complex)]
+    _, meas, basis, sides, _ = theorem1
+    return [np.eye(2, dtype=complex), _HADAMARD, *([basis] if len(meas.elements) == 2 else []), *sides]
 
 
 def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None):
@@ -557,13 +539,17 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     Newton steps (``_bloch_newton``), and stop as soon as the weak-duality
     bound of ``_dual_bound`` proves the first of them to become stationary
     optimal among all POVMs to within 1e-12; failing that, the bound is
-    taken again at the best Newton end.  Only if neither bound certifies do
-    the Newton ends and the random starts climb the ascent; otherwise the
-    random starts are scored where they start.
+    taken again at the best Newton end unless that is the basis already
+    bounded.  Only if no bound certifies do the Newton ends and the random
+    starts climb the ascent; otherwise the random starts are scored where
+    they start.  With a qubit Charlie the min-cut comes from the cut minima
+    of the Theorem-1 pass, not from factorizations of its own.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
-    return _eoa_search(psi, m, budget or SearchBudget(), _theorem1_candidate(psi, m), _min_cut(psi, m))
+    theorem1 = _theorem1_candidate(psi, m)
+    bound = _min_cut(psi, m) if theorem1 is None else float(theorem1[4].min())
+    return _eoa_search(psi, m, budget or SearchBudget(), theorem1, bound)
 
 
 def _min_cut(psi: PureState, m: MonotoneSpec) -> float:
@@ -770,8 +756,9 @@ def _chart_derivatives(psi_mat: np.ndarray, bases: np.ndarray, m: MonotoneSpec):
 
 def _bloch_newton(psi_mat: np.ndarray, m: MonotoneSpec, bases: np.ndarray, max_evals: int, target: float):
     """Climb the value of each qubit-Charlie basis of bases (K, 2, 2) on
-    psi_mat (4, 2) over the Bloch sphere; return the end bases and whether
-    the dual bound certified one of them.
+    psi_mat (4, 2) over the Bloch sphere; return the end bases, whether the
+    dual bound certified one of them, and the basis (2, 2) it was taken at,
+    None where it was not taken.
 
     Each round moves every basis W to W R(z), with the gradient g and
     Hessian H of ``_chart_derivatives``: z is the Newton step -H^-1 g where H
@@ -789,25 +776,25 @@ def _bloch_newton(psi_mat: np.ndarray, m: MonotoneSpec, bases: np.ndarray, max_e
     """
     ends = bases.copy()
     if max_evals < 1:
-        return ends, False
+        return ends, False, None
     w = bases
     value, grad, hess = _chart_derivatives(psi_mat, w, m)
     radius = np.full(len(w), _TRUST_RADIUS)
     ids = np.arange(len(w))
-    bounded = False
+    bounded = None
     for evals in range(1, max_evals + 1):
         norm2 = (grad * grad).sum(axis=1)
         stationary = norm2 <= 2.0 * (_GRAD_TOL * value) ** 2
         if value.max() >= target:
             break
-        if not bounded and stationary.any():
-            bounded = True
+        if bounded is None and stationary.any():
             k = np.flatnonzero(stationary)[np.argmax(value[stationary])]
+            bounded = w[k]
             best = _isometries(w[k : k + 1], 2)
             best_value, best_grad = _povm_value_grad(best, psi_mat, m)
             if _dual_bound(best[0], best_grad[0], psi_mat, m) <= best_value[0] + _SEARCH_FATOL:
                 ends[ids] = w
-                return ends, True
+                return ends, True, bounded
         going = ~stationary & (radius * radius * norm2 > _SEARCH_FATOL**2)
         if evals == max_evals or not going.any():
             break
@@ -833,16 +820,17 @@ def _bloch_newton(psi_mat: np.ndarray, m: MonotoneSpec, bases: np.ndarray, max_e
         value, grad = np.where(ok, t_value, value), np.where(ok[:, None], t_grad, grad)
         radius = np.where(ok, np.minimum(2.0 * radius, _TRUST_RADIUS), radius / 4.0)
     ends[ids] = w
-    return ends, False
+    return ends, False, bounded
 
 
 def _eoa_search(
     psi: PureState, m: MonotoneSpec, budget: SearchBudget, theorem1, bound: float, certificates=()
 ):
-    """The search of ``eoa_numeric`` from a given Theorem-1 candidate (see
-    ``_theorem1_candidate``); ``analyze`` passes the one it has already built.
+    """The search of ``eoa_numeric`` and ``analyze`` from a Theorem-1
+    candidate (see ``_theorem1_candidate``).
 
-    ``bound`` is ``_min_cut(psi, m)``; under ``concurrence`` with a qubit
+    ``bound`` is the min-cut min(E(A|BC), E(B|AC)) under ``m``, as
+    ``_min_cut`` gives it; under ``concurrence`` with a qubit
     Charlie it is lowered to C_a and the Takagi basis joins the
     ``certificates``, Charlie bases worth trying before any search.  A
     Theorem-1 candidate within ``_SEARCH_FATOL`` of the bound is returned at
@@ -888,9 +876,11 @@ def _povm_search(psi_mat: np.ndarray, m: MonotoneSpec, budget: SearchBudget, inf
     ``_bloch_newton``, which takes the weak-duality bound of
     ``_dual_bound``, over every POVM, at the first of them to become
     stationary, and stops there if it certifies.  Failing that, the bound
-    is taken again at the best Newton end.  Only if neither certifies do
-    the Newton ends and the random starts climb ``_stiefel_ascent``
-    together; otherwise the random starts are scored where they start.
+    is taken again at the best Newton end, unless that end is the basis
+    already bounded, whose bound would refuse again.  Only if no bound
+    certifies do the Newton ends and the random starts climb
+    ``_stiefel_ascent`` together; otherwise the random starts are scored
+    where they start.
     With a larger Charlie all starts climb ``_stiefel_ascent`` together,
     from the same draws.
     """
@@ -908,7 +898,7 @@ def _povm_search(psi_mat: np.ndarray, m: MonotoneSpec, budget: SearchBudget, inf
         candidates = climbed(np.concatenate([_isometries(informed, n_c), randoms]))
         return candidates, _povm_value_grad(candidates, psi_mat, m)[0]
     starts = np.array(informed)
-    ends, certified = _bloch_newton(psi_mat, m, starts, budget.max_evals, target)
+    ends, certified, bounded = _bloch_newton(psi_mat, m, starts, budget.max_evals, target)
     candidates = _isometries(np.stack([starts, ends], axis=1).reshape(-1, 2, 2), 2)
     values, grads = _povm_value_grad(candidates, psi_mat, m)
     best = int(np.argmax(values))
@@ -916,7 +906,10 @@ def _povm_search(psi_mat: np.ndarray, m: MonotoneSpec, budget: SearchBudget, inf
     if (
         values[best] < target
         and not certified
-        and _dual_bound(candidates[best], grads[best], psi_mat, m) > values[best] + _SEARCH_FATOL
+        and (
+            (bounded is not None and np.array_equal(candidates[best, :, :2], bounded))
+            or _dual_bound(candidates[best], grads[best], psi_mat, m) > values[best] + _SEARCH_FATOL
+        )
     ):
         tail = climbed(np.concatenate([candidates[1::2], randoms]))
     return np.concatenate([candidates, tail]), np.concatenate([values, _povm_value_grad(tail, psi_mat, m)[0]])
@@ -948,7 +941,9 @@ class Theorem1Report:
 
 def verify_theorem1(psi: PureState, tol: float) -> Theorem1Report:
     """Check the constructive measurement saturates the min-cut E2 bound."""
-    _, _, avg, cut_a, cut_b, _ = _theorem1(psi)
+    _, th = _theorem1(psi)
+    avg = float(th.average[0])
+    cut_a, cut_b = (float(c) for c in E2.eigenvalue_values(th.minima[0]))
     mincut = min(cut_a, cut_b)
     gap = abs(avg - mincut)
     if gap > tol:
@@ -1153,7 +1148,7 @@ def corollary_checks(states, tol: float, check_swap: bool = True, seed: int = 0)
     t = three_qubit_stack(states)
     cut_a, cut_b = E2.eigenvalue_values(_cut_minima(t)).T
     _, c_ac, c_bc = pair_concurrences(t).T
-    blochs = _commuting_stack(t, "A").bloch_vectors
+    blochs = _commuting_stack(t).bloch_vectors
     applicable = np.all(np.linalg.norm(blochs, axis=-1) > tol, axis=-1)
     reports = []
     for row in range(len(t)):
@@ -1363,10 +1358,10 @@ class AssistanceReport:
 
 
 def analyze(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None) -> AssistanceReport:
-    cut_a = cut_entanglement(psi, "A|BC", m)
-    cut_b = cut_entanglement(psi, "B|AC", m)
-    meas, basis, _, _, _, bases = _theorem1(psi)
-    constructive = float(_basis_values(psi.amplitudes.reshape(4, 2), basis[None], m)[0])
+    if psi.dims != (2, 2, 2):
+        raise InputError("expected a three-qubit state")
+    constructive, meas, _, _, cuts = theorem1 = _theorem1_candidate(psi, m)
+    cut_a, cut_b = (float(c) for c in cuts)
     cut = "A|BC" if cut_a <= cut_b else "B|AC"
     verdict = lossless_classifier(psi, cut, tol=1e-7)
     # The marginal-preserving basis reaches the min-cut (every branch keeps
@@ -1374,7 +1369,6 @@ def analyze(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None)
     certificates = []
     if verdict.kind == "lossless" and "basis" in verdict.certificate:
         certificates.append(verdict.certificate["basis"])
-    theorem1 = (constructive, meas, basis, bases)
     numeric, _ = _eoa_search(psi, m, budget or SMALL_BUDGET, theorem1, min(cut_a, cut_b), certificates)
     return AssistanceReport(
         cut_a=cut_a,

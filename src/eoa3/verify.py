@@ -37,7 +37,7 @@ def _haar_states(seeds, offset=0):
 def _trial_thm1(seeds, tol):
     psis = _haar_states(seeds)
     th = assistance.theorem1_stack(psis)
-    mincut = np.minimum(th.cut_a, th.cut_b)
+    mincut = monotones.E2.eigenvalue_values(th.minima).min(axis=1)
     gap = np.abs(th.average - mincut)
     tol = effective_tol("thm1", tol)
     return [

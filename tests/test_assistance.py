@@ -184,18 +184,32 @@ _THEOREM1_BRANCHES = {
 def test_theorem1_branch_per_family():
     counts = {}
     for family in _THEOREM1_BRANCHES:
-        th = theorem1_stack([generate(parse_family(family, s)) for s in range(200)])
-        took = dict.fromkeys("AB", np.zeros(200, dtype=bool))
-        for side, (rows, bases) in th.commuting.items():
-            took[side] = np.zeros(200, dtype=bool)
-            took[side][rows] = np.all(th.basis[rows] == bases, axis=(1, 2))
-        side_a, side_b = took["A"] & ~took["B"], took["B"]
-        e_basis = ~(th.trivial | side_a | side_b)
-        counts[family] = tuple(int(x.sum()) for x in (side_a, side_b, e_basis, th.trivial))
+        # Both commuting sides are built on every row, decoupled and Eq. 21 rows too.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            th = theorem1_stack([generate(parse_family(family, s)) for s in range(200)])
+        assert np.isfinite(th.sides).all() and np.isfinite(th.minima).all()
+        counts[family] = tuple(int(np.sum(th.branch == b)) for b in ("A", "B", "eq21", "trivial"))
     assert counts == _THEOREM1_BRANCHES
 
 
 _MONOTONES = [MonotoneSpec.parse(label) for label in ("e2", "entropy:1", "entropy:0.5", "concurrence", "ek:2")]
+
+
+def test_theorem1_cut_minima_match_cut_entanglement():
+    # eoa_numeric and analyze take their cuts from theorem1_stack's minima;
+    # they must be the very values cut_entanglement gives, on the eight
+    # families and on perturbed near-special states.
+    psis = [generate(parse_family(family, s)) for family in _THEOREM1_BRANCHES for s in range(25)]
+    rng = np.random.default_rng(7)
+    for family in sorted(_NEAR):
+        for seed in range(3):
+            for log_eps in [-np.inf, *range(-16, 0)]:
+                z = rng.normal(size=8) + 1j * rng.normal(size=8)
+                psis.append(_perturbed(_NEAR[family](seed), 10.0**log_eps, z))
+    th = theorem1_stack(psis)
+    for m in _MONOTONES:
+        for psi, cuts in zip(psis, m.eigenvalue_values(th.minima)):
+            assert cuts.tolist() == [cut_entanglement(psi, "A|BC", m), cut_entanglement(psi, "B|AC", m)]
 
 
 def test_constructive_reaches_min_cut_on_lossless_families():
@@ -250,8 +264,8 @@ def _swap_symmetric_state(seed):
 def test_corollary_holds_on_swap_symmetric_states():
     psis = [_swap_symmetric_state(s) for s in range(40)]
     th = theorem1_stack(psis)
-    assert not th.trivial.any()
-    assert np.max(np.abs(th.average - np.minimum(th.cut_a, th.cut_b))) <= 1e-12
+    assert not np.any(th.branch == "trivial")
+    assert np.max(np.abs(th.average - E2.eigenvalue_values(th.minima).min(axis=1))) <= 1e-12
     for rep in corollary_checks(psis, 1e-9):
         assert rep.i and rep.ii and rep.iii
 
@@ -596,23 +610,25 @@ def test_analyze_builds_and_scores_theorem1_once(monkeypatch, capsys):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(assistance, name, counted)
-    sides = []
+    stacks = []
     commuting_stack = assistance._commuting_stack
 
-    def recorded(t, side):
-        sides.append(side)
-        return commuting_stack(t, side)
+    def recorded(t):
+        stacks.append(t)
+        return commuting_stack(t)
 
     monkeypatch.setattr(assistance, "_commuting_stack", recorded)
     assert main(["analyze", "--family", "haar", "--monotone", "entropy:1", "--seed", "5"]) == 0
     # Theorem 1 scores its basis under E2 in the search's kernel, and analyze
     # scores it once more there under the report's monotone.
     assert calls == {"_theorem1": 1, "average_post_measurement": 0, "_basis_values": 2}
-    # The search seeds with the commuting bases Theorem 1 built; it builds none itself.
-    assert sides == ["A", "B"]
+    # One commuting-basis call builds both sides, on the state and its A <-> B
+    # swap; the search seeds with those bases and builds none itself.
+    (t,) = stacks
+    psi = generate(FamilySpec(kind="haar", seed=5))
+    np.testing.assert_array_equal(t, [psi.tensor_view(), psi.tensor_view().transpose(1, 0, 2)])
     monkeypatch.undo()
     # The report's numeric value is the one eoa_numeric finds with the CLI's budget.
-    psi = generate(FamilySpec(kind="haar", seed=5))
     budget = SearchBudget(random_starts=2, max_evals=2000, seed=5)
     assert json.loads(capsys.readouterr().out)["eoaNumeric"] == eoa_numeric(psi, ENTROPY_1, budget)[0]
 

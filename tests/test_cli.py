@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from eoa3.cli import main
+from eoa3.monotones import MonotoneSpec, cut_entanglement
 from eoa3.qcore import density_to_json, reduced_density, state_to_json
-from eoa3.states import ghz_state, product_state, w_state
+from eoa3.states import generate, ghz_state, parse_family, product_state, w_state
 
 
 def run(capsys, *argv):
@@ -154,6 +155,11 @@ def test_analyze_numeric_not_below_constructive_on_the_benchmark_mix(capsys):
         code, out, _ = run(capsys, "analyze", "--family", family, "--monotone", monotone, "--seed", str(3_500_000 + k))
         assert code == 0
         payload = json.loads(out)
+        # The report reads its cuts off the Theorem-1 pass; they are cut_entanglement's values.
+        psi = generate(parse_family(family, seed=3_500_000 + k))
+        m = MonotoneSpec.parse(monotone)
+        assert payload["cutA"] == cut_entanglement(psi, "A|BC", m), k
+        assert payload["cutB"] == cut_entanglement(psi, "B|AC", m), k
         min_cut = min(payload["cutA"], payload["cutB"])
         assert payload["eoaConstructive"] <= payload["eoaNumeric"] <= min_cut + 1e-6, k
         if monotone == "e2":

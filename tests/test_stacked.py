@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from eoa3 import ensembles
 from eoa3.assistance import lossless_classifier, lossless_classifiers, theorem1_stack
 from eoa3.ensembles import entangled_decomposition, entangled_stack
+from eoa3.monotones import E2
 from eoa3.qcore import DensityMatrix, PureState, haar_random_pure, random_density_matrix
 from eoa3.states import bell_times_c, generate, ghz_state, parse_family, product_state, w_state
 from eoa3.verify import TRIALS, mixed_marginal_density
@@ -43,19 +44,13 @@ def _assert_rows_equal_single_calls(psis):
     batch = theorem1_stack(psis)
     for i, psi in enumerate(psis):
         one = theorem1_stack([psi])
-        assert batch.trivial[i] == one.trivial[0]
-        if not one.trivial[0]:
-            assert np.max(np.abs(batch.basis[i] - one.basis[0])) <= 1e-15
-        for field in ("average", "cut_a", "cut_b"):
-            assert abs(getattr(batch, field)[i] - getattr(one, field)[0]) <= 1e-15
-        for side, (rows, bases) in batch.commuting.items():
-            built = side in one.commuting
-            assert (i in rows) == built
-            if built:
-                assert np.max(np.abs(bases[list(rows).index(i)] - one.commuting[side][1][0])) <= 1e-15
-        assert set(one.commuting) <= set(batch.commuting)
+        assert batch.branch[i] == one.branch[0]
+        for field in ("basis", "average", "sides"):
+            assert np.max(np.abs(getattr(batch, field)[i] - getattr(one, field)[0])) <= 1e-15
+        cuts = E2.eigenvalue_values(batch.minima[i])
+        assert np.max(np.abs(cuts - E2.eigenvalue_values(one.minima[0]))) <= 1e-15
         # Theorem 1's gate, as criterion 1 applies it.
-        assert abs(batch.average[i] - min(batch.cut_a[i], batch.cut_b[i])) <= 1e-7
+        assert abs(batch.average[i] - cuts.min()) <= 1e-7
 
 
 _ROW = st.tuples(
