@@ -30,6 +30,7 @@ from .assistance import (
     theorem1_measurement,
     theorem1_stack,
     unital_fixed_point_check,
+    unital_fixed_point_checks,
     verify_theorem1,
 )
 from .ensembles import (
@@ -61,12 +62,16 @@ from .qcore import (
     PureState,
     SchmidtForm,
     bloch_vector,
+    check_densities,
     density_from_json,
     density_to_json,
     fidelity,
     from_bloch,
     haar_random_pure,
+    haar_random_rows,
+    haar_random_unitaries,
     haar_random_unitary,
+    random_density_matrices,
     random_density_matrix,
     reduced_density,
     reduced_stack,
@@ -76,6 +81,6 @@ from .qcore import (
     tensor,
     three_qubit_stack,
 )
-from .states import FamilySpec, generate, verify_family_membership
+from .states import FamilySpec, eq21_rows, generate, thm2_rows, verify_family_membership
 
 __version__ = "0.1.0"

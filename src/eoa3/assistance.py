@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _takagi
-from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, cut_entanglement, pair_concurrences
+from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, _schmidt_minima, cut_entanglement, pair_concurrences
 from .qcore import (
     PAULI_BASIS,
     DensityMatrix,
@@ -37,6 +37,8 @@ from .qcore import (
     _block_diagonal,
     _polar,
     _stiefel_ascent,
+    _unchecked_states,
+    check_densities,
     min_marginal_eigenvalue,
     pauli_coefficients,
     reduced_stack,
@@ -333,6 +335,10 @@ def _eq21_bases(res_a: _CommutingStack) -> np.ndarray:
     return res_a.basis @ np.stack([e0, e1], axis=-1)
 
 
+# ``Theorem1Stack.branch`` labels by the branch code ``theorem1_stack`` computes.
+_BRANCHES = np.array(["A", "B", "eq21", "trivial"])
+
+
 @dataclass(frozen=True)
 class Theorem1Stack:
     """The Theorem-1 construction for a stack of three-qubit states.
@@ -372,15 +378,15 @@ def theorem1_stack(states) -> Theorem1Stack:
     anti_a, anti_b = both.antiparallel[:n], both.antiparallel[n:]
     trivial = _ab_purities(t) > 1.0 - _AB_PURE_TOL
     eq21 = ~trivial & ((both.overlap[:n] <= _EQ21_OVERLAP) | (anti_a & anti_b))
-    branch = np.select([trivial, eq21, anti_a], ["trivial", "eq21", "B"], "A")
+    code = np.where(trivial, 3, np.where(eq21, 2, anti_a.astype(int)))
     sides = both.basis.reshape(2, n, 2, 2).swapaxes(0, 1)
-    basis = np.where((branch == "B")[:, None, None], sides[:, 1], sides[:, 0])
+    basis = np.where((code == 1)[:, None, None], sides[:, 1], sides[:, 0])
     # Where Charlie measures nothing every basis leaves AB as it is, so the computational one scores it.
     basis[trivial] = np.eye(2)
     if eq21.any():
         basis[eq21] = _eq21_bases(both.take(np.flatnonzero(eq21)))
     average = _basis_values(t.reshape(-1, 4, 2), basis, E2)
-    return Theorem1Stack(basis, branch, average, both.minimum.reshape(2, n).T, sides)
+    return Theorem1Stack(basis, _BRANCHES[code], average, both.minimum.reshape(2, n).T, sides)
 
 
 def theorem1_measurement(psi: PureState):
@@ -499,14 +505,13 @@ def _outcome_value_grad(u: np.ndarray, m: MonotoneSpec, grad: bool = True):
 
 def _theorem1_candidate(psi: PureState, m: MonotoneSpec):
     """The Theorem-1 measurement as (its value under ``m``, measurement, the
-    basis scored, the side-A and side-B commuting bases (2, 2, 2), the cuts
-    E(A|BC) and E(B|AC) under ``m`` (2,)), or None where that construction
-    does not apply."""
+    ``Theorem1Stack`` of the state, the cuts E(A|BC) and E(B|AC) under ``m``
+    (2,)), or None where that construction does not apply."""
     if psi.dims[2] != 2:
         return None
     meas, th = _theorem1(psi)
     value = float(_basis_values(psi.amplitudes.reshape(4, 2), th.basis, m)[0])
-    return value, meas, th.basis[0], th.sides[0], m.eigenvalue_values(th.minima[0])
+    return value, meas, th, m.eigenvalue_values(th.minima[0])
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -519,8 +524,8 @@ def _informed_starts(psi: PureState, theorem1):
     the side-A and side-B commuting bases the candidate carries."""
     if theorem1 is None:
         return [np.eye(psi.dims[2], dtype=complex)]
-    _, meas, basis, sides, _ = theorem1
-    return [np.eye(2, dtype=complex), _HADAMARD, *([basis] if len(meas.elements) == 2 else []), *sides]
+    _, meas, th, _ = theorem1
+    return [np.eye(2, dtype=complex), _HADAMARD, *(th.basis if len(meas.elements) == 2 else []), *th.sides[0]]
 
 
 def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None):
@@ -548,7 +553,7 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
     theorem1 = _theorem1_candidate(psi, m)
-    bound = _min_cut(psi, m) if theorem1 is None else float(theorem1[4].min())
+    bound = _min_cut(psi, m) if theorem1 is None else float(theorem1[3].min())
     return _eoa_search(psi, m, budget or SearchBudget(), theorem1, bound)
 
 
@@ -990,10 +995,16 @@ def lossless_classifiers(states, cut: str, tol: float = 1e-9) -> LosslessStack:
     """
     if cut not in ("A|BC", "B|AC"):
         raise InputError("cut must be 'A|BC' or 'B|AC'")
-    side, party = ("A", 0) if cut == "A|BC" else ("B", 1)
     t = three_qubit_stack(states)
-    decoupled = _ab_purities(t) > 1.0 - _AB_PURE_TOL
-    lam = np.minimum(_cut_minima(t), 0.5)
+    return _classify(t, cut, tol, _ab_purities(t) > 1.0 - _AB_PURE_TOL, _cut_minima(t))
+
+
+def _classify(t: np.ndarray, cut: str, tol: float, decoupled: np.ndarray, minima: np.ndarray) -> LosslessStack:
+    """``lossless_classifiers`` on the validated stack t, given its decoupled
+    mask (AB purity above 1 - 1e-12) and its cut minima (N, 2), as
+    ``theorem1_stack`` also computes them."""
+    side, party = ("A", 0) if cut == "A|BC" else ("B", 1)
+    lam = np.minimum(minima, 0.5)
     lam_side, lam_other = lam[:, party], lam[:, 1 - party]
     mixed = ~decoupled & (np.abs(lam_side - 0.5) <= tol) & (np.abs(lam_other - 0.5) <= tol)
     early = ~decoupled & ~mixed & (lam_side >= 0.5 - tol)
@@ -1026,7 +1037,11 @@ def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> Lossless
     conditional states preserve the cut party's marginal.  The N = 1 call of
     ``lossless_classifiers``.
     """
-    c = lossless_classifiers([psi], cut, tol)
+    return _verdict(lossless_classifiers([psi], cut, tol))
+
+
+def _verdict(c: LosslessStack) -> LosslessVerdict:
+    """The ``LosslessVerdict`` of the first row of a classifier stack."""
     kind, objective = str(c.kinds[0]), float(c.objectives[0])
     if not c.tested[0]:
         cert = {"branch": "maximally-mixed", "lambda_min": float(c.lambda_min[0])} if kind == "lossless" else {}
@@ -1059,23 +1074,34 @@ def _lossless_certificate(basis, probs, mats, lam):
 
 
 def unital_fixed_point_check(h: np.ndarray, probs, unitaries):
-    """(preserved, commutes) for lambda_min under the random-unitary mixture."""
-    h = np.asarray(h, dtype=complex)
-    probs = np.asarray(probs, dtype=float)
-    unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
+    """(preserved, commutes) for lambda_min under the random-unitary mixture;
+    the N = 1 call of ``unital_fixed_point_checks``."""
+    preserved, commutes = unital_fixed_point_checks(
+        np.asarray(h, dtype=complex)[None],
+        np.asarray(probs, dtype=float)[None],
+        np.asarray(unitaries, dtype=complex)[None],
+    )
+    return bool(preserved[0]), bool(commutes[0])
+
+
+def unital_fixed_point_checks(h: np.ndarray, probs: np.ndarray, unitaries: np.ndarray):
+    """``unital_fixed_point_check`` for a stack of k mixtures of one size n:
+    Hermitian H (k, 2, 2), probabilities (k, n) and unitaries (k, n, 2, 2),
+    each mixture's first unitary I.  Returns the masks (preserved, commutes),
+    each (k,): whether lambda_min(sum_i p_i U_i H U_i^dag) equals
+    lambda_min(H) within 1e-10, and whether every U_i commutes with H within
+    1e-10 in Frobenius norm."""
     if np.any(probs <= 0.0):
         raise InputError("all mixture probabilities must be positive")
-    if abs(probs.sum() - 1.0) > 1e-10:
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-10):
         raise InputError("mixture probabilities must sum to 1")
-    if np.max(np.abs(unitaries[0] - np.eye(2))) > 1e-10:
+    if np.max(np.abs(unitaries[:, 0] - np.eye(2)), initial=0.0) > 1e-10:
         raise InputError("the first unitary must be the identity")
-    mixed = sum(p * u @ h @ u.conj().T for p, u in zip(probs, unitaries))
-    lam_h = np.linalg.eigvalsh(h)[0]
-    lam_mixed = np.linalg.eigvalsh(mixed)[0]
-    preserved = bool(abs(lam_h - lam_mixed) <= 1e-10)
-    comm = max(np.linalg.norm(h @ u - u @ h) for u in unitaries)
-    commutes = bool(comm <= 1e-10)
-    return preserved, commutes
+    hs = h[:, None]
+    mixed = np.sum(probs[..., None, None] * unitaries @ hs @ unitaries.conj().swapaxes(-1, -2), axis=1)
+    preserved = np.abs(np.linalg.eigvalsh(h)[:, 0] - np.linalg.eigvalsh(mixed)[:, 0]) <= 1e-10
+    comm = np.linalg.norm(hs @ unitaries - unitaries @ hs, axis=(-2, -1)).max(axis=1)
+    return preserved, comm <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -1146,13 +1172,15 @@ def corollary_checks(states, tol: float, check_swap: bool = True, seed: int = 0)
     BC concurrences; ``applicable`` when both conditional Bloch vectors of the
     side-A commuting basis are longer than ``tol``."""
     t = three_qubit_stack(states)
-    cut_a, cut_b = E2.eigenvalue_values(_cut_minima(t)).T
+    side_a = _commuting_stack(t)
+    # The side-A SVD gives the A|BC minimum; only B|AC takes one of its own.
+    cut_a, cut_b = E2.eigenvalue_values(np.stack([side_a.minimum, _schmidt_minima(t.transpose(0, 2, 1, 3))]))
     _, c_ac, c_bc = pair_concurrences(t).T
-    blochs = _commuting_stack(t).bloch_vectors
-    applicable = np.all(np.linalg.norm(blochs, axis=-1) > tol, axis=-1)
+    applicable = np.all(np.linalg.norm(side_a.bloch_vectors, axis=-1) > tol, axis=-1)
+    psis = _unchecked_states(t) if check_swap else []
     reports = []
     for row in range(len(t)):
-        infid = swap_infidelity(PureState((2, 2, 2), t[row].reshape(8)), seed=seed) if check_swap else None
+        infid = swap_infidelity(psis[row], seed=seed) if check_swap else None
         reports.append(
             CorollaryReport(
                 i=bool(abs(cut_a[row] - cut_b[row]) <= tol),
@@ -1275,13 +1303,11 @@ def purify_with_qubit(rho: DensityMatrix) -> PureState:
 
 
 def _purifications(rho: np.ndarray) -> np.ndarray:
-    """``purify_with_qubit`` for a stack (N, 4, 4) of rank-<=2 two-qubit
-    density matrices: the (N, 8) amplitude rows sum_c sqrt(lam_c) |v_c>|c>
-    over the two leading eigenpairs."""
+    """``purify_with_qubit`` for a validated stack (N, 4, 4) of rank-<=2
+    two-qubit density matrices: the (N, 8) amplitude rows
+    sum_c sqrt(lam_c) |v_c>|c> over the two leading eigenpairs."""
     evals, evecs = np.linalg.eigh(rho)
     evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
-    if np.any(evals[:, -1] < -1e-10):
-        raise InputError("matrix has a negative eigenvalue")
     if np.any(evals[:, 2] > 1e-9):
         raise InputError("density matrix has rank greater than 2")
     amps = (np.sqrt(np.maximum(evals[:, None, :2], 0.0)) * evecs[:, :, :2]).reshape(len(rho), 8)
@@ -1290,18 +1316,13 @@ def _purifications(rho: np.ndarray) -> np.ndarray:
 
 def eoa_densities(rhos) -> tuple:
     """Assistance values of a stack (N, 4, 4) of rank-2 two-qubit density
-    matrices via purification, and twice the smaller of the two marginal
-    minimum eigenvalues of each, which the values equal (Eq. 37)."""
+    matrices, checked as ``DensityMatrix`` checks one, via purification, and
+    twice the smaller of the two marginal minimum eigenvalues of each, which
+    the values equal (Eq. 37)."""
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise InputError(f"expected a stack of 4x4 density matrices, got shape {rhos.shape}")
-    if not np.isfinite(rhos).all():
-        raise InputError("matrix entries must be finite")
-    if np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), initial=0.0) > 1e-10:
-        raise InputError("matrix is not Hermitian")
-    if np.any(np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0) > 1e-10):
-        raise InputError("matrix trace is not 1")
-    th = theorem1_stack(_purifications(rhos))
+    th = theorem1_stack(_purifications(check_densities(rhos)))
     return th.average, 2.0 * min_marginal_eigenvalue(rhos)
 
 
@@ -1360,10 +1381,11 @@ class AssistanceReport:
 def analyze(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None) -> AssistanceReport:
     if psi.dims != (2, 2, 2):
         raise InputError("expected a three-qubit state")
-    constructive, meas, _, _, cuts = theorem1 = _theorem1_candidate(psi, m)
+    constructive, meas, th, cuts = theorem1 = _theorem1_candidate(psi, m)
     cut_a, cut_b = (float(c) for c in cuts)
     cut = "A|BC" if cut_a <= cut_b else "B|AC"
-    verdict = lossless_classifier(psi, cut, tol=1e-7)
+    # The classifier takes the decoupled mask and cut minima of the Theorem-1 pass.
+    verdict = _verdict(_classify(psi.tensor_view()[None], cut, 1e-7, th.branch == "trivial", th.minima))
     # The marginal-preserving basis reaches the min-cut (every branch keeps
     # the cut party's marginal), so it certifies a lossless report.
     certificates = []

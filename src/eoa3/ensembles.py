@@ -23,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotones import wootters_concurrence
-from .qcore import SIGMA_YY, DensityMatrix, InputError, PureState, _polar, _stiefel_ascent, min_marginal_eigenvalue
+from .qcore import (
+    SIGMA_YY,
+    DensityMatrix,
+    InputError,
+    PureState,
+    _polar,
+    _stiefel_ascent,
+    check_densities,
+    min_marginal_eigenvalue,
+)
 
 
 @dataclass(frozen=True)
@@ -323,17 +332,23 @@ def entangled_decomposition(rho: DensityMatrix) -> Ensemble:
 
 def entangled_stack(rhos) -> np.ndarray:
     """The subnormalized elements of ``entangled_decomposition`` for each of a
-    sequence of two-qubit density matrices, as rows (N, 4, 4): row k of entry n
-    is sqrt(w_k) |phi_k>, and the rows past the rank are zero.
+    sequence of two-qubit density matrices, or of their entries (N, 4, 4),
+    which are checked as ``DensityMatrix`` checks one, as rows (N, 4, 4): row
+    k of entry n is sqrt(w_k) |phi_k>, and the rows past the rank are zero.
 
     The elements start as the weighted eigenvectors of one stacked ``eigh``;
     only the matrices with a product element among them (concurrence <= 1e-6)
     go through the mixing search.  Raises ``InputError`` unless every matrix
     has both marginals mixed.
     """
-    if any(rho.dim != 4 for rho in rhos):
-        raise InputError("expected a two-qubit density matrix")
-    entries = np.array([rho.entries for rho in rhos])
+    if isinstance(rhos, np.ndarray):
+        if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+            raise InputError("expected a two-qubit density matrix")
+        entries = check_densities(np.asarray(rhos, dtype=complex))
+    else:
+        if any(rho.dim != 4 for rho in rhos):
+            raise InputError("expected a two-qubit density matrix")
+        entries = np.array([rho.entries for rho in rhos])
     if np.any(min_marginal_eigenvalue(entries) <= 1e-9):
         raise InputError(
             "a reduced state is pure; no fully entangled decomposition exists"
@@ -402,20 +417,23 @@ def s0_assistance(rho: DensityMatrix) -> float:
     pure = rho.purity() > 1.0 - 1e-10
     if not pure and lam > 1e-9:
         entangled_decomposition(rho)  # existence is the certificate
-    return float(_s0_values([rho], np.array([lam]), np.array([pure]))[0])
+    return float(_s0_values(rho.entries[None], np.array([lam]), np.array([pure]))[0])
 
 
-def _s0_values(rhos, lam: np.ndarray, pure: np.ndarray) -> np.ndarray:
-    """``s0_assistance`` of each of a sequence of two-qubit density matrices,
-    given their smaller marginal eigenvalues ``lam`` and purity tests ``pure``
-    (purity above 1 - 1e-10), for matrices whose all-entangled decomposition
-    has been built wherever one is needed (mixed, lam > 1e-9).
+def _s0_values(entries: np.ndarray, lam: np.ndarray, pure: np.ndarray) -> np.ndarray:
+    """``s0_assistance`` of each of a stack (N, 4, 4) of validated two-qubit
+    density matrices, given their smaller marginal eigenvalues ``lam`` and
+    purity tests ``pure`` (purity above 1 - 1e-10), for matrices whose
+    all-entangled decomposition has been built wherever one is needed (mixed,
+    lam > 1e-9).
 
     A pure state scores its Wootters concurrence above 1e-9.  The verdicts
     must agree with thresholding lam, which can fail only near pure states
     whose concurrence vanishes; a disagreement raises ``ArithmeticError``.
     """
-    entangled = np.array([bool(p) and wootters_concurrence(rho) > 1e-9 for rho, p in zip(rhos, pure)])
+    entangled = np.array(
+        [bool(p) and wootters_concurrence(DensityMatrix.from_matrix(e)) > 1e-9 for e, p in zip(entries, pure)]
+    )
     verdict = np.where(pure, entangled, lam > 1e-9)
     if np.any(verdict != ((lam > 1e-9) | entangled)):
         raise ArithmeticError("step-measure verdicts disagree")

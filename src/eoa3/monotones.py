@@ -216,9 +216,14 @@ def pure_cut_concurrence(psi: PureState, cut: str) -> float:
 
 def _cut_minima(t: np.ndarray) -> np.ndarray:
     """Smallest squared Schmidt coefficients across A|BC and B|AC of each state
-    in the stack t (N, 2, 2, 2), as (N, 2); ``schmidt_decompose``'s SVD."""
-    mats = np.stack([t.reshape(-1, 2, 4), t.transpose(0, 2, 1, 3).reshape(-1, 2, 4)], axis=1)
-    return np.linalg.svd(mats, full_matrices=False)[1][..., -1] ** 2
+    in the stack t (N, 2, 2, 2), as (N, 2)."""
+    return _schmidt_minima(np.stack([t, t.transpose(0, 2, 1, 3)], axis=1))
+
+
+def _schmidt_minima(t: np.ndarray) -> np.ndarray:
+    """Smallest squared Schmidt coefficient across A|BC of each state in the
+    stack t (..., 2, 2, 2); ``schmidt_decompose``'s SVD."""
+    return np.linalg.svd(t.reshape(t.shape[:-3] + (2, 4)), full_matrices=False)[1][..., -1] ** 2
 
 
 def cut_values(states, m: MonotoneSpec) -> np.ndarray:
@@ -253,15 +258,21 @@ def pair_concurrences(states) -> np.ndarray:
 
 def three_tangles(states) -> np.ndarray:
     """Residual tripartite entanglement of each three-qubit pure state, from
-    the monogamy relation.
+    the monogamy relation; ``_tangles`` of its pair and cut concurrences."""
+    t = three_qubit_stack(states)
+    return _tangles(pair_concurrences(t), CONCURRENCE.eigenvalue_values(_cut_minima(t)))
+
+
+def _tangles(pairs: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The three-tangles of states with pair concurrences ``pairs`` (N, 3) (AB,
+    AC, BC) and cut concurrences ``cuts`` (N, 2) (A|BC, B|AC).
 
     Computes both the A-centered and B-centered forms and checks they agree;
     the difference identity between them is what makes the quantity party
     symmetric.
     """
-    t = three_qubit_stack(states)
-    c_ab, c_ac, c_bc = pair_concurrences(t).T
-    c_a, c_b = CONCURRENCE.eigenvalue_values(_cut_minima(t)).T
+    c_ab, c_ac, c_bc = pairs.T
+    c_a, c_b = cuts.T
     tau_a = c_a**2 - c_ab**2 - c_ac**2
     tau_b = c_b**2 - c_ab**2 - c_bc**2
     apart = np.flatnonzero(np.abs(tau_a - tau_b) > 1e-8)

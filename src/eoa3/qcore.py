@@ -50,7 +50,7 @@ class PureState:
         if any(d < 2 for d in dims):
             raise InputError(f"subsystem dimensions must be >= 2, got {dims}")
         amps = _frozen_array(self.amplitudes)
-        if amps.ndim != 1 or amps.size != int(np.prod(dims)):
+        if amps.ndim != 1 or amps.size != math.prod(dims):
             raise InputError(
                 f"amplitude vector length {amps.size} does not match dims {dims}"
             )
@@ -86,16 +86,7 @@ class DensityMatrix:
         m = _frozen_array(self.entries)
         if m.shape != (self.dim, self.dim):
             raise InputError(f"entries shape {m.shape} does not match dim {self.dim}")
-        asymmetry = np.max(np.abs(m - m.conj().T))
-        if not math.isfinite(asymmetry):  # a NaN or infinite entry makes it so
-            raise InputError("matrix entries must be finite")
-        if asymmetry > 1e-10:
-            raise InputError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise InputError("matrix trace is not 1")
-        evals = np.linalg.eigvalsh(m)
-        if evals[0] < -1e-10:
-            raise InputError(f"matrix has negative eigenvalue {evals[0]}")
+        check_densities(m[None])
         object.__setattr__(self, "entries", m)
 
     @staticmethod
@@ -193,6 +184,38 @@ def three_qubit_stack(states) -> np.ndarray:
     return t.reshape(-1, 2, 2, 2)
 
 
+def check_densities(m: np.ndarray) -> np.ndarray:
+    """Check each matrix of the stack m (N, d, d) as ``DensityMatrix`` checks
+    one: finite, Hermitian and of unit trace within 1e-10, no eigenvalue below
+    -1e-10.  Returns m."""
+    asymmetry = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if not math.isfinite(asymmetry):  # a NaN or infinite entry makes it so
+        raise InputError("matrix entries must be finite")
+    if asymmetry > 1e-10:
+        raise InputError("matrix is not Hermitian")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    if np.abs(trace.real - 1.0).max(initial=0.0) > 1e-10 or np.abs(trace.imag).max(initial=0.0) > 1e-10:
+        raise InputError("matrix trace is not 1")
+    low = np.linalg.eigvalsh(m)[:, 0].min(initial=np.inf)
+    if low < -1e-10:
+        raise InputError(f"matrix has negative eigenvalue {low}")
+    return m
+
+
+def _unchecked_states(t: np.ndarray) -> list:
+    """The rows of a stack t (N, *dims) that the caller has validated (as
+    ``three_qubit_stack`` does) as ``PureState``s, without validating them
+    again."""
+    dims = tuple(t.shape[1:])
+    states = []
+    for row in _frozen_array(t.reshape(len(t), -1)):
+        psi = object.__new__(PureState)
+        object.__setattr__(psi, "dims", dims)
+        object.__setattr__(psi, "amplitudes", row)
+        states.append(psi)
+    return states
+
+
 def min_marginal_eigenvalue(entries: np.ndarray):
     """Smaller of the two single-qubit marginals' minimum eigenvalues of a 4x4
     two-qubit matrix, over any leading stack axes (a float for one matrix)."""
@@ -248,29 +271,71 @@ def from_bloch(r: BlochVector) -> DensityMatrix:
 
 
 def haar_random_pure(dims, seed) -> PureState:
-    """Unitarily-invariant random pure state, deterministic per seed."""
+    """Unitarily-invariant random pure state, deterministic per seed; the N = 1
+    call of ``haar_random_rows``."""
     dims = tuple(int(d) for d in dims)
-    rng = np.random.default_rng(seed)
-    n = int(np.prod(dims))
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return PureState(dims, z / np.linalg.norm(z))
+    return PureState(dims, haar_random_rows(math.prod(dims), [seed])[0])
+
+
+def haar_random_rows(n: int, seeds) -> np.ndarray:
+    """The amplitude rows (N, n) of ``haar_random_pure`` over n amplitudes, one
+    per seed, normalized.  Each norm is sqrt(Re z . Re z + Im z . Im z) as the
+    1-D ``np.linalg.norm`` takes it, by row-by-column matmuls that numpy hands
+    to the same BLAS dot (an axis-wise norm or sum adds in another order), so
+    every row equals its one-seed draw bit for bit."""
+    z = np.empty((len(seeds), n), dtype=complex)
+    for row, seed in zip(z, seeds):
+        rng = np.random.default_rng(seed)
+        row[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    re, im = z.real[:, None], z.imag[:, None]
+    return z / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0]
 
 
 def random_density_matrix(dim, rank, seed) -> DensityMatrix:
-    """Wishart-distributed density matrix of the requested rank."""
-    if not 1 <= rank <= dim:
-        raise InputError(f"rank must lie in [1, {dim}]")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix.from_matrix(m / np.trace(m).real)
+    """Wishart-distributed density matrix of the requested rank; the N = 1 call
+    of ``random_density_matrices``."""
+    return DensityMatrix.from_matrix(random_density_matrices(dim, [rank], [seed])[0])
+
+
+def random_density_matrices(dim: int, ranks, seeds) -> np.ndarray:
+    """The entries (N, dim, dim) of ``random_density_matrix`` for each (rank,
+    seed) pair, G G^dag / tr(G G^dag) for a complex Gaussian G (dim, rank).
+    Rows of one rank share one stacked product and normalization, without
+    padding G to a common width, so every row equals its N = 1 call bit for
+    bit; validation is the caller's."""
+    groups = {}  # rank -> (rows, Gaussian draws)
+    for row, (rank, seed) in enumerate(zip(ranks, seeds)):
+        if not 1 <= rank <= dim:
+            raise InputError(f"rank must lie in [1, {dim}]")
+        rng = np.random.default_rng(seed)
+        rows, draws = groups.setdefault(int(rank), ([], []))
+        rows.append(row)
+        draws.append(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
+    out = np.empty((len(seeds), dim, dim), dtype=complex)
+    for rows, draws in groups.values():
+        g = np.array(draws)
+        m = g @ g.conj().swapaxes(-1, -2)
+        out[rows] = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return out
 
 
 def haar_random_unitary(dim, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    """Haar-random unitary, deterministic per seed; the N = 1 call of
+    ``haar_random_unitaries``."""
+    return haar_random_unitaries(dim, [seed])[0]
+
+
+def haar_random_unitaries(dim: int, seeds) -> np.ndarray:
+    """The unitaries (N, dim, dim) of ``haar_random_unitary``, one per seed:
+    Q of the QR factorization of a complex Gaussian matrix, its columns
+    rephased by the phases of R's diagonal, with one stacked QR and phase fix."""
+    z = np.empty((len(seeds), dim, dim), dtype=complex)
+    for row, seed in zip(z, seeds):
+        rng = np.random.default_rng(seed)
+        row[:] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -22,6 +22,7 @@ from .qcore import (
     InputError,
     PureState,
     haar_random_pure,
+    haar_random_unitaries,
     haar_random_unitary,
     schmidt_decompose,
 )
@@ -121,43 +122,61 @@ def generate(spec: FamilySpec) -> PureState:
     if spec.kind == "bell_c":
         return bell_times_c()
     if spec.kind == "eq21":
-        return _generate_eq21(spec)
+        return PureState((2, 2, 2), eq21_rows([spec.p], [spec.overlap])[0])
     if spec.kind == "thm2":
-        return _generate_thm2(spec)
+        return PureState((2, 2, 2), thm2_rows([spec])[0])
     return _generate_corollary_symmetric(spec)
 
 
-def _generate_eq21(spec: FamilySpec) -> PureState:
-    o = complex(spec.overlap)
-    eta0 = np.array([1.0, 0.0], dtype=complex)
-    eta1 = np.array([o, np.sqrt(max(0.0, 1.0 - abs(o) ** 2))], dtype=complex)
-    t = np.zeros((2, 2, 2), dtype=complex)
-    t[0, 0] = np.sqrt(spec.p) * eta0
-    t[1, 1] = np.sqrt(1.0 - spec.p) * eta1
-    return PureState((2, 2, 2), t.reshape(-1))
+def eq21_rows(p, overlap) -> np.ndarray:
+    """The amplitude rows (N, 8) of the eq21 members with weights p (N,) and
+    overlaps <eta0|eta1> (N,), assembled in one pass; each row equals its
+    N = 1 call of ``generate`` bit for bit."""
+    p = np.asarray(p, dtype=float)
+    o = np.asarray(overlap, dtype=complex)
+    eta1 = np.stack([o, np.sqrt(np.maximum(0.0, 1.0 - np.abs(o) ** 2))], axis=-1)
+    t = np.zeros((len(p), 2, 2, 2), dtype=complex)
+    t[:, 0, 0, 0] = np.sqrt(p)  # eta0 = |0>
+    t[:, 1, 1] = np.sqrt(1.0 - p)[:, None] * eta1
+    return t.reshape(-1, 8)
 
 
-def _generate_thm2(spec: FamilySpec) -> PureState:
-    rng = np.random.default_rng(spec.seed)
-    lam = spec.lambda_min if spec.lambda_min is not None else rng.uniform(0.05, 0.5)
-    if spec.weights is not None:
-        weights = np.asarray(spec.weights, dtype=float)
-    else:
-        w0 = rng.uniform(0.1, 0.9)
-        weights = np.array([w0, 1.0 - w0])
-    phases = spec.phases if spec.phases is not None else rng.uniform(0, 2 * np.pi, 2)
-    if spec.unitaries is not None:
-        vs = [np.asarray(v, dtype=complex) for v in spec.unitaries]
-    else:
-        vs = [haar_random_unitary(2, rng.integers(2**32)) for _ in range(2)]
-    lam_ket = np.array(
-        [[np.sqrt(lam), 0.0], [0.0, np.sqrt(1.0 - lam)]], dtype=complex
-    )
-    t = np.zeros((2, 2, 2), dtype=complex)
-    for x in range(2):
-        u = np.diag([1.0, np.exp(1j * phases[x])])
-        t[:, :, x] = np.sqrt(weights[x]) * (u @ lam_ket @ vs[x].T)
-    return PureState((2, 2, 2), t.reshape(-1))
+def thm2_rows(specs) -> np.ndarray:
+    """The amplitude rows (N, 8) of ``generate`` for a sequence of thm2 specs.
+
+    Each spec's missing fields come from ``default_rng(spec.seed)`` in the
+    one-state order: lambda_min, the first weight, the two phases, then one
+    seed per local unitary V_x.  The unitaries, the products
+    sqrt(p_x) U_x diag(sqrt(lam), sqrt(1 - lam)) V_x^T and the assembly run
+    once over the stack, so every row equals its N = 1 call bit for bit.
+    """
+    n = len(specs)
+    lam, weights, phases = np.empty(n), np.empty((n, 2)), np.empty((n, 2))
+    vs = np.empty((n, 2, 2, 2), dtype=complex)
+    drawn, unitary_seeds = [], []
+    for i, spec in enumerate(specs):
+        rng = np.random.default_rng(spec.seed)
+        lam[i] = spec.lambda_min if spec.lambda_min is not None else rng.uniform(0.05, 0.5)
+        if spec.weights is not None:
+            weights[i] = spec.weights
+        else:
+            w0 = rng.uniform(0.1, 0.9)
+            weights[i] = (w0, 1.0 - w0)
+        phases[i] = spec.phases if spec.phases is not None else rng.uniform(0, 2 * np.pi, 2)
+        if spec.unitaries is not None:
+            vs[i] = spec.unitaries
+        else:
+            drawn.append(i)
+            unitary_seeds += [rng.integers(2**32), rng.integers(2**32)]
+    if drawn:
+        vs[drawn] = haar_random_unitaries(2, unitary_seeds).reshape(-1, 2, 2, 2)
+    lam_ket = np.zeros((n, 1, 2, 2), dtype=complex)
+    lam_ket[:, 0, 0, 0], lam_ket[:, 0, 1, 1] = np.sqrt(lam), np.sqrt(1.0 - lam)
+    u = np.zeros((n, 2, 2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 1, 1] = 1.0, np.exp(1j * phases)
+    mats = np.sqrt(weights)[..., None, None] * (u @ lam_ket @ vs.swapaxes(-1, -2))
+    # mats[:, x] is the AB block of helper outcome x: t[a, b, x].
+    return mats.transpose(0, 2, 3, 1).reshape(n, 8)
 
 
 def swap_symmetric_two_qubit(u: np.ndarray, seed: int) -> PureState:

@@ -3,12 +3,20 @@
 A trial maps ``(seeds, tol)`` to one ``(ok, row, witness)`` per seed: whether
 the claim holds on the instance the seed generates, the per-trial values (CSV
 rows and counterexample reports), and the pure state to report as a
-counterexample, or None where the instance is not a pure state.  Every
-target but prop2 draws its instances one seed at a time and checks them all
-in one call of the stacked kernels (thm2 through ``lossless_classifiers``,
-appendixB through ``entangled_stack``); prop2, whose instances vary in size,
-runs seed by seed.  The acceptance tests run the same trials over their own
-seed ranges.
+counterexample, or None where the instance is not a pure state.
+
+Every target draws its instances with a stacked seeded builder
+(``qcore.haar_random_rows``, ``states.thm2_rows``, ``_eq21_stack``,
+``prop2_instances``, ``mixed_marginal_densities``): per seed only
+``default_rng(seed)`` and its draws run, and the rest of the draw runs once
+per stack, each row bit for bit the instance of the one-seed draw.  The stack
+is validated once (``three_qubit_stack``, or ``check_densities`` inside
+``entangled_stack``) and checked in one call of the stacked kernels (thm2
+through ``lossless_classifiers``, appendixB through ``entangled_stack``,
+prop2 through ``unital_fixed_point_checks`` once per mixture size).  The
+witnesses are the validated rows, wrapped as ``PureState``s without a second
+validation.  The acceptance tests run the same trials over their own seed
+ranges.
 
 Package functions are called through their modules so that wrappers installed
 on those modules (``bench/tracing.py``) see the calls.
@@ -30,13 +38,16 @@ def effective_tol(target, tol):
     return max(tol, TOL_FLOORS[target]) if target in TOL_FLOORS else None
 
 
-def _haar_states(seeds, offset=0):
-    return [qcore.haar_random_pure((2, 2, 2), seed + offset) for seed in seeds]
+def _haar_stack(seeds, offset=0):
+    """The validated stack (N, 2, 2, 2) of the Haar states of the seeds, and
+    its rows as the trials' witnesses."""
+    t = qcore.three_qubit_stack(qcore.haar_random_rows(8, [seed + offset for seed in seeds]))
+    return t, qcore._unchecked_states(t)
 
 
 def _trial_thm1(seeds, tol):
-    psis = _haar_states(seeds)
-    th = assistance.theorem1_stack(psis)
+    t, psis = _haar_stack(seeds)
+    th = assistance.theorem1_stack(t)
     mincut = monotones.E2.eigenvalue_values(th.minima).min(axis=1)
     gap = np.abs(th.average - mincut)
     tol = effective_tol("thm1", tol)
@@ -47,11 +58,11 @@ def _trial_thm1(seeds, tol):
 
 
 def _trial_thm2(seeds, tol):
-    psis = [states.generate(states.FamilySpec(kind="thm2", seed=seed)) for seed in seeds]
-    c = assistance.lossless_classifiers(psis, "A|BC", effective_tol("thm2", tol))
+    t = qcore.three_qubit_stack(states.thm2_rows([states.FamilySpec(kind="thm2", seed=seed) for seed in seeds]))
+    c = assistance.lossless_classifiers(t, "A|BC", effective_tol("thm2", tol))
     return [
         (kind != "lossy", {"verdict": str(kind), "objective": float(obj)}, psi)
-        for kind, obj, psi in zip(c.kinds, c.objectives, psis)
+        for kind, obj, psi in zip(c.kinds, c.objectives, qcore._unchecked_states(t))
     ]
 
 
@@ -59,65 +70,101 @@ def prop2_instance(seed):
     """(H, probabilities, unitaries) of a random-unitary mixture; the first unitary is I.
 
     Even seeds rotate by unitaries diagonal in H's eigenbasis, so the mixture
-    commutes with H; odd seeds use Haar unitaries.
+    commutes with H; odd seeds use Haar unitaries.  The N = 1 call of
+    ``prop2_instances``.
     """
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 4))
-    probs = rng.uniform(0.1, 1.0, n)
-    probs /= probs.sum()
-    if seed % 2 == 0:
-        v = qcore.haar_random_unitary(2, seed)
-        h_evals = np.sort(rng.uniform(0.0, 1.0, 2))[::-1]
-        h = v @ np.diag(h_evals).astype(complex) @ v.conj().T
-        us = [np.eye(2, dtype=complex)] + [
-            v @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))) @ v.conj().T
-            for _ in range(n - 1)
-        ]
-    else:
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = 0.5 * (g + g.conj().T)
-        us = [np.eye(2, dtype=complex)] + [
-            qcore.haar_random_unitary(2, int(rng.integers(2**32))) for _ in range(n - 1)
-        ]
-    return h, probs, us
+    ((_, h, probs, us),) = prop2_instances([seed])
+    return h[0], probs[0], list(us[0])
+
+
+def prop2_instances(seeds) -> list:
+    """``prop2_instance`` for each seed, grouped by mixture size n: a list of
+    (rows, H (k, 2, 2), probabilities (k, n), unitaries (k, n, 2, 2)), where
+    rows index the seeds.
+
+    Per seed, only ``default_rng(seed)`` and its draws run: n, the
+    probabilities, then H's eigenvalues and the rotation phases (even seeds)
+    or H's Gaussian matrix and one seed per Haar unitary (odd seeds).  An even
+    seed's eigenbasis V is ``haar_random_unitary(2, seed)``.  The unitaries,
+    H, the rotations and the normalization run once over the stack, so every
+    instance equals its one-seed draw bit for bit.
+    """
+    seeds = list(seeds)
+    count = len(seeds)
+    sizes = np.empty(count, dtype=int)
+    probs = np.zeros((count, 3))
+    evals, angles = np.zeros((count, 2)), np.zeros((count, 2, 2))
+    g = np.zeros((count, 2, 2), dtype=complex)
+    haar = []  # (row, slot, seed) of the odd seeds' Haar unitaries
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        n = sizes[i] = rng.integers(2, 4)
+        probs[i, :n] = rng.uniform(0.1, 1.0, n)
+        if seed % 2 == 0:
+            evals[i] = rng.uniform(0.0, 1.0, 2)
+            angles[i, : n - 1] = rng.uniform(0, 2 * np.pi, (n - 1, 2))
+        else:
+            g[i] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            haar += [(i, j, int(rng.integers(2**32))) for j in range(1, n)]
+    h = np.empty((count, 2, 2), dtype=complex)
+    us = np.zeros((count, 3, 2, 2), dtype=complex)
+    us[:, 0] = np.eye(2)
+    parity = np.array(seeds) % 2
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
+    if even.size:
+        v = qcore.haar_random_unitaries(2, [seeds[i] for i in even])
+        vh = v.conj().swapaxes(-1, -2)
+        h_evals = np.sort(evals[even], axis=-1)[:, ::-1]
+        h[even] = v @ (h_evals[:, :, None] * np.eye(2)).astype(complex) @ vh
+        phases = np.zeros((even.size, 2, 2, 2), dtype=complex)
+        phases[..., 0, 0], phases[..., 1, 1] = np.exp(1j * angles[even]).transpose(2, 0, 1)
+        us[even, 1:] = v[:, None] @ phases @ vh[:, None]
+    h[odd] = 0.5 * (g[odd] + g[odd].conj().swapaxes(-1, -2))
+    if haar:
+        rows, slots, haar_seeds = zip(*haar)
+        us[list(rows), list(slots)] = qcore.haar_random_unitaries(2, haar_seeds)
+    groups = []
+    for n in (2, 3):
+        rows = np.flatnonzero(sizes == n)
+        if rows.size:
+            p = probs[rows, :n]
+            groups.append((rows, h[rows], p / p.sum(axis=1, keepdims=True), us[rows, :n]))
+    return groups
 
 
 def _trial_prop2(seeds, tol):
-    return [_prop2(seed) for seed in seeds]
-
-
-def _prop2(seed):
-    h, probs, us = prop2_instance(seed)
-    preserved, commutes = assistance.unital_fixed_point_check(h, probs, us)
-    ok = preserved == commutes
-    if ok and preserved:
+    out = [None] * len(seeds)
+    for rows, h, probs, us in prop2_instances(seeds):
+        preserved, commutes = assistance.unital_fixed_point_checks(h, probs, us)
         # Shared-eigenvector consistency: each rotated copy keeps H's principal
-        # eigenvector as an eigenvector.
-        _, evecs = np.linalg.eigh(h)
-        v = evecs[:, -1]
-        for u in us:
-            term = u @ h @ u.conj().T
-            resid = term @ v - (v.conj() @ term @ v) * v
-            if np.linalg.norm(resid) > 1e-9:
-                ok = False
-    return ok, {"preserved": preserved, "commutes": commutes}, None
+        # eigenvector v as an eigenvector.
+        v = np.linalg.eigh(h)[1][:, :, -1]
+        terms = us @ h[:, None] @ us.conj().swapaxes(-1, -2)
+        tv = np.einsum("knab,kb->kna", terms, v)
+        resid = tv - np.einsum("ka,kna->kn", v.conj(), tv)[..., None] * v[:, None]
+        consistent = np.all(np.linalg.norm(resid, axis=-1) <= 1e-9, axis=1)
+        ok = (preserved == commutes) & (consistent | ~preserved)
+        for row, ok_i, p_i, c_i in zip(rows, ok, preserved, commutes):
+            out[row] = (bool(ok_i), {"preserved": bool(p_i), "commutes": bool(c_i)}, None)
+    return out
 
 
-def _eq21_instance(seed):
-    rng = np.random.default_rng(seed)
-    spec = states.FamilySpec(
-        kind="eq21",
-        p=float(rng.uniform(0.1, 0.9)),
-        overlap=complex(rng.uniform(-0.95, 0.95)),
-    )
-    return states.generate(spec)
+def _eq21_stack(seeds):
+    """The validated stack of the Eq. 21 states of the seeds, p and the
+    overlap drawn from ``default_rng(seed)``, and its rows as witnesses."""
+    draws = np.empty((len(seeds), 2))
+    for row, seed in zip(draws, seeds):
+        rng = np.random.default_rng(seed)
+        row[:] = rng.uniform(0.1, 0.9), rng.uniform(-0.95, 0.95)
+    t = qcore.three_qubit_stack(states.eq21_rows(draws[:, 0], draws[:, 1]))
+    return t, qcore._unchecked_states(t)
 
 
 def _trial_corollary(seeds, tol):
-    syms = [_eq21_instance(seed) for seed in seeds]
+    t, syms = _eq21_stack(seeds)
     tol = effective_tol("corollary", tol)
-    reps = assistance.corollary_checks(syms, tol)
-    haar_reps = assistance.corollary_checks(_haar_states(seeds, 10**9), tol, check_swap=False)
+    reps = assistance.corollary_checks(t, tol)
+    haar_reps = assistance.corollary_checks(_haar_stack(seeds, 10**9)[0], tol, check_swap=False)
     out = []
     for sym, rep, rep2 in zip(syms, reps, haar_reps):
         symmetric = rep.i and rep.ii and rep.iii
@@ -130,28 +177,41 @@ def mixed_marginal_density(seed) -> qcore.DensityMatrix:
     """Random two-qubit density matrix of rank 2 + seed % 3 with both marginals mixed.
 
     Redraws with the seed bumped by 10^7 until both marginals' minimum
-    eigenvalues exceed 1e-6.
+    eigenvalues exceed 1e-6.  The N = 1 call of ``mixed_marginal_densities``.
     """
-    rank = 2 + seed % 3
-    bump = 0
-    while True:
-        rho = qcore.random_density_matrix(4, rank, seed + bump * 10**7)
-        if qcore.min_marginal_eigenvalue(rho.entries) > 1e-6:
-            return rho
-        bump += 1
+    return qcore.DensityMatrix.from_matrix(mixed_marginal_densities([seed])[0])
+
+
+def mixed_marginal_densities(seeds) -> np.ndarray:
+    """The entries (N, 4, 4) of ``mixed_marginal_density`` for each seed.
+
+    Every round draws the pending rows in one ``random_density_matrices``
+    call and tests their marginals in one stacked call; only the rows that
+    fail are redrawn, with the next bump.  Validation is the caller's.
+    """
+    seeds = list(seeds)
+    out = np.empty((len(seeds), 4, 4), dtype=complex)
+    pending, bump = list(range(len(seeds))), 0
+    while pending:
+        rho = qcore.random_density_matrices(
+            4, [2 + seeds[i] % 3 for i in pending], [seeds[i] + bump * 10**7 for i in pending]
+        )
+        mixed = qcore.min_marginal_eigenvalue(rho) > 1e-6
+        out[[i for i, ok in zip(pending, mixed) if ok]] = rho[mixed]
+        pending, bump = [i for i, ok in zip(pending, mixed) if not ok], bump + 1
+    return out
 
 
 def _trial_appendix_b(seeds, tol):
-    rhos = [mixed_marginal_density(seed) for seed in seeds]
-    ys = ensembles.entangled_stack(rhos)
-    entries = np.array([rho.entries for rho in rhos])
+    entries = mixed_marginal_densities(seeds)
+    ys = ensembles.entangled_stack(entries)
     weights = np.sum(ys.real**2 + ys.imag**2, axis=-1)
     element = weights >= 1e-14  # the elements an Ensemble keeps
     conc = np.min(ensembles._element_concurrences(ys), axis=1, where=element, initial=np.inf)
     recon = np.max(np.abs(np.einsum("nka,nkb->nab", ys, ys.conj()) - entries), axis=(1, 2))
     normalized = np.abs(np.sum(weights, axis=1, where=element) - 1.0) <= 1e-12
     purity = np.trace(entries @ entries, axis1=1, axis2=2).real
-    s0 = ensembles._s0_values(rhos, qcore.min_marginal_eigenvalue(entries), purity > 1.0 - 1e-10)
+    s0 = ensembles._s0_values(entries, qcore.min_marginal_eigenvalue(entries), purity > 1.0 - 1e-10)
     return [
         (bool(c > 0 and r <= 1e-10 and w_ok and v == 1.0), {"min_concurrence": float(c), "reconstruction": float(r)}, None)
         for c, r, w_ok, v in zip(conc, recon, normalized, s0)
@@ -159,11 +219,11 @@ def _trial_appendix_b(seeds, tol):
 
 
 def _trial_ckw(seeds, tol):
-    psis = _haar_states(seeds)
-    t = qcore.three_qubit_stack(psis)
-    tau = monotones.three_tangles(t)
-    _, c_ac, c_bc = monotones.pair_concurrences(t).T
-    c_a, c_b = monotones.cut_values(t, monotones.CONCURRENCE).T
+    t, psis = _haar_stack(seeds)
+    pairs = monotones.pair_concurrences(t)
+    cuts = monotones.cut_values(t, monotones.CONCURRENCE)
+    tau = monotones._tangles(pairs, cuts)
+    (_, c_ac, c_bc), (c_a, c_b) = pairs.T, cuts.T
     diff = np.abs((c_ac**2 - c_bc**2) - (c_a**2 - c_b**2))
     return [
         (bool(tau_i >= -1e-9 and d <= 1e-8), {"tau": float(tau_i), "difference_identity": float(d)}, psi)
@@ -172,9 +232,8 @@ def _trial_ckw(seeds, tol):
 
 
 def _trial_eq37(seeds, tol):
-    psis = _haar_states(seeds)
-    rhos = qcore.reduced_stack(qcore.three_qubit_stack(psis), (0, 1))
-    values, expected = assistance.eoa_densities(rhos)
+    t, psis = _haar_stack(seeds)
+    values, expected = assistance.eoa_densities(qcore.reduced_stack(t, (0, 1)))
     tol = effective_tol("eq37", tol)
     out = []
     for value, exp, psi in zip(values, expected, psis):

@@ -633,6 +633,35 @@ def test_analyze_builds_and_scores_theorem1_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["eoaNumeric"] == eoa_numeric(psi, ENTROPY_1, budget)[0]
 
 
+def test_analyze_classifies_from_the_theorem1_pass(monkeypatch):
+    from eoa3 import assistance
+
+    calls = dict.fromkeys(("_cut_minima", "_ab_purities"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(assistance, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(assistance, name, counted)
+    for k, family in enumerate(("haar", "w", "ghz", "product", "bell_c", "eq21", "thm2", "corollary")):
+        psi = generate(parse_family(family, k))
+        report = analyze(psi, ENTROPY_1, SearchBudget(random_starts=1, max_evals=200, seed=k))
+        # Theorem 1's pass takes the AB purities once; the classifier reuses
+        # them and the cut minima and factorizes nothing of its own.
+        assert calls == {"_cut_minima": 0, "_ab_purities": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        cut = "A|BC" if report.cut_a <= report.cut_b else "B|AC"
+        verdict = lossless_classifier(psi, cut, tol=1e-7)
+        assert report.lossless_verdict.kind == verdict.kind
+        assert report.lossless_verdict.objective == verdict.objective
+        got, want = report.lossless_verdict.certificate, verdict.certificate
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])
+        calls.update(dict.fromkeys(calls, 0))
+
+
 def _kron_pauli_data(psi, side):
     """(a, b, T) of rho^{XC} by the explicit traces tr(rho sigma_i (x) sigma_j)."""
     rho = reduced_density(psi, (0, 2) if side == "A" else (1, 2)).entries

@@ -1,4 +1,4 @@
-"""The stacked closed-form kernels against their one-state calls.
+"""The stacked closed-form kernels and seeded builders against their one-state calls.
 
 A stack row must not depend on the other rows: every row of a batch equals
 the N = 1 call on that state, whichever Theorem-1 branch each row takes
@@ -6,7 +6,9 @@ the N = 1 call on that state, whichever Theorem-1 branch each row takes
 or after both sides are antiparallel), including near-product rows whose
 Pauli data nearly cancel; whichever exit of the lossless classifier a row
 takes; and whether or not a density matrix of an all-entangled
-decomposition batch needs the product-elimination search.
+decomposition batch needs the product-elimination search.  Every row of a
+seeded builder equals its one-seed draw bit for bit, whatever rank, mixture
+size or redraw count its neighbours have.
 """
 
 import numpy as np
@@ -14,13 +16,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eoa3 import ensembles
-from eoa3.assistance import lossless_classifier, lossless_classifiers, theorem1_stack
+from eoa3 import assistance, ensembles, monotones, qcore, verify
+from eoa3.assistance import (
+    lossless_classifier,
+    lossless_classifiers,
+    theorem1_stack,
+    unital_fixed_point_check,
+    unital_fixed_point_checks,
+)
 from eoa3.ensembles import entangled_decomposition, entangled_stack
 from eoa3.monotones import E2
-from eoa3.qcore import DensityMatrix, PureState, haar_random_pure, random_density_matrix
-from eoa3.states import bell_times_c, generate, ghz_state, parse_family, product_state, w_state
-from eoa3.verify import TRIALS, mixed_marginal_density
+from eoa3.qcore import (
+    DensityMatrix,
+    PureState,
+    haar_random_pure,
+    haar_random_rows,
+    haar_random_unitaries,
+    haar_random_unitary,
+    random_density_matrices,
+    random_density_matrix,
+)
+from eoa3.states import (
+    FamilySpec,
+    bell_times_c,
+    eq21_rows,
+    generate,
+    ghz_state,
+    parse_family,
+    product_state,
+    thm2_rows,
+    w_state,
+)
+from eoa3.verify import TRIALS, mixed_marginal_densities, mixed_marginal_density, prop2_instance, prop2_instances
 
 _BASES = {
     "w": lambda seed: w_state(),
@@ -197,9 +224,126 @@ def _assert_trial_rows_match(batch, singles):
         ("ckw", range(60_000, 70_000)),
         ("thm2", range(1000)),
         ("appendixB", range(120_000, 121_000)),
+        ("prop2", range(2000)),
+        ("corollary", range(1000)),
     ],
 )
 def test_batch_trials_match_single_trials_on_acceptance_seeds(target, seeds):
-    # Criteria 1, 8, 4 and 9 and the CKW loop of criterion 7.
+    # Criteria 1, 8, 4, 9 and 6, the CKW loop of criterion 7, and the
+    # corollary target on criterion 7's sample size.
     singles = [TRIALS[target]([seed], 1e-7)[0] for seed in seeds]
     _assert_trial_rows_match(TRIALS[target](seeds, 1e-7), singles)
+
+
+def test_haar_builders_equal_their_single_draws():
+    seeds = [3, 0, 2**40 + 7, 120_000, 3]
+    for dims in ((2, 2, 2), (2, 2, 3), (2, 2)):
+        rows = haar_random_rows(int(np.prod(dims)), seeds)
+        for row, seed in zip(rows, seeds):
+            np.testing.assert_array_equal(row, haar_random_pure(dims, seed).amplitudes)
+    for dim in (2, 3, 4):
+        us = haar_random_unitaries(dim, seeds)
+        for u, seed in zip(us, seeds):
+            np.testing.assert_array_equal(u, haar_random_unitary(dim, seed))
+
+
+def test_wishart_builder_groups_every_rank():
+    for dim in (2, 4):
+        ranks = list(range(1, dim + 1)) * 2
+        seeds = [40 + 7 * k for k in range(len(ranks))]
+        batch = random_density_matrices(dim, ranks, seeds)
+        for m, rank, seed in zip(batch, ranks, seeds):
+            np.testing.assert_array_equal(m, random_density_matrix(dim, rank, seed).entries)
+    with pytest.raises(qcore.InputError):
+        random_density_matrices(4, [2, 5], [0, 1])
+
+
+def test_family_builders_take_only_missing_fields_from_the_seed():
+    specs = [
+        FamilySpec(kind="thm2", seed=11),
+        FamilySpec(kind="thm2", seed=12, lambda_min=0.3),
+        FamilySpec(kind="thm2", seed=13, weights=(0.25, 0.75), phases=(0.1, 2.0)),
+        FamilySpec(kind="thm2", seed=14, unitaries=(np.eye(2), haar_random_unitary(2, 5))),
+        FamilySpec(kind="thm2", seed=11),
+    ]
+    for row, spec in zip(thm2_rows(specs), specs):
+        np.testing.assert_array_equal(row, generate(spec).amplitudes)
+    p, overlaps = [0.3, 0.5, 0.9, 0.2], [0.4, -0.95, 0.3 + 0.4j, 1.0]
+    for row, pk, ok in zip(eq21_rows(p, overlaps), p, overlaps):
+        np.testing.assert_array_equal(row, generate(FamilySpec(kind="eq21", p=pk, overlap=ok)).amplitudes)
+
+
+def test_prop2_builder_groups_both_sizes_and_parities():
+    seeds = list(range(200, 216))
+    groups = prop2_instances(seeds)
+    assert [probs.shape[1] for _, _, probs, _ in groups] == [2, 3]
+    seen = set()
+    for rows, h, probs, us in groups:
+        for row, h_i, p_i, us_i in zip(rows, h, probs, us):
+            seed = seeds[row]
+            seen.add((len(p_i), seed % 2))
+            h1, p1, us1 = prop2_instance(seed)
+            np.testing.assert_array_equal(h_i, h1)
+            np.testing.assert_array_equal(p_i, p1)
+            np.testing.assert_array_equal(us_i, us1)
+        preserved, commutes = unital_fixed_point_checks(h, probs, us)
+        for h_i, p_i, us_i, pres, comm in zip(h, probs, us, preserved, commutes):
+            assert unital_fixed_point_check(h_i, p_i, list(us_i)) == (pres, comm)
+    assert seen == {(2, 0), (2, 1), (3, 0), (3, 1)}
+
+
+# With the marginal floor raised by 0.15 (as the patch below does), the first
+# draw of seed 120_022 (min marginal eigenvalue 0.098) fails and is redrawn.
+_REDRAWN_SEED = 120_022
+
+
+def test_mixed_marginal_builder_redraws_only_the_failing_rows(monkeypatch):
+    floor = qcore.min_marginal_eigenvalue
+    draws = []
+
+    def raised(entries):
+        draws.append(len(entries))
+        return floor(entries) - 0.15
+
+    monkeypatch.setattr(qcore, "min_marginal_eigenvalue", raised)
+    seeds = list(range(120_000, 120_060))
+    batch = mixed_marginal_densities(seeds)
+    # Every round redraws fewer rows than the one before.
+    assert draws[0] == len(seeds) and len(draws) > 1 and all(a > b for a, b in zip(draws, draws[1:]))
+    assert floor(random_density_matrix(4, 2 + _REDRAWN_SEED % 3, _REDRAWN_SEED).entries) < 0.15
+    draws.clear()
+    np.testing.assert_array_equal(mixed_marginal_density(_REDRAWN_SEED).entries, batch[seeds.index(_REDRAWN_SEED)])
+    assert len(draws) > 1
+    for seed, rho in zip(seeds, batch):
+        np.testing.assert_array_equal(rho, mixed_marginal_density(seed).entries)
+        assert floor(rho) > 0.15
+
+
+def _count_cut_factorizations(monkeypatch):
+    """Patch in counters of ``pair_concurrences`` calls and of the cut matrices
+    (2 x 4, A|BC or B|AC) that SVDs factorize."""
+    counts = {"pair_concurrences": 0, "cut_matrices": 0}
+    pair_concurrences, svd = monotones.pair_concurrences, np.linalg.svd
+
+    def counted_pairs(states):
+        counts["pair_concurrences"] += 1
+        return pair_concurrences(states)
+
+    def counted_svd(a, *args, **kwargs):
+        if a.shape[-2:] == (2, 4):
+            counts["cut_matrices"] += int(np.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    for module in (monotones, assistance):
+        monkeypatch.setattr(module, "pair_concurrences", counted_pairs)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return counts
+
+
+@pytest.mark.parametrize("target, stacks", [("ckw", 1), ("corollary", 2)])
+def test_trials_factorize_each_cut_once_per_stack(monkeypatch, target, stacks):
+    counts = _count_cut_factorizations(monkeypatch)
+    TRIALS[target](range(1_500_000, 1_500_020), 1e-7)
+    # Each stack of 20 states: one pair_concurrences call, and each state's
+    # A|BC and B|AC matrices factorized once.
+    assert counts == {"pair_concurrences": stacks, "cut_matrices": 2 * 20 * stacks}
