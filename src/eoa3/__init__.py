@@ -24,7 +24,6 @@ from .assistance import (
     eoa_densities,
     eoa_density,
     eoa_numeric,
-    eoc_lower_bound_search,
     lossless_classifier,
     lossless_classifiers,
     theorem1_measurement,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _takagi
-from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, _schmidt_minima, cut_entanglement, pair_concurrences
+from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, cut_entanglement, pair_concurrences
 from .qcore import (
     PAULI_BASIS,
     DensityMatrix,
@@ -430,6 +430,18 @@ def average_post_measurement(psi: PureState, meas: Measurement, m: MonotoneSpec)
     return float(_outcome_value_grad(u[None], m, grad=False)[0][0])
 
 
+def _measurement_isometry(meas: Measurement) -> np.ndarray:
+    """A POVM isometry (n_c, max(4, outcomes)) scoring what ``meas`` scores:
+    the nonzero columns of every E_x^dag, since sum_x E_x^dag E_x = I.  A
+    rank-1 element gives one column, a projector onto b one column along b
+    per nonzero entry of b, and the trivial measurement the computational
+    basis, all with the same branch states."""
+    cols = [c for e in meas.elements for c in e.conj() if np.any(c)]
+    w = np.zeros((meas.dim, max(4, len(cols))), dtype=complex)
+    w[:, : len(cols)] = np.array(cols).T
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Numeric EoA oracle
 
@@ -545,10 +557,10 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     bound of ``_dual_bound`` proves the first of them to become stationary
     optimal among all POVMs to within 1e-12; failing that, the bound is
     taken again at the best Newton end unless that is the basis already
-    bounded.  Only if no bound certifies do the Newton ends and the random
-    starts climb the ascent; otherwise the random starts are scored where
-    they start.  With a qubit Charlie the min-cut comes from the cut minima
-    of the Theorem-1 pass, not from factorizations of its own.
+    bounded.  Only if no bound certifies are the random starts drawn, and
+    they climb the ascent with the Newton ends; a certified solve draws
+    none.  With a qubit Charlie the min-cut comes from the cut minima of the
+    Theorem-1 pass, not from factorizations of its own.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
@@ -873,50 +885,45 @@ def _eoa_search(
 def _povm_search(psi_mat: np.ndarray, m: MonotoneSpec, budget: SearchBudget, informed, target: float):
     """The POVMs (K, n_c, 4) that the search of ``_eoa_search`` scores on
     psi_mat (4, n_c), and their values: each start, then its end, so the
-    first maximum is the first best POVM.  The starts are the bases of
-    informed and ``budget.random_starts`` random isometries; every climb
-    stops once a POVM scores ``target``.
+    first maximum is the first best POVM.  Every climb stops once a POVM
+    scores ``target``.
 
     With a qubit Charlie the informed bases climb the Bloch sphere by
     ``_bloch_newton``, which takes the weak-duality bound of
     ``_dual_bound``, over every POVM, at the first of them to become
     stationary, and stops there if it certifies.  Failing that, the bound
     is taken again at the best Newton end, unless that end is the basis
-    already bounded, whose bound would refuse again.  Only if no bound
-    certifies do the Newton ends and the random starts climb
-    ``_stiefel_ascent`` together; otherwise the random starts are scored
-    where they start.
-    With a larger Charlie all starts climb ``_stiefel_ascent`` together,
-    from the same draws.
+    already bounded, whose bound would refuse again.  A solve that reaches
+    ``target`` or is certified returns the Newton starts and ends alone;
+    otherwise the Newton ends and ``budget.random_starts`` random
+    isometries climb ``_stiefel_ascent`` together.
+    With a larger Charlie the informed bases and the random isometries, from
+    the same draws, climb ``_stiefel_ascent`` together.
     """
     n_c = psi_mat.shape[1]
-    # Each random start is the polar factor of a Gaussian (n_c, 4) block
-    # drawn as its real parts, then its imaginary parts.
-    draws = np.random.default_rng(budget.seed).standard_normal((budget.random_starts, 8 * n_c))
-    randoms = _polar((draws[:, : 4 * n_c] + 1j * draws[:, 4 * n_c :]).reshape(-1, n_c, 4))
 
     def climbed(w0):
+        # Each random start is the polar factor of a Gaussian (n_c, 4) block
+        # drawn as its real parts, then its imaginary parts.
+        draws = np.random.default_rng(budget.seed).standard_normal((budget.random_starts, 8 * n_c))
+        w0 = np.concatenate([w0, _polar((draws[:, : 4 * n_c] + 1j * draws[:, 4 * n_c :]).reshape(-1, n_c, 4))])
         ends = _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w0, budget.max_evals, _SEARCH_FATOL, target)
         return np.stack([w0, ends], axis=1).reshape(-1, n_c, 4)
 
     if n_c != 2:
-        candidates = climbed(np.concatenate([_isometries(informed, n_c), randoms]))
+        candidates = climbed(_isometries(informed, n_c))
         return candidates, _povm_value_grad(candidates, psi_mat, m)[0]
     starts = np.array(informed)
     ends, certified, bounded = _bloch_newton(psi_mat, m, starts, budget.max_evals, target)
     candidates = _isometries(np.stack([starts, ends], axis=1).reshape(-1, 2, 2), 2)
     values, grads = _povm_value_grad(candidates, psi_mat, m)
     best = int(np.argmax(values))
-    tail = randoms
-    if (
-        values[best] < target
-        and not certified
-        and (
-            (bounded is not None and np.array_equal(candidates[best, :, :2], bounded))
-            or _dual_bound(candidates[best], grads[best], psi_mat, m) > values[best] + _SEARCH_FATOL
-        )
-    ):
-        tail = climbed(np.concatenate([candidates[1::2], randoms]))
+    settled = values[best] >= target or certified
+    if not settled and (bounded is None or not np.array_equal(candidates[best, :, :2], bounded)):
+        settled = _dual_bound(candidates[best], grads[best], psi_mat, m) <= values[best] + _SEARCH_FATOL
+    if settled:
+        return candidates, values
+    tail = climbed(candidates[1::2])
     return np.concatenate([candidates, tail]), np.concatenate([values, _povm_value_grad(tail, psi_mat, m)[0]])
 
 
@@ -1154,7 +1161,6 @@ class CorollaryReport:
     i: bool
     ii: bool | None
     iii: bool
-    applicable: bool
     swap_infidelity: float | None
 
 
@@ -1169,126 +1175,29 @@ def corollary_checks(states, tol: float, check_swap: bool = True, seed: int = 0)
     """``corollary_check`` for each of a sequence of three-qubit states (or
     their (N, 8) amplitude rows): (i) equal E2 across A|BC and B|AC, (ii) a
     local-unitary SWAP symmetry, searched state by state, (iii) equal AC and
-    BC concurrences; ``applicable`` when both conditional Bloch vectors of the
-    side-A commuting basis are longer than ``tol``."""
+    BC concurrences, each within ``tol``."""
     t = three_qubit_stack(states)
-    side_a = _commuting_stack(t)
-    # The side-A SVD gives the A|BC minimum; only B|AC takes one of its own.
-    cut_a, cut_b = E2.eigenvalue_values(np.stack([side_a.minimum, _schmidt_minima(t.transpose(0, 2, 1, 3))]))
-    _, c_ac, c_bc = pair_concurrences(t).T
-    applicable = np.all(np.linalg.norm(side_a.bloch_vectors, axis=-1) > tol, axis=-1)
+    cuts, pairs = _corollary_values(t)
     psis = _unchecked_states(t) if check_swap else []
     reports = []
     for row in range(len(t)):
         infid = swap_infidelity(psis[row], seed=seed) if check_swap else None
         reports.append(
             CorollaryReport(
-                i=bool(abs(cut_a[row] - cut_b[row]) <= tol),
+                i=bool(abs(cuts[row, 0] - cuts[row, 1]) <= tol),
                 ii=None if infid is None else infid <= tol,
-                iii=bool(abs(c_ac[row] - c_bc[row]) <= tol),
-                applicable=bool(applicable[row]),
+                iii=bool(abs(pairs[row, 0] - pairs[row, 1]) <= tol),
                 swap_infidelity=infid,
             )
         )
     return reports
 
 
-# ---------------------------------------------------------------------------
-# Restricted two-round collaboration search
-
-
-def _collaboration_value_grad(z: np.ndarray, t: np.ndarray, m: MonotoneSpec):
-    """Average post-measurement entanglement of each two-round protocol in the
-    stack z (K, 2 + 2 n_c, 12) on the state t (2, 2, n_c), and its Euclidean
-    gradient (K, 2 + 2 n_c, 12), dF = Re tr(G^dag dZ).
-
-    Each z is block-diagonal: the 2 x 4 block [M0^dag, M1^dag] of the Kraus
-    pair on the first qubit (an isometry iff M0^dag M0 + M1^dag M1 = I), then
-    the (n_c, 4) POVM Charlie measures after outcome 0, then the one after
-    outcome 1.  Outcome k leaves the unnormalized state psi_k = (M_k x I x I)
-    psi, whose norm weights its branch, so the value is the sum over k of
-    ``_povm_value_grad`` at psi_k.  With g the gradient with respect to
-    u = conj(psi_k) w_k, dF/dpsi_k = conj(g) w_k^T; as a (qubit, rest) matrix
-    it pulls back to dF/dM_k = (dF/dpsi_k) psi^dag, and the Kraus block takes
-    its adjoint.
-    """
-    n_c = t.shape[2]
-    t_mat = t.reshape(2, 2 * n_c)
-    # [M0; M1] = [M0^dag, M1^dag]^dag, indexed [s, k, a, i].
-    kraus = z[:, :2, :4].conj().swapaxes(-1, -2).reshape(len(z), 2, 2, 2)
-    psi_k = (kraus @ t_mat).reshape(len(z), 2, 4, n_c)
-    total = np.zeros(len(z))
-    grad = np.zeros_like(z)
-    for k in range(2):
-        rows = slice(2 + k * n_c, 2 + (k + 1) * n_c)
-        w = z[:, rows, 4 + 4 * k : 8 + 4 * k]
-        value, g = _outcome_value_grad(psi_k[:, k].conj() @ w, m)
-        total += value
-        grad[:, rows, 4 + 4 * k : 8 + 4 * k] = psi_k[:, k].swapaxes(-1, -2) @ g
-        d_psi = (g.conj() @ w.swapaxes(-1, -2)).reshape(len(z), 2, 2 * n_c)
-        grad[:, :2, 2 * k : 2 * k + 2] = t_mat @ d_psi.conj().swapaxes(-1, -2)
-    return total, grad
-
-
-def _measurement_isometry(meas: Measurement) -> np.ndarray:
-    """A POVM isometry (n_c, max(4, outcomes)) scoring what ``meas`` scores:
-    the nonzero columns of every E_x^dag, since sum_x E_x^dag E_x = I.  A
-    rank-1 element gives one column, a projector onto b one column along b
-    per nonzero entry of b, and the trivial measurement the computational
-    basis, all with the same branch states."""
-    cols = [c for e in meas.elements for c in e.conj() if np.any(c)]
-    w = np.zeros((meas.dim, max(4, len(cols))), dtype=complex)
-    w[:, : len(cols)] = np.array(cols).T
-    return w
-
-
-def eoc_lower_bound_search(
-    psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None
-) -> float:
-    """Two-round LOCC lower bound on the entanglement of collaboration (Gour,
-    PRA 2006).
-
-    Alice or Bob applies a two-outcome measurement and broadcasts the
-    outcome; Charlie then measures a rank-1 POVM chosen per outcome.  The
-    plain assistance search at the inner budget (1 random start, 200
-    evaluations) is the trivial first round.  Failing the min-cut, one
-    ``_stiefel_ascent`` per measuring party climbs whole protocols
-    (``_collaboration_value_grad``) from ``budget.random_starts`` random ones,
-    and Alice's also from the trivial round followed by the plain search's
-    measurement; ``budget.max_evals`` evaluations each.  Starts and end
-    points count, the plain value wins ties, so the result is never below it.
-    All three parties act by LOCC across both cuts, so the min-cut bound
-    holds here too, and the search stops once it is reached within 1e-12.
-    """
-    budget = budget or SearchBudget(random_starts=2, max_evals=300)
-    inner = SearchBudget(random_starts=1, max_evals=200, seed=budget.seed)
-    target = _min_cut(psi, m) - _SEARCH_FATOL
-    best, meas = eoa_numeric(psi, m, inner)
-    if best >= target:
-        return float(best)
-    t = psi.tensor_view()
-    n_c = t.shape[2]
-    rng = np.random.default_rng(budget.seed)
-    plain = _measurement_isometry(meas)
-    for party in (0, 1):
-        # Real, then imaginary parts of each random start's three blocks.
-        draws = rng.standard_normal((2, budget.random_starts, 2 + 2 * n_c, 4))
-        kraus = _polar(draws[0, :, :2] + 1j * draws[1, :, :2])
-        povms = _polar((draws[0, :, 2:] + 1j * draws[1, :, 2:]).reshape(-1, n_c, 4)).reshape(-1, 2, n_c, 4)
-        if party == 0:
-            kraus = np.concatenate([np.eye(2, 4)[None], kraus])
-            povms = np.concatenate([np.stack([plain, plain])[None], povms])
-        z0 = _block_diagonal([kraus, povms[:, 0], povms[:, 1]])
-        t_party = t if party == 0 else t.transpose(1, 0, 2)
-
-        def fun(z):
-            return _collaboration_value_grad(z, t_party, m)
-
-        z_end = _stiefel_ascent(fun, z0, budget.max_evals, _SEARCH_FATOL, target)
-        best = float(fun(np.concatenate([z0, z_end]))[0].max(initial=best))
-        if best >= target:
-            break
-    return float(best)
+def _corollary_values(t: np.ndarray):
+    """The E2 cuts across A|BC and B|AC (N, 2) and the AC and BC concurrences
+    (N, 2) of each state in the validated stack t: one factorization per cut
+    and one ``pair_concurrences`` call."""
+    return E2.eigenvalue_values(_cut_minima(t)), pair_concurrences(t)[:, 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,8 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise InputError("trials must be >= 1")
-    if args.tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0.0 < args.tol < np.inf:
+        raise InputError(f"tol must be positive and finite, got {args.tol}")
     seeds = range(args.seed, args.seed + args.trials)
     rows = []
     failures = 0
@@ -156,6 +156,8 @@ def cmd_decompose(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"seed must be >= 0, got {args.seed}")
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "verify":

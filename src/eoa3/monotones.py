@@ -105,10 +105,18 @@ class MonotoneSpec:
         if text in ("concurrence", "gconc"):
             return MonotoneSpec("concurrence")
         if text.startswith("ek:"):
-            return MonotoneSpec("kyfan", k=int(text[3:]))
+            return MonotoneSpec("kyfan", k=_parameter(int, text))
         if text.startswith("entropy:"):
-            return MonotoneSpec("entropy", alpha=float(text[8:]))
+            return MonotoneSpec("entropy", alpha=_parameter(float, text))
         raise InputError(f"unknown monotone string {text!r}")
+
+
+def _parameter(convert, text: str):
+    """``convert`` of the number after the colon of a monotone string."""
+    try:
+        return convert(text.partition(":")[2])
+    except ValueError:
+        raise InputError(f"malformed number in monotone string {text!r}") from None
 
 
 E2 = MonotoneSpec("e2")
@@ -216,14 +224,9 @@ def pure_cut_concurrence(psi: PureState, cut: str) -> float:
 
 def _cut_minima(t: np.ndarray) -> np.ndarray:
     """Smallest squared Schmidt coefficients across A|BC and B|AC of each state
-    in the stack t (N, 2, 2, 2), as (N, 2)."""
-    return _schmidt_minima(np.stack([t, t.transpose(0, 2, 1, 3)], axis=1))
-
-
-def _schmidt_minima(t: np.ndarray) -> np.ndarray:
-    """Smallest squared Schmidt coefficient across A|BC of each state in the
-    stack t (..., 2, 2, 2); ``schmidt_decompose``'s SVD."""
-    return np.linalg.svd(t.reshape(t.shape[:-3] + (2, 4)), full_matrices=False)[1][..., -1] ** 2
+    in the stack t (N, 2, 2, 2), as (N, 2); ``schmidt_decompose``'s SVD."""
+    cuts = np.stack([t, t.transpose(0, 2, 1, 3)], axis=1).reshape(-1, 2, 2, 4)
+    return np.linalg.svd(cuts, full_matrices=False)[1][..., -1] ** 2
 
 
 def cut_values(states, m: MonotoneSpec) -> np.ndarray:

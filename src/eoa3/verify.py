@@ -161,15 +161,25 @@ def _eq21_stack(seeds):
 
 
 def _trial_corollary(seeds, tol):
+    """Each seed's Eq. 21 state must pass (i)-(iii) of ``corollary_checks``,
+    and its Haar state (seed + 10^9) (i) iff (iii).  On a pure state
+    (C_AC - C_BC)(C_AC + C_BC) = (E2_A - E2_B)(2 - E2_A - E2_B), so the Haar
+    side decides (iii) at the scale of (i), on the E2 gap its concurrence
+    gap implies: compared directly, an E2 gap just below tol can come with
+    a concurrence gap several times above it.  The witness is the Eq. 21
+    state where that fails, else the Haar state."""
     t, syms = _eq21_stack(seeds)
     tol = effective_tol("corollary", tol)
     reps = assistance.corollary_checks(t, tol)
-    haar_reps = assistance.corollary_checks(_haar_stack(seeds, 10**9)[0], tol, check_swap=False)
+    haar, psis = _haar_stack(seeds, 10**9)
+    cuts, pairs = assistance._corollary_values(haar)
+    haar_i = np.abs(cuts[:, 0] - cuts[:, 1]) <= tol
+    haar_iii = np.abs(pairs[:, 0] - pairs[:, 1]) * pairs.sum(axis=1) <= tol * (2.0 - cuts.sum(axis=1))
     out = []
-    for sym, rep, rep2 in zip(syms, reps, haar_reps):
+    for sym, rep, psi, i, iii in zip(syms, reps, psis, haar_i, haar_iii):
         symmetric = rep.i and rep.ii and rep.iii
-        ok = symmetric and (rep2.i == rep2.iii)
-        out.append((ok, {"symmetric_all": symmetric, "haar_i": rep2.i, "haar_iii": rep2.iii}, sym))
+        row = {"symmetric_all": symmetric, "haar_i": bool(i), "haar_iii": bool(iii)}
+        out.append((bool(symmetric and i == iii), row, psi if symmetric else sym))
     return out
 
 

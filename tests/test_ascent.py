@@ -18,7 +18,6 @@ from eoa3.assistance import (
     SearchBudget,
     _basis_values,
     _chart_derivatives,
-    _collaboration_value_grad,
     _eoa_search,
     _informed_starts,
     _isometries,
@@ -99,19 +98,6 @@ def _assert_gradient_matches_central_differences(fun, z, rng):
         numeric = (fun(_polar(z + h * d))[0] - fun(_polar(z - h * d))[0]) / (2 * h)
         scale = np.sqrt(_inner(grad, grad) * _inner(d, d))
         assert np.all(np.abs(numeric - _inner(grad, d)) <= 1e-6 * scale)
-
-
-@pytest.mark.parametrize("n_c", [2, 3])
-@pytest.mark.parametrize("kind", GRADIENT_KINDS)
-def test_collaboration_gradient_matches_central_differences(kind, n_c):
-    # The two-round protocol: the Kraus block [M0^dag, M1^dag], then one POVM
-    # per outcome; its gradient runs through psi_k = (M_k x I x I) psi.
-    rng = np.random.default_rng(n_c)
-    m = MonotoneSpec.parse(kind)
-    for seed in range(3):
-        t = haar_random_pure((2, 2, n_c), seed).tensor_view()
-        z = _random_blocks(rng, [(2, 4), (n_c, 4), (n_c, 4)])
-        _assert_gradient_matches_central_differences(lambda x: _collaboration_value_grad(x, t, m), z, rng)
 
 
 def test_swap_fidelity_gradient_matches_central_differences():
@@ -357,6 +343,27 @@ def test_random_starts_climb_when_the_dual_bound_does_not_fire(monkeypatch):
         np.testing.assert_array_equal(ends, joint)
         scored = np.concatenate([starts, climbed, joint])
         assert val == _povm_value_grad(scored, psi_mat, ENTROPY_1)[0].max()
+
+
+def test_certified_solve_draws_no_random_starts(monkeypatch):
+    # A lossy Haar solve that the dual bound certifies at its first
+    # stationary Newton basis returns the Newton candidates alone: the random
+    # starts are neither drawn nor polar-factored.
+    psi = haar_random_pure((2, 2, 2), 5)
+    certified, polars = [], []
+    newton, polar = assistance._bloch_newton, assistance._polar
+
+    def recorded_newton(*args):
+        out = newton(*args)
+        certified.append(out[1])
+        return out
+
+    monkeypatch.setattr(assistance, "_bloch_newton", recorded_newton)
+    monkeypatch.setattr(assistance, "_polar", lambda b: polars.append(b) or polar(b))
+    val, _ = eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
+    assert val < _min_cut(psi, ENTROPY_1) - 1e-3
+    assert certified == [True]
+    assert polars == []
 
 
 @pytest.mark.parametrize("n_c", [2, 3, 4])

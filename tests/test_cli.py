@@ -135,6 +135,56 @@ def test_analyze_negative_budget_exit_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--family", "haar", "--seed", "-1"),
+        ("verify", "thm1", "--seed", "-5"),
+        ("analyze", "--family", "w", "--monotone", "ek:x"),
+        ("analyze", "--family", "w", "--monotone", "entropy:abc"),
+        ("verify", "thm1", "--tol", "0"),
+        ("verify", "thm1", "--tol", "nan"),
+        ("verify", "thm1", "--tol", "inf"),
+        ("analyze", "--family", "w", "--state", "{path}"),
+        ("analyze", "--state", "{path}"),
+        ("decompose", "--mode", "hjw", "--rho", "{path}"),
+    ],
+)
+def test_malformed_arguments_exit_2(capsys, tmp_path, argv):
+    # Negative seeds, malformed monotone numbers, a tolerance that is not
+    # positive and finite, both state sources at once and unreadable files
+    # are input errors, not tracebacks or false counterexamples.
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, *(arg.replace("{path}", missing) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_analyze_csv_matches_the_json_report(capsys):
+    _, out, _ = run(capsys, "analyze", "--family", "haar", "--seed", "4", "--monotone", "entropy:1")
+    payload = json.loads(out)
+    code, out, _ = run(capsys, "analyze", "--family", "haar", "--seed", "4", "--monotone", "entropy:1", "--format", "csv")
+    assert code == 0
+    keys = ("cutA", "cutB", "eoaConstructive", "eoaNumeric", "monotone", "verdict")
+    assert out == ",".join(keys) + "\n" + ",".join(str(payload[k]) for k in keys) + "\n"
+
+
+def test_decompose_hjw_defaults_to_the_computational_basis(capsys, tmp_path):
+    # GHZ's AB reduction purified by a qubit and measured in z: |00> and |11>,
+    # each with weight 1/2 and no entanglement.
+    rho_path = tmp_path / "rho.json"
+    rho_path.write_text(density_to_json(reduced_density(ghz_state(), (0, 1))))
+    code, out, err = run(capsys, "decompose", "--mode", "hjw", "--rho", str(rho_path))
+    assert code == 0
+    kets = [np.abs(np.array(e["state"]["amplitudes"])[:, 0]) for e in json.loads(out)["elements"]]
+    assert sorted(int(np.argmax(k)) for k in kets) == [0, 3]
+    assert err.splitlines() == [
+        "element 0: weight 0.500000000000 concurrence 0.000000000000",
+        "element 1: weight 0.500000000000 concurrence 0.000000000000",
+    ]
+
+
 @pytest.mark.parametrize("monotone, seed", [("ek:2", "2500024"), ("e2", "3500080")])
 def test_analyze_numeric_not_below_constructive(capsys, monotone, seed):
     code, out, _ = run(

@@ -347,3 +347,13 @@ def test_trials_factorize_each_cut_once_per_stack(monkeypatch, target, stacks):
     # Each stack of 20 states: one pair_concurrences call, and each state's
     # A|BC and B|AC matrices factorized once.
     assert counts == {"pair_concurrences": stacks, "cut_matrices": 2 * 20 * stacks}
+
+
+def test_corollary_trial_builds_no_commuting_basis(monkeypatch):
+    # The trial reads cuts and pair concurrences only; neither of its stacks
+    # needs a Charlie basis.
+    calls = []
+    commuting_stack = assistance._commuting_stack
+    monkeypatch.setattr(assistance, "_commuting_stack", lambda t: calls.append(len(t)) or commuting_stack(t))
+    TRIALS["corollary"](range(1_500_000, 1_500_020), 1e-7)
+    assert calls == []
