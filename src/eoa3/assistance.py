@@ -35,10 +35,11 @@ from .qcore import (
     PureState,
     _GRAD_TOL,
     _block_diagonal,
+    _complex_pairs,
+    _density_factors,
     _polar,
     _stiefel_ascent,
     _unchecked_states,
-    check_densities,
     min_marginal_eigenvalue,
     pauli_coefficients,
     reduced_stack,
@@ -575,17 +576,6 @@ def _min_cut(psi: PureState, m: MonotoneSpec) -> float:
     return min(cut_entanglement(psi, "A|BC", m), cut_entanglement(psi, "B|AC", m))
 
 
-def _assistance_tau(psi: PureState) -> np.ndarray:
-    """tau = V^T (sy x sy) V for V the (AB, C) amplitude matrix of a 2x2x2 state.
-
-    Its singular values are the Wootters lambdas of rho_AB = V V^dag, so its
-    trace norm is the concurrence of assistance C_a (Laustsen, Verstraete &
-    van Enk, QIC 2003).  Taken from psi, it needs none of the eigenvalues
-    of rho_AB that ``wootters_lambdas`` factors rho_AB by.
-    """
-    return _pair_taus(psi.tensor_view()[None])[0, 0]
-
-
 def _takagi_basis(tau: np.ndarray) -> np.ndarray:
     """Charlie basis reaching C_a = ||tau||_1: the columns of C H, where
     tau = C S C^T (Takagi) and H is the Hadamard.  Outcome k leaves AB with
@@ -860,7 +850,9 @@ def _eoa_search(
     """
     certificates = list(certificates)
     if m.kind == "concurrence" and psi.dims[2] == 2:
-        tau = _assistance_tau(psi)
+        # The AB form of psi: its trace norm is the concurrence of assistance
+        # C_a (Laustsen, Verstraete & van Enk, QIC 2003).
+        tau = _pair_taus(psi.tensor_view()[None])[0, 0]
         bound = min(bound, float(np.linalg.svd(tau, compute_uv=False).sum()))
         try:
             certificates.append(_takagi_basis(tau))
@@ -1212,14 +1204,14 @@ def purify_with_qubit(rho: DensityMatrix) -> PureState:
 
 
 def _purifications(rho: np.ndarray) -> np.ndarray:
-    """``purify_with_qubit`` for a validated stack (N, 4, 4) of rank-<=2
-    two-qubit density matrices: the (N, 8) amplitude rows
-    sum_c sqrt(lam_c) |v_c>|c> over the two leading eigenpairs."""
-    evals, evecs = np.linalg.eigh(rho)
-    evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
-    if np.any(evals[:, 2] > 1e-9):
+    """``purify_with_qubit`` for a stack (N, 4, 4) of rank-<=2 two-qubit
+    density matrices, checked as ``DensityMatrix`` checks one: the (N, 8)
+    amplitude rows sum_c sqrt(lam_c) |v_c>|c> over the two leading columns of
+    the ``_density_factors`` factor."""
+    v = _density_factors(rho)
+    if np.any((np.abs(v[:, :, 2]) ** 2).sum(axis=1) > 1e-9):
         raise InputError("density matrix has rank greater than 2")
-    amps = (np.sqrt(np.maximum(evals[:, None, :2], 0.0)) * evecs[:, :, :2]).reshape(len(rho), 8)
+    amps = v[:, :, :2].reshape(len(rho), 8)
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
@@ -1231,7 +1223,7 @@ def eoa_densities(rhos) -> tuple:
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
         raise InputError(f"expected a stack of 4x4 density matrices, got shape {rhos.shape}")
-    th = theorem1_stack(_purifications(check_densities(rhos)))
+    th = theorem1_stack(_purifications(rhos))
     return th.average, 2.0 * min_marginal_eigenvalue(rhos)
 
 
@@ -1275,10 +1267,7 @@ class AssistanceReport:
             "eoaNumeric": self.eoa_numeric,
             "monotone": self.monotone.label(),
             "verdict": self.lossless_verdict.kind,
-            "measurement": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in elem]
-                for elem in self.measurement.elements
-            ],
+            "measurement": [_complex_pairs(elem) for elem in self.measurement.elements],
             "certificate": {
                 k: v
                 for k, v in self.lossless_verdict.certificate.items()

@@ -19,7 +19,7 @@ import numpy as np
 from . import assistance, ensembles, monotones, states, verify
 from .assistance import Measurement, SearchBudget
 from .monotones import MonotoneSpec
-from .qcore import InputError, PureState, density_from_json, state_from_json, state_to_json
+from .qcore import InputError, PureState, _state_payload, density_from_json, state_from_json
 
 VERIFY_TARGETS = tuple(verify.TRIALS)
 
@@ -109,7 +109,7 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
             if first_counterexample is None and witness is not None:
-                first_counterexample = json.loads(state_to_json(witness))
+                first_counterexample = _state_payload(witness)
     summary = {
         "target": args.target,
         "trials": args.trials,

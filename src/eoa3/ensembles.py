@@ -18,19 +18,24 @@ linearly under ensemble-mixing unitaries.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .monotones import wootters_concurrence
+from .monotones import MonotoneSpec, _preconcurrence_forms
 from .qcore import (
     SIGMA_YY,
     DensityMatrix,
     InputError,
     PureState,
+    _complex_pairs,
+    _density_factors,
+    _from_complex_pairs,
     _polar,
+    _state_parts,
+    _state_payload,
     _stiefel_ascent,
-    check_densities,
     min_marginal_eigenvalue,
 )
 
@@ -71,10 +76,6 @@ def _subnormalized(elements, target: DensityMatrix | None = None) -> Ensemble:
     return Ensemble(target=target, elements=tuple(kept))
 
 
-def _preconcurrence(y: np.ndarray) -> complex:
-    return y @ SIGMA_YY @ y
-
-
 def _element_concurrences(ys: np.ndarray) -> np.ndarray:
     """Concurrence |y^T (sy x sy) y| / |y|^2 of the normalized element of each
     subnormalized vector of the stack ys (..., 4); 0 where |y|^2 < 1e-14."""
@@ -83,44 +84,22 @@ def _element_concurrences(ys: np.ndarray) -> np.ndarray:
     return np.where(w < 1e-14, 0.0, pre / np.where(w < 1e-14, 1.0, w))
 
 
-def _element_concurrence(y: np.ndarray) -> float:
-    return float(_element_concurrences(y))
-
-
-def _support_stack(rhos: np.ndarray):
-    """Subnormalized eigenvectors sqrt(lam_k) v_k of each matrix of the stack
-    rhos (N, 4, 4), descending weight, as rows (N, 4, 4), and the mask (N, 4)
-    of the eigenvalues above 1e-12 (a prefix of each row); masked-out rows
-    are zero."""
-    evals, evecs = np.linalg.eigh(rhos)
-    evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
-    support = evals > 1e-12
-    weights = np.sqrt(np.where(support, evals, 0.0))
-    return weights[:, :, None] * evecs.swapaxes(-1, -2), support
-
-
-def _support_vectors(rho: DensityMatrix):
-    """Subnormalized eigenvectors spanning the support, descending weight."""
-    ys, support = _support_stack(rho.entries[None])
-    return list(ys[0, support[0]])
-
-
 # ---------------------------------------------------------------------------
 # Purification-measurement ensembles
 
 
 def purification(rho: DensityMatrix, purifier_dim: int) -> np.ndarray:
-    """4 x d amplitude matrix of the canonical purification against |c> kets."""
-    evals, evecs = np.linalg.eigh(rho.entries)
-    evals, evecs = np.clip(evals[::-1], 0.0, None), evecs[:, ::-1]
-    rank = int(np.sum(evals > 1e-12))
+    """dim x d amplitude matrix of the canonical purification against |c> kets:
+    the ``_density_factors`` factor of rho, whose columns past the rank are 0,
+    cut or padded with zero columns to d."""
+    v = _density_factors(rho.entries[None])[0]
+    rank = int(v.any(axis=0).sum())
     if purifier_dim < rank:
         raise InputError(
             f"purifier dimension {purifier_dim} is below the state rank {rank}"
         )
     psi = np.zeros((rho.dim, purifier_dim), dtype=complex)
-    for c in range(min(purifier_dim, rho.dim)):
-        psi[:, c] = np.sqrt(evals[c]) * evecs[:, c]
+    psi[:, :rank] = v[:, :rank]
     return psi
 
 
@@ -190,10 +169,10 @@ def _takagi(tau: np.ndarray):
 
 def _preconcurrence_diagonal_vectors(rho: DensityMatrix):
     """Subnormalized vectors x_k with x_j^T (sy x sy) x_k = s_k delta_jk."""
-    vmat = np.column_stack(_support_vectors(rho))
-    tau = vmat.T @ SIGMA_YY @ vmat
-    cols, values = _takagi(tau)
-    xs = [vmat @ cols[:, k].conj() for k in range(cols.shape[1])]
+    v = purification(rho, 4)
+    v = v[:, : int(v.any(axis=0).sum())]
+    cols, values = _takagi(_preconcurrence_forms(v))
+    xs = [v @ cols[:, k].conj() for k in range(cols.shape[1])]
     return xs, values
 
 
@@ -226,7 +205,7 @@ def _equalize_ratios(ys, target):
     unlocked = list(range(len(ys)))
     while len(unlocked) > 1:
         ratios = {
-            j: float(np.real(_preconcurrence(ys[j]))) / float(np.real(np.vdot(ys[j], ys[j])))
+            j: float(np.real(ys[j] @ SIGMA_YY @ ys[j])) / float(np.real(np.vdot(ys[j], ys[j])))
             for j in unlocked
         }
         a = max(unlocked, key=lambda j: ratios[j])
@@ -336,7 +315,7 @@ def entangled_stack(rhos) -> np.ndarray:
     which are checked as ``DensityMatrix`` checks one, as rows (N, 4, 4): row
     k of entry n is sqrt(w_k) |phi_k>, and the rows past the rank are zero.
 
-    The elements start as the weighted eigenvectors of one stacked ``eigh``;
+    The elements start as the columns of one ``_density_factors`` factor;
     only the matrices with a product element among them (concurrence <= 1e-6)
     go through the mixing search.  Raises ``InputError`` unless every matrix
     has both marginals mixed.
@@ -344,18 +323,17 @@ def entangled_stack(rhos) -> np.ndarray:
     if isinstance(rhos, np.ndarray):
         if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
             raise InputError("expected a two-qubit density matrix")
-        entries = check_densities(np.asarray(rhos, dtype=complex))
+        entries = np.asarray(rhos, dtype=complex)
     else:
         if any(rho.dim != 4 for rho in rhos):
             raise InputError("expected a two-qubit density matrix")
         entries = np.array([rho.entries for rho in rhos])
+    ys = np.ascontiguousarray(_density_factors(entries).swapaxes(-1, -2))
     if np.any(min_marginal_eigenvalue(entries) <= 1e-9):
         raise InputError(
             "a reduced state is pure; no fully entangled decomposition exists"
         )
-    ys, support = _support_stack(entries)
-    if np.any(support.sum(axis=1) < 2):
-        raise InputError("expected rank >= 2 with both marginals mixed")
+    support = ys.any(axis=-1)
     products = support & (_element_concurrences(ys) <= 1e-6)
     for n in np.flatnonzero(products.any(axis=1)):
         rank = int(support[n].sum())
@@ -366,32 +344,26 @@ def entangled_stack(rhos) -> np.ndarray:
 def _eliminate_products(ys: list) -> list:
     """Mix the product elements of ys away, one at a time, in place."""
     for _ in range(len(ys) + 2):
-        product_idx = [j for j, y in enumerate(ys) if _element_concurrence(y) <= 1e-6]
-        if not product_idx:
+        product_idx = np.flatnonzero(_element_concurrences(np.array(ys)) <= 1e-6)
+        if not product_idx.size:
             return ys
-        j = product_idx[0]
-        if not _eliminate_product(ys, j):
+        if not _eliminate_product(ys, int(product_idx[0])):
             raise ArithmeticError("no mixing partner eliminated the product element")
     raise ArithmeticError("product elimination did not terminate")
 
 
 def _eliminate_product(ys, j) -> bool:
     """Mix element j with some partner so both mixtures become entangled."""
-    partners = sorted(
-        (k for k in range(len(ys)) if k != j),
-        key=lambda k: -_element_concurrence(ys[k]),
-    )
+    conc = _element_concurrences(np.array(ys))
+    partners = sorted((k for k in range(len(ys)) if k != j), key=lambda k: -conc[k])
     for k in partners:
-        if _element_concurrence(ys[k]) <= 1e-6 and _same_product_ray(ys[j], ys[k]):
+        if conc[k] <= 1e-6 and _same_product_ray(ys[j], ys[k]):
             continue
         for theta, phi in _MIX_SAMPLES:
             c, s = np.cos(theta), np.sin(theta)
             new_j = c * ys[j] + s * np.exp(1j * phi) * ys[k]
             new_k = -s * np.exp(-1j * phi) * ys[j] + c * ys[k]
-            if (
-                _element_concurrence(new_j) > 1e-6
-                and _element_concurrence(new_k) > 1e-6
-            ):
+            if np.all(_element_concurrences(np.array([new_j, new_k])) > 1e-6):
                 ys[j], ys[k] = new_j, new_k
                 return True
     return False
@@ -414,30 +386,20 @@ def s0_assistance(rho: DensityMatrix) -> float:
     if rho.dim != 4:
         raise InputError("expected a two-qubit density matrix")
     lam = min_marginal_eigenvalue(rho.entries)
-    pure = rho.purity() > 1.0 - 1e-10
-    if not pure and lam > 1e-9:
+    if lam > 1e-9:
         entangled_decomposition(rho)  # existence is the certificate
-    return float(_s0_values(rho.entries[None], np.array([lam]), np.array([pure]))[0])
+    return float(_s0_values(np.array([lam]), np.array([rho.purity() > 1.0 - 1e-10]))[0])
 
 
-def _s0_values(entries: np.ndarray, lam: np.ndarray, pure: np.ndarray) -> np.ndarray:
-    """``s0_assistance`` of each of a stack (N, 4, 4) of validated two-qubit
-    density matrices, given their smaller marginal eigenvalues ``lam`` and
-    purity tests ``pure`` (purity above 1 - 1e-10), for matrices whose
-    all-entangled decomposition has been built wherever one is needed (mixed,
-    lam > 1e-9).
+def _s0_values(lam: np.ndarray, pure: np.ndarray) -> np.ndarray:
+    """``s0_assistance`` of two-qubit density matrices with smaller marginal
+    eigenvalues ``lam`` and purity tests ``pure`` (purity above 1 - 1e-10),
+    whose all-entangled decomposition has been built wherever lam > 1e-9.
 
-    A pure state scores its Wootters concurrence above 1e-9.  The verdicts
-    must agree with thresholding lam, which can fail only near pure states
-    whose concurrence vanishes; a disagreement raises ``ArithmeticError``.
+    A pure state's only ensemble is itself, so it scores the s0 measure of
+    lam; a mixed one scores 1 where lam > 1e-9, as its decomposition exists.
     """
-    entangled = np.array(
-        [bool(p) and wootters_concurrence(DensityMatrix.from_matrix(e)) > 1e-9 for e, p in zip(entries, pure)]
-    )
-    verdict = np.where(pure, entangled, lam > 1e-9)
-    if np.any(verdict != ((lam > 1e-9) | entangled)):
-        raise ArithmeticError("step-measure verdicts disagree")
-    return verdict.astype(float)
+    return np.where(pure, MonotoneSpec("s0").eigenvalue_values(lam), lam > 1e-9).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -445,40 +407,22 @@ def _s0_values(entries: np.ndarray, lam: np.ndarray, pure: np.ndarray) -> np.nda
 
 
 def ensemble_to_json(ens: Ensemble) -> str:
-    import json
-
-    from .qcore import state_to_json
-
     payload = {
-        "target": [
-            [[float(z.real), float(z.imag)] for z in row]
-            for row in ens.target.entries
-        ],
-        "elements": [
-            {"weight": w, "state": json.loads(state_to_json(s))}
-            for w, s in ens.elements
-        ],
+        "target": _complex_pairs(ens.target.entries),
+        "elements": [{"weight": w, "state": _state_payload(s)} for w, s in ens.elements],
     }
     return json.dumps(payload, sort_keys=True)
 
 
 def ensemble_from_json(text: str) -> Ensemble:
-    import json
-
-    from .qcore import state_from_json
-
     try:
         payload = json.loads(text)
-        target = DensityMatrix.from_matrix(
-            np.array(
-                [[complex(re, im) for re, im in row] for row in payload["target"]]
-            )
-        )
+        target = DensityMatrix.from_matrix(_from_complex_pairs(payload["target"]))
         elements = tuple(
-            (float(e["weight"]), state_from_json(json.dumps(e["state"])))
+            (float(e["weight"]), PureState(*_state_parts(e["state"])))
             for e in payload["elements"]
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed ensemble file: {exc}") from exc
     return Ensemble(target=target, elements=elements)
 
@@ -515,9 +459,9 @@ def convex_roof_concurrence(rho: DensityMatrix, starts: int = 6, max_evals: int 
     ``_stiefel_ascent``, ``max_evals`` value-and-gradient evaluations each;
     the purifier's eigenbasis is scored with their end points.
     """
-    evals = np.linalg.eigvalsh(rho.entries)[::-1]
-    r = max(2, int(np.sum(evals > 1e-12)))
-    psi = purification(rho, r)
+    psi = purification(rho, 4)
+    r = max(2, int(psi.any(axis=0).sum()))
+    psi = psi[:, :r]
     x0 = np.random.default_rng(seed).standard_normal((starts, 8 * r))
     w0 = _polar((x0[:, : 4 * r] + 1j * x0[:, 4 * r :]).reshape(-1, r, 4))
     ends = _stiefel_ascent(lambda w: _roof_value_grad(w, psi), w0, max_evals, 1e-12, np.inf)

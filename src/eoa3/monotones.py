@@ -16,6 +16,7 @@ from .qcore import (
     DensityMatrix,
     InputError,
     PureState,
+    _density_factors,
     schmidt_decompose,
     three_qubit_stack,
 )
@@ -41,8 +42,8 @@ class MonotoneSpec:
     def __post_init__(self):
         if self.kind not in ("e2", "kyfan", "entropy", "s0", "concurrence"):
             raise InputError(f"unknown monotone kind {self.kind!r}")
-        if self.kind == "kyfan" and (self.k is None or self.k < 1):
-            raise InputError("Ky-Fan monotone needs k >= 1")
+        if self.kind == "kyfan" and self.k not in (1, 2):
+            raise InputError("Ky-Fan monotone needs k in {1, 2}, the Schmidt rank bound of a qubit")
         if self.kind == "entropy" and (
             self.alpha is None or not 0.0 <= self.alpha <= 1.0
         ):
@@ -177,31 +178,35 @@ def concurrence_pure(phi: PureState) -> float:
 g_concurrence = concurrence_pure
 
 
+def _preconcurrence_forms(v: np.ndarray) -> np.ndarray:
+    """tau = V^T (sy x sy) V for each matrix V of the stack v (..., 4, r): entry
+    (j, k) is the preconcurrence form of columns j and k, and where
+    rho = V V^dag the singular values of tau are the Wootters lambdas of rho."""
+    return v.swapaxes(-1, -2) @ SIGMA_YY @ v
+
+
 def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
     """Square roots of the eigenvalues of rho * rho_tilde, non-increasing.
 
     They are the singular values of tau = V^T (sy x sy) V for any V with
     rho = V V^dag: rho rho_tilde = V (V^dag (sy x sy) V^*) V^T (sy x sy)
-    shares its spectrum with tau^dag tau.  V = evecs sqrt(evals) comes from
-    one ``eigh`` of rho, with eigenvalues below 1e-13 of the largest
-    flushed to 0.  Unlike the square roots of the eigenvalues of
-    sqrt(rho) rho_tilde sqrt(rho), this takes no square root of an
-    eigenvalue that rounding leaves near 0 after the product.
+    shares its spectrum with tau^dag tau.  V is the factor of
+    ``_density_factors``, which flushes eigenvalues <= 1e-12 to 0.  Unlike
+    the square roots of the eigenvalues of sqrt(rho) rho_tilde sqrt(rho),
+    this takes no square root of an eigenvalue that rounding leaves near 0
+    after the product.
     """
     if rho.dim != 4:
         raise InputError("Wootters concurrence is defined for two qubits")
-    evals, evecs = np.linalg.eigh(rho.entries)
-    evals = np.where(evals < 1e-13 * max(evals[-1], 0.0), 0.0, evals)
-    v = evecs * np.sqrt(evals)
-    return np.linalg.svd(v.T @ SIGMA_YY @ v, compute_uv=False)
+    return np.linalg.svd(_preconcurrence_forms(_density_factors(rho.entries[None])[0]), compute_uv=False)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """max(0, l1 - l2 - l3 - l4) over ``wootters_lambdas``.
 
     C is not Lipschitz where rho loses rank: an eigenvalue eps of rho moves
-    the lambdas by about sqrt(eps), so a true eigenvalue below the flush of
-    ``wootters_lambdas`` moves C by up to about sqrt(1e-13 max(evals)).
+    the lambdas by about sqrt(eps), so a true eigenvalue at or below the flush
+    of ``wootters_lambdas`` moves C by up to about sqrt(1e-12) = 1e-6.
     """
     lam = wootters_lambdas(rho)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
@@ -244,7 +249,7 @@ def _pair_taus(t: np.ndarray) -> np.ndarray:
     nonzero spectrum with tau^dag tau.
     """
     v = np.stack([t, t.transpose(0, 1, 3, 2), t.transpose(0, 2, 3, 1)], axis=1).reshape(-1, 3, 4, 2)
-    return v.swapaxes(-1, -2) @ SIGMA_YY @ v
+    return _preconcurrence_forms(v)
 
 
 def pair_concurrences(states) -> np.ndarray:

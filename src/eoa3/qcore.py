@@ -188,6 +188,12 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     """Check each matrix of the stack m (N, d, d) as ``DensityMatrix`` checks
     one: finite, Hermitian and of unit trace within 1e-10, no eigenvalue below
     -1e-10.  Returns m."""
+    _check_spectra(np.linalg.eigvalsh(_check_entries(m)))
+    return m
+
+
+def _check_entries(m: np.ndarray) -> np.ndarray:
+    """The checks of ``check_densities`` that need no eigenvalues; returns m."""
     asymmetry = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
     if not math.isfinite(asymmetry):  # a NaN or infinite entry makes it so
         raise InputError("matrix entries must be finite")
@@ -196,10 +202,27 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     trace = np.trace(m, axis1=-2, axis2=-1)
     if np.abs(trace.real - 1.0).max(initial=0.0) > 1e-10 or np.abs(trace.imag).max(initial=0.0) > 1e-10:
         raise InputError("matrix trace is not 1")
-    low = np.linalg.eigvalsh(m)[:, 0].min(initial=np.inf)
+    return m
+
+
+def _check_spectra(evals: np.ndarray) -> None:
+    """Raise where a spectrum of the stack evals (N, d), ascending, has an
+    eigenvalue below -1e-10."""
+    low = evals[:, 0].min(initial=np.inf)
     if low < -1e-10:
         raise InputError(f"matrix has negative eigenvalue {low}")
-    return m
+
+
+def _density_factors(m: np.ndarray) -> np.ndarray:
+    """A factor V (N, d, d) with V V^dag = rho for each matrix rho of the stack
+    m (N, d, d), checked as ``check_densities`` checks it, from one ``eigh``:
+    column k is sqrt(lam_k) v_k with the eigenvalues descending, and
+    eigenvalues <= 1e-12 are flushed to 0, so the nonzero columns are a prefix
+    spanning the support."""
+    evals, evecs = np.linalg.eigh(_check_entries(m))
+    _check_spectra(evals)
+    evals, evecs = evals[:, ::-1], evecs[:, :, ::-1]
+    return evecs * np.sqrt(np.where(evals > 1e-12, evals, 0.0))[:, None, :]
 
 
 def _unchecked_states(t: np.ndarray) -> list:
@@ -445,40 +468,51 @@ def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: f
 
 
 # ---------------------------------------------------------------------------
-# JSON state format
+# JSON formats: a complex array is written as nested lists of [re, im] pairs
+
+
+def _complex_pairs(a: np.ndarray) -> list:
+    """The complex array a as nested lists whose innermost lists are [re, im]."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _from_complex_pairs(pairs) -> np.ndarray:
+    """The complex array written by ``_complex_pairs``; raises ``ValueError`` on
+    anything else."""
+    parts = np.asarray(pairs)
+    if parts.dtype.kind not in "iuf" or parts.shape[-1:] != (2,):
+        raise ValueError("complex entries must be [re, im] pairs of numbers")
+    return parts.astype(float).view(complex)[..., 0]
+
+
+def _state_payload(psi: PureState) -> dict:
+    return {"dims": list(psi.dims), "amplitudes": _complex_pairs(psi.amplitudes)}
+
+
+def _state_parts(payload: dict) -> tuple:
+    """The dims and amplitudes of a ``_state_payload``, unvalidated."""
+    return tuple(int(d) for d in payload["dims"]), _from_complex_pairs(payload["amplitudes"])
 
 
 def state_to_json(psi: PureState) -> str:
-    payload = {
-        "dims": list(psi.dims),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in psi.amplitudes],
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(_state_payload(psi), sort_keys=True)
 
 
 def state_from_json(text: str) -> PureState:
     try:
-        payload = json.loads(text)
-        dims = tuple(int(d) for d in payload["dims"])
-        amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        dims, amps = _state_parts(json.loads(text))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed state file: {exc}") from exc
     return PureState(dims, amps)
 
 
 def density_to_json(rho: DensityMatrix) -> str:
-    entries = [
-        [[float(z.real), float(z.imag)] for z in row] for row in rho.entries
-    ]
-    return json.dumps({"dim": rho.dim, "entries": entries}, sort_keys=True)
+    return json.dumps({"dim": rho.dim, "entries": _complex_pairs(rho.entries)}, sort_keys=True)
 
 
 def density_from_json(text: str) -> DensityMatrix:
     try:
-        payload = json.loads(text)
-        entries = np.array(
-            [[complex(re, im) for re, im in row] for row in payload["entries"]]
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        entries = _from_complex_pairs(json.loads(text)["entries"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed density-matrix file: {exc}") from exc
     return DensityMatrix.from_matrix(entries)

@@ -10,7 +10,7 @@ Every target draws its instances with a stacked seeded builder
 ``prop2_instances``, ``mixed_marginal_densities``): per seed only
 ``default_rng(seed)`` and its draws run, and the rest of the draw runs once
 per stack, each row bit for bit the instance of the one-seed draw.  The stack
-is validated once (``three_qubit_stack``, or ``check_densities`` inside
+is validated once (``three_qubit_stack``, or ``_density_factors`` inside
 ``entangled_stack``) and checked in one call of the stacked kernels (thm2
 through ``lossless_classifiers``, appendixB through ``entangled_stack``,
 prop2 through ``unital_fixed_point_checks`` once per mixture size).  The
@@ -221,7 +221,7 @@ def _trial_appendix_b(seeds, tol):
     recon = np.max(np.abs(np.einsum("nka,nkb->nab", ys, ys.conj()) - entries), axis=(1, 2))
     normalized = np.abs(np.sum(weights, axis=1, where=element) - 1.0) <= 1e-12
     purity = np.trace(entries @ entries, axis1=1, axis2=2).real
-    s0 = ensembles._s0_values(entries, qcore.min_marginal_eigenvalue(entries), purity > 1.0 - 1e-10)
+    s0 = ensembles._s0_values(qcore.min_marginal_eigenvalue(entries), purity > 1.0 - 1e-10)
     return [
         (bool(c > 0 and r <= 1e-10 and w_ok and v == 1.0), {"min_concurrence": float(c), "reconstruction": float(r)}, None)
         for c, r, w_ok, v in zip(conc, recon, normalized, s0)

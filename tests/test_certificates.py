@@ -20,7 +20,6 @@ from eoa3.assistance import (
     Measurement,
     SearchBudget,
     _SEARCH_FATOL,
-    _assistance_tau,
     _eoa_search,
     _informed_starts,
     _isometries,
@@ -34,23 +33,28 @@ from eoa3.assistance import (
     eoa_numeric,
     theorem1_measurement,
 )
-from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, wootters_lambdas
+from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, _pair_taus, wootters_lambdas
 from eoa3.qcore import PureState, _stiefel_ascent, haar_random_pure, reduced_density, reduced_stack
 from eoa3.states import generate, ghz_state, parse_family, product_state, w_state
 
 
+def _ab_tau(psi):
+    """The AB preconcurrence form of psi, whose trace norm is C_a."""
+    return _pair_taus(psi.tensor_view()[None])[0, 0]
+
+
 def _trace_norm(psi):
-    return float(np.linalg.svd(_assistance_tau(psi), compute_uv=False).sum())
+    return float(np.linalg.svd(_ab_tau(psi), compute_uv=False).sum())
 
 
 def _takagi_value(psi):
     """The Takagi basis scored as the search scores a certificate."""
-    w = _isometries([_takagi_basis(_assistance_tau(psi))], 2)
+    w = _isometries([_takagi_basis(_ab_tau(psi))], 2)
     return _povm_value_grad(w, psi.amplitudes.reshape(4, 2), CONCURRENCE)[0][0]
 
 
 def _takagi_projective_value(psi):
-    meas = Measurement.projective(_takagi_basis(_assistance_tau(psi)))
+    meas = Measurement.projective(_takagi_basis(_ab_tau(psi)))
     return average_post_measurement(psi, meas, CONCURRENCE)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from eoa3.cli import main
 from eoa3.monotones import MonotoneSpec, cut_entanglement
-from eoa3.qcore import density_to_json, reduced_density, state_to_json
+from eoa3.qcore import DensityMatrix, density_to_json, reduced_density, state_to_json
 from eoa3.states import generate, ghz_state, parse_family, product_state, w_state
 
 
@@ -110,6 +110,18 @@ def test_decompose_pure_marginal_exit_2(capsys, tmp_path):
     assert "pure" in err
 
 
+@pytest.mark.parametrize("amps, concurrence", [((1, 0, 0, 1), 1.0), ((0.8, 0, 0, 0.6), 0.96)])
+def test_decompose_entangled_keeps_a_pure_entangled_state(capsys, tmp_path, amps, concurrence):
+    # Both marginals are mixed and the state's one element is entangled.
+    phi = np.array(amps, dtype=complex) / np.linalg.norm(amps)
+    path = tmp_path / "pure.json"
+    path.write_text(density_to_json(DensityMatrix.from_matrix(np.outer(phi, phi.conj()))))
+    code, out, err = run(capsys, "decompose", "--mode", "entangled", "--rho", str(path))
+    assert code == 0
+    assert len(json.loads(out)["elements"]) == 1
+    assert err == f"element 0: weight 1.000000000000 concurrence {concurrence:.12f}\n"
+
+
 def test_out_file_written(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(
@@ -148,6 +160,7 @@ def test_analyze_negative_budget_exit_2(capsys):
         ("analyze", "--family", "w", "--state", "{path}"),
         ("analyze", "--state", "{path}"),
         ("decompose", "--mode", "hjw", "--rho", "{path}"),
+        ("analyze", "--family", "haar", "--seed", "3", "--monotone", "ek:3"),
     ],
 )
 def test_malformed_arguments_exit_2(capsys, tmp_path, argv):

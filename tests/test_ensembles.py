@@ -14,7 +14,7 @@ from eoa3.ensembles import (
     purification,
     s0_assistance,
 )
-from eoa3.monotones import concurrence_pure, wootters_concurrence
+from eoa3.monotones import MonotoneSpec, concurrence_pure, entropy_alpha, wootters_concurrence
 from eoa3.qcore import (
     SIGMA_YY,
     DensityMatrix,
@@ -173,6 +173,28 @@ def test_entangled_decomposition_pure_marginal_rejected():
     rho = DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0, 0]).astype(complex))
     with pytest.raises(InputError):
         entangled_decomposition(rho)
+
+
+@pytest.mark.parametrize("amps, concurrence", [((1, 0, 0, 1), 1.0), ((0.8, 0, 0, 0.6), 0.96)])
+def test_entangled_decomposition_of_a_pure_entangled_state_is_the_state(amps, concurrence):
+    phi = PureState((2, 2), np.array(amps, dtype=complex) / np.linalg.norm(amps))
+    ens = entangled_decomposition(phi.density())
+    assert len(ens.elements) == 1
+    (w, s), = ens.elements
+    assert w == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(s.amplitudes, phi.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_pure(s) == pytest.approx(concurrence, abs=1e-12)
+    assert s0_assistance(phi.density()) == 1.0
+
+
+@pytest.mark.parametrize("lam", [5e-11, 1e-12, 1e-16, 2e-10, 1e-3])
+def test_s0_assistance_of_a_pure_state_is_its_s0_value(lam):
+    # A pure state's only ensemble is itself, so its assisted s0 value is the
+    # s0 measure of the state, 0 below the rank tolerance 1e-10.
+    phi = PureState((2, 2), np.array([np.sqrt(1.0 - lam), 0, 0, np.sqrt(lam)], dtype=complex))
+    expected = entropy_alpha(phi, 0.0)
+    assert expected == MonotoneSpec("s0").eigenvalue_fn(lam) == float(lam >= 1e-10)
+    assert s0_assistance(phi.density()) == expected
 
 
 def test_s0_assistance_examples():

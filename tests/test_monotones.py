@@ -192,6 +192,16 @@ def test_monotone_spec_parse_and_label():
         MonotoneSpec.parse("nonsense")
 
 
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_ky_fan_index_beyond_the_qubit_schmidt_rank_is_rejected(k):
+    # A two-level Schmidt spectrum has no third coefficient: ky_fan refuses
+    # k = 3, so the spec must not read ek:3 as ek:2.
+    with pytest.raises(InputError):
+        MonotoneSpec("kyfan", k=k)
+    with pytest.raises(InputError):
+        MonotoneSpec.parse(f"ek:{k}")
+
+
 def test_strict_concavity_of_flagged_monotones():
     grid = np.linspace(0.02, 0.5, 13)
     for spec in (CONCURRENCE, MonotoneSpec("entropy", alpha=0.5), MonotoneSpec("entropy", alpha=1.0)):

@@ -200,6 +200,40 @@ def test_entangled_decomposition_eliminates_products_inside_a_batch(monkeypatch)
             np.testing.assert_array_equal(y / np.sqrt(w), s.amplitudes)
 
 
+def _four_by_four_eigen_calls(monkeypatch):
+    """Record every eigh and eigvalsh call on (..., 4, 4) inputs."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            if np.shape(a)[-2:] == (4, 4):
+                calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_one_eigen_factorization_per_density_stack(monkeypatch):
+    # Rank 3 keeps the 2r x 2r real Takagi embedding and the r x r polar
+    # Gram matrices of the convex roof off the 4 x 4 count: they factor
+    # other matrices than rho.
+    rhos = qcore.reduced_stack(haar_random_rows(8, range(20)).reshape(-1, 2, 2, 2), (0, 1))
+    rank3 = random_density_matrix(4, 3, 11)
+    mixed = mixed_marginal_densities(range(5))
+    calls = _four_by_four_eigen_calls(monkeypatch)
+    for run in (
+        lambda: assistance.eoa_densities(rhos),
+        lambda: entangled_stack(mixed),
+        lambda: ensembles.equal_concurrence_decomposition(rank3),
+        lambda: ensembles.convex_roof_concurrence(rank3, starts=2, max_evals=20),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1, calls
+
+
 def _assert_trial_rows_match(batch, singles):
     assert len(batch) == len(singles)
     for (ok, row, witness), (ok1, row1, witness1) in zip(batch, singles):
