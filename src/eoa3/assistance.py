@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import _takagi
-from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, cut_entanglement, pair_concurrences
+from .ensembles import _pure_branches, _takagi
+from .monotones import E2, MonotoneSpec, _cut_minima, _pair_taus, pair_concurrences
 from .qcore import (
     PAULI_BASIS,
     DensityMatrix,
@@ -85,8 +85,9 @@ class Measurement:
         return Measurement(elements=elems)
 
     @staticmethod
-    def trivial(dim: int = 2) -> "Measurement":
-        return Measurement(elements=(np.eye(dim, dtype=complex),))
+    def trivial() -> "Measurement":
+        """The one-outcome measurement of a qubit, which leaves the state as it is."""
+        return Measurement(elements=(np.eye(2, dtype=complex),))
 
 
 @dataclass(frozen=True)
@@ -409,38 +410,15 @@ def _theorem1(psi: PureState):
 def average_post_measurement(psi: PureState, meas: Measurement, m: MonotoneSpec) -> float:
     """Sum_x p_x E(phi_x) over the normalized post-measurement AB states.
 
-    Each nonzero row of each element is scored as one rank-1 outcome of
-    ``_measurement_isometry`` by the search's kernel; the rows of an element
-    whose branch is pure all leave that branch's AB state, so their values
-    add up to the branch's.  Branches whose AB reduction is not pure (the
-    measurement element leaves C correlated) raise rather than silently
+    The branches are those of ``_pure_branches``, scored as the outcomes of
+    one POVM by the search's kernel.  Branches whose AB reduction is not pure
+    (the measurement element leaves C correlated) raise rather than silently
     evaluating a pure-state monotone.
     """
     if meas.dim != psi.dims[2]:
         raise InputError("measurement dimension does not match Charlie's system")
-    psi_mat = psi.amplitudes.reshape(4, meas.dim)
-    # Branch x as an (AB, C) block; its AB state is pure iff the block has rank 1.
-    mats = psi_mat @ np.array(meas.elements).swapaxes(-1, -2)
-    gram = mats.conj().swapaxes(-1, -2) @ mats
-    p = np.trace(gram, axis1=-2, axis2=-1).real
-    live = p >= 1e-14
-    purity = np.einsum("kij,kji->k", gram, gram).real / np.where(live, p, 1.0) ** 2
-    if np.any(live & (purity < 1.0 - 1e-10)):
-        raise InputError("measurement branch leaves a mixed AB state; use rank-1 elements")
-    u = psi_mat.conj() @ _measurement_isometry(meas)
-    return float(_outcome_value_grad(u[None], m, grad=False)[0][0])
-
-
-def _measurement_isometry(meas: Measurement) -> np.ndarray:
-    """A POVM isometry (n_c, max(4, outcomes)) scoring what ``meas`` scores:
-    the nonzero columns of every E_x^dag, since sum_x E_x^dag E_x = I.  A
-    rank-1 element gives one column, a projector onto b one column along b
-    per nonzero entry of b, and the trivial measurement the computational
-    basis, all with the same branch states."""
-    cols = [c for e in meas.elements for c in e.conj() if np.any(c)]
-    w = np.zeros((meas.dim, max(4, len(cols))), dtype=complex)
-    w[:, : len(cols)] = np.array(cols).T
-    return w
+    rows = _pure_branches(psi.amplitudes.reshape(4, meas.dim), meas.elements)
+    return float(_outcome_value_grad(rows.conj().T[None], m, grad=False)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +511,14 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 def _informed_starts(psi: PureState, theorem1):
     """Projective bases worth seeding the POVM search with, given the
     Theorem-1 candidate: the computational basis, and with a qubit Charlie
-    the Hadamard basis, the Theorem-1 basis where it has two outcomes, and
-    the side-A and side-B commuting bases the candidate carries."""
+    the Hadamard basis, the Eq. 21 e-basis where the Theorem-1 pass chose
+    it, and the side-A and side-B commuting bases the candidate carries.  On
+    branches A and B the Theorem-1 basis is one of those two, so it is not
+    added again."""
     if theorem1 is None:
         return [np.eye(psi.dims[2], dtype=complex)]
-    _, meas, th, _ = theorem1
-    return [np.eye(2, dtype=complex), _HADAMARD, *(th.basis if len(meas.elements) == 2 else []), *th.sides[0]]
+    th = theorem1[2]
+    return [np.eye(2, dtype=complex), _HADAMARD, *(th.basis if th.branch[0] == "eq21" else []), *th.sides[0]]
 
 
 def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = None):
@@ -573,7 +553,7 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
 def _min_cut(psi: PureState, m: MonotoneSpec) -> float:
     """min(E(A|BC), E(B|AC)) under ``m``: Charlie's measurement is LOCC across
     both cuts, so no POVM on Charlie scores above it."""
-    return min(cut_entanglement(psi, "A|BC", m), cut_entanglement(psi, "B|AC", m))
+    return float(m.eigenvalue_values(_cut_minima(psi.tensor_view()[None])[0]).min())
 
 
 def _takagi_basis(tau: np.ndarray) -> np.ndarray:
@@ -854,10 +834,7 @@ def _eoa_search(
         # C_a (Laustsen, Verstraete & van Enk, QIC 2003).
         tau = _pair_taus(psi.tensor_view()[None])[0, 0]
         bound = min(bound, float(np.linalg.svd(tau, compute_uv=False).sum()))
-        try:
-            certificates.append(_takagi_basis(tau))
-        except ArithmeticError:
-            pass
+        certificates.append(_takagi_basis(tau))
     if theorem1 is not None and theorem1[0] >= bound - _SEARCH_FATOL:
         return theorem1[:2]
     n_c = psi.dims[2]
@@ -967,9 +944,9 @@ class LosslessStack:
     decoupled and maximally mixed states, inf where a marginal near 1/2 ends
     the test early).  ``tested`` marks the states that reached the
     marginal-preservation test; for those, ``bases`` is the candidate Charlie
-    basis and ``probabilities`` and ``branches`` its outcome weights and
-    unnormalized branch matrices (zero for the other states).  ``lambda_min``
-    is the cut party's smaller marginal eigenvalue, capped at 1/2.
+    basis and ``probabilities`` its outcome weights (zero for the other
+    states).  ``lambda_min`` is the cut party's smaller marginal
+    eigenvalue, capped at 1/2.
     """
 
     kinds: np.ndarray
@@ -977,7 +954,6 @@ class LosslessStack:
     tested: np.ndarray
     bases: np.ndarray
     probabilities: np.ndarray
-    branches: np.ndarray
     lambda_min: np.ndarray
 
 
@@ -1012,19 +988,18 @@ def _classify(t: np.ndarray, cut: str, tol: float, decoupled: np.ndarray, minima
     lossless = mixed.copy()
     bases = np.zeros((len(t), 2, 2), dtype=complex)
     probs = np.zeros((len(t), 2))
-    mats = np.zeros((len(t), 2, 2, 2), dtype=complex)
     rows = np.flatnonzero(tested)
     if rows.size:
         tr = t[rows]
         a, b, T = _pauli_stack(tr, side)
         bases[rows] = _antipodal_bases(np.linalg.svd(T - a[:, :, None] * b[:, None, :])[2][:, 2])
-        mats[rows], probs[rows], live, conds = _branch_data(tr, bases[rows], side)
+        _, probs[rows], live, conds = _branch_data(tr, bases[rows], side)
         diff = conds - reduced_stack(tr, (party,))[:, None]
         dist = np.sum(diff.real**2 + diff.imag**2, axis=(-2, -1))
         objectives[rows] = np.sum(probs[rows] * dist, axis=1, where=live)
         lossless[rows] = (objectives[rows] <= tol) & (probs[rows].min(axis=1) > 1e-9)
     kinds = np.where(decoupled, "decoupled", np.where(lossless, "lossless", "lossy"))
-    return LosslessStack(kinds, objectives, tested, bases, probs, mats, lam_side)
+    return LosslessStack(kinds, objectives, tested, bases, probs, lam_side)
 
 
 def lossless_classifier(psi: PureState, cut: str, tol: float = 1e-9) -> LosslessVerdict:
@@ -1045,31 +1020,15 @@ def _verdict(c: LosslessStack) -> LosslessVerdict:
     if not c.tested[0]:
         cert = {"branch": "maximally-mixed", "lambda_min": float(c.lambda_min[0])} if kind == "lossless" else {}
     elif kind == "lossless":
-        cert = _lossless_certificate(c.bases[0], c.probabilities[0], c.branches[0], c.lambda_min[0])
+        cert = {
+            "branch": "marginal-preserving",
+            "basis": c.bases[0],
+            "weights": c.probabilities[0],
+            "lambda_min": float(c.lambda_min[0]),
+        }
     else:
         cert = {"basis": c.bases[0]}
     return LosslessVerdict(kind=kind, certificate=cert, objective=objective)
-
-
-def _lossless_certificate(basis, probs, mats, lam):
-    """Recover the decomposition parameters (weights, local unitaries) per branch
-    from the unnormalized branch matrices; both outcomes occur."""
-    us, vs = [], []
-    for mm, p in zip(mats, probs):
-        u, s, vh = np.linalg.svd(mm / np.sqrt(p))
-        # Order so the smaller Schmidt coefficient pairs with |00>.
-        ux = u[:, ::-1]
-        vx = vh.conj().T[:, ::-1]
-        us.append(ux)
-        vs.append(vx)
-    return {
-        "branch": "marginal-preserving",
-        "basis": basis,
-        "weights": probs,
-        "lambda_min": float(lam),
-        "u_locals": us,
-        "v_locals": vs,
-    }
 
 
 def unital_fixed_point_check(h: np.ndarray, probs, unitaries):
@@ -1107,26 +1066,32 @@ def unital_fixed_point_checks(h: np.ndarray, probs: np.ndarray, unitaries: np.nd
 # Corollary checks
 
 
-def swap_infidelity(psi: PureState, seed: int = 0, starts: int = 24, maxfev: int = 600) -> float:
+# The random starts of ``swap_infidelity`` and the evaluations of each.
+_SWAP_STARTS = 24
+_SWAP_EVALS = 600
+
+
+def swap_infidelity(psi: PureState) -> float:
     """Best found infidelity between SWAP_AB |psi> and (U x V x W)|psi>.
 
     The identity is tried first.  Failing it, ``_stiefel_ascent`` climbs the
     fidelity over (U, V, W) in U(2)^3, held as one 6x6 block-diagonal unitary
-    (``_swap_fidelity_grad``), from the identity and ``starts`` seeded random
-    points exp(i x.sigma), x uniform in [-pi, pi]^3 per factor; ``maxfev``
-    evaluations each, and all stop once one is within 1e-10 of fidelity 1.
+    (``_swap_fidelity_grad``), from the identity and ``_SWAP_STARTS`` random
+    points exp(i x.sigma), x uniform in [-pi, pi]^3 per factor, drawn with
+    seed 0; ``_SWAP_EVALS`` evaluations each, and all stop once one is
+    within 1e-10 of fidelity 1.
     """
     t = psi.tensor_view()
     target = t.transpose(1, 0, 2)
     best = 1.0 - abs(np.vdot(target, t)) ** 2
     if best < 1e-10:
         return float(max(best, 0.0))
-    x = np.random.default_rng(seed).uniform(-np.pi, np.pi, (starts, 3, 3))
+    x = np.random.default_rng(0).uniform(-np.pi, np.pi, (_SWAP_STARTS, 3, 3))
     angle = np.linalg.norm(x, axis=-1)[..., None, None]
     # exp(i x.sigma) = cos|x| I + i sin|x| (x.sigma) / |x|
     factors = np.cos(angle) * np.eye(2) + 1j * np.sinc(angle / np.pi) * np.einsum("sfi,ijk->sfjk", x, PAULI_BASIS[1:])
     z0 = np.concatenate([np.eye(6)[None], _block_diagonal([factors[:, f] for f in range(3)])])
-    z_end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, target), z0, maxfev, 1e-12, 1.0 - 1e-10)
+    z_end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, target), z0, _SWAP_EVALS, 1e-12, 1.0 - 1e-10)
     fidelity = _swap_fidelity_grad(np.concatenate([z0, z_end]), t, target)[0]
     return float(max(min(best, 1.0 - fidelity.max()), 0.0))
 
@@ -1156,14 +1121,12 @@ class CorollaryReport:
     swap_infidelity: float | None
 
 
-def corollary_check(
-    psi: PureState, tol: float, check_swap: bool = True, seed: int = 0
-) -> CorollaryReport:
+def corollary_check(psi: PureState, tol: float, check_swap: bool = True) -> CorollaryReport:
     """Check the cut-symmetry equivalences on a three-qubit state."""
-    return corollary_checks([psi], tol, check_swap, seed)[0]
+    return corollary_checks([psi], tol, check_swap)[0]
 
 
-def corollary_checks(states, tol: float, check_swap: bool = True, seed: int = 0) -> list:
+def corollary_checks(states, tol: float, check_swap: bool = True) -> list:
     """``corollary_check`` for each of a sequence of three-qubit states (or
     their (N, 8) amplitude rows): (i) equal E2 across A|BC and B|AC, (ii) a
     local-unitary SWAP symmetry, searched state by state, (iii) equal AC and
@@ -1173,7 +1136,7 @@ def corollary_checks(states, tol: float, check_swap: bool = True, seed: int = 0)
     psis = _unchecked_states(t) if check_swap else []
     reports = []
     for row in range(len(t)):
-        infid = swap_infidelity(psis[row], seed=seed) if check_swap else None
+        infid = swap_infidelity(psis[row]) if check_swap else None
         reports.append(
             CorollaryReport(
                 i=bool(abs(cuts[row, 0] - cuts[row, 1]) <= tol),

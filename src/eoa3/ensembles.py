@@ -103,24 +103,37 @@ def purification(rho: DensityMatrix, purifier_dim: int) -> np.ndarray:
     return psi
 
 
+def _pure_branches(psi_mat: np.ndarray, elements) -> np.ndarray:
+    """The subnormalized branches sqrt(w_x) |phi_x> (K, d) left by measuring
+    the Kraus elements E_x (m, n) on the system that indexes the columns of
+    the amplitude matrix psi_mat (d, n), read off the blocks psi_mat E_x^T
+    (d, m); outcomes of weight w_x < 1e-14 are dropped.  Elements with fewer
+    rows are padded with zero rows, which add zero columns to a block.
+
+    A branch's d-side state is pure iff its block has rank 1, i.e. the Gram
+    matrix G of its columns has tr(G^2) = w_x^2; then every nonzero column
+    is |phi_x> up to a scalar, and the longest one, scaled to norm
+    sqrt(w_x), is the branch.  Raises ``InputError`` on a mixed branch.
+    """
+    height = max(len(e) for e in elements)
+    kraus = np.array([np.pad(e, ((0, height - len(e)), (0, 0))) for e in elements], dtype=complex)
+    mats = psi_mat @ kraus.swapaxes(-1, -2)
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    w = np.trace(gram, axis1=-2, axis2=-1).real
+    live = w >= 1e-14
+    mats, gram, w = mats[live], gram[live], w[live]
+    if np.any(np.einsum("kij,kji->k", gram, gram).real / w**2 < 1.0 - 1e-10):
+        raise InputError("measurement branch is mixed; rank-1 elements are required")
+    lengths = np.diagonal(gram, axis1=-2, axis2=-1).real
+    longest = np.argmax(lengths, axis=1)
+    rows = np.arange(len(mats))
+    return mats[rows, :, longest] * np.sqrt(w / lengths[rows, longest])[:, None]
+
+
 def hjw_ensemble(rho: DensityMatrix, meas) -> Ensemble:
-    """Ensemble of rho induced by measuring the canonical purifier."""
-    psi = purification(rho, meas.dim)
-    elements = []
-    for m in meas.elements:
-        branch = psi @ np.asarray(m, dtype=complex).T
-        w = float(np.linalg.norm(branch) ** 2)
-        if w < 1e-14:
-            continue
-        rho_x = branch @ branch.conj().T / w
-        purity = float(np.real(np.trace(rho_x @ rho_x)))
-        if purity < 1.0 - 1e-10:
-            raise InputError(
-                "measurement branch is mixed; rank-1 elements are required"
-            )
-        _, evecs = np.linalg.eigh(rho_x)
-        elements.append(np.sqrt(w) * evecs[:, -1])
-    return _subnormalized(elements, target=rho)
+    """Ensemble of rho induced by measuring the canonical purifier: the
+    ``_pure_branches`` of its purification."""
+    return _subnormalized(_pure_branches(purification(rho, meas.dim), meas.elements), target=rho)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from .qcore import (
     InputError,
     PureState,
     _density_factors,
-    schmidt_decompose,
     three_qubit_stack,
 )
 
@@ -72,8 +71,13 @@ class MonotoneSpec:
             return 2.0 * np.sqrt(lam * (1.0 - lam))
         if self.kind == "s0" or self.alpha < S0_RANK_TOL:
             return np.where(lam < S0_RANK_TOL, 0.0, 1.0)
-        # entropy of (lam, 1 - lam)
-        return _entropy_of_spectrum(np.stack([lam, 1.0 - lam]), self.alpha)
+        # Renyi-alpha entropy (base 2) of (lam, 1 - lam), with 0 log 0 = 0
+        spectrum = np.stack([lam, 1.0 - lam])
+        kept = spectrum > 0.0
+        safe = np.where(kept, spectrum, 1.0)
+        if abs(self.alpha - 1.0) < 1e-9:
+            return -np.sum(np.where(kept, safe * np.log2(safe), 0.0), axis=0)
+        return np.log2(np.sum(np.where(kept, safe**self.alpha, 0.0), axis=0)) / (1.0 - self.alpha)
 
     def eigenvalue_slopes(self, lam: np.ndarray) -> np.ndarray:
         """f' elementwise over lam clipped to [1e-300, 1/2], so slopes infinite at 0 stay finite."""
@@ -125,53 +129,32 @@ ENTROPY_1 = MonotoneSpec("entropy", alpha=1.0)
 CONCURRENCE = MonotoneSpec("concurrence")
 
 
-def _entropy_of_spectrum(spectrum: np.ndarray, alpha: float) -> np.ndarray:
-    """Renyi-alpha entropy (base 2) of the spectra along axis 0, with 0 log 0 = 0."""
-    kept = spectrum > 0.0
-    safe = np.where(kept, spectrum, 1.0)
-    if abs(alpha - 1.0) < 1e-9:
-        return -np.sum(np.where(kept, safe * np.log2(safe), 0.0), axis=0)
-    return np.log2(np.sum(np.where(kept, safe**alpha, 0.0), axis=0)) / (1.0 - alpha)
-
-
-def _schmidt_min(psi: PureState, cut) -> float:
-    """Smallest squared Schmidt coefficient across ``cut | rest`` (0 for a one-term form)."""
-    sf = schmidt_decompose(psi, cut=cut)
-    return float(sf.coefficients[-1]) if len(sf.coefficients) > 1 else 0.0
-
-
-def _two_qubit_schmidt_min(phi: PureState) -> float:
+def _two_qubit_value(phi: PureState, m: MonotoneSpec) -> float:
+    """``m`` of a two-qubit pure state: f of the Schmidt minimum that
+    ``_cut_minima`` reads off its 2 x 2 amplitude matrix."""
     if phi.dims != (2, 2):
         raise InputError("expected a two-qubit pure state")
-    return _schmidt_min(phi, (0,))
+    return m.eigenvalue_fn(_cut_minima(phi.amplitudes.reshape(1, 2, 2, 1))[0, 0])
 
 
 def e2(phi: PureState) -> float:
     """Twice the smallest marginal eigenvalue; the optimal Bell-conversion probability."""
-    return E2.eigenvalue_fn(_two_qubit_schmidt_min(phi))
+    return _two_qubit_value(phi, E2)
 
 
 def ky_fan(phi: PureState, k: int) -> float:
-    """Tail sum of the ordered squared Schmidt coefficients from index k."""
-    sf = schmidt_decompose(phi, cut=(0,))
-    d = len(sf.coefficients)
-    if k > d:
-        raise InputError(f"k={k} exceeds the Schmidt rank bound {d}")
-    return float(np.sum(sf.coefficients[k - 1 :]))
+    """Tail sum of the ordered squared Schmidt coefficients from index k, k in {1, 2}."""
+    return _two_qubit_value(phi, MonotoneSpec("kyfan", k=k))
 
 
 def entropy_alpha(phi: PureState, alpha: float) -> float:
-    sf = schmidt_decompose(phi, cut=(0,))
-    spectrum = np.clip(sf.coefficients, 0.0, 1.0)
-    if alpha < S0_RANK_TOL:
-        lam_min = spectrum[-1] if len(spectrum) > 1 else 0.0
-        return 0.0 if lam_min < S0_RANK_TOL else 1.0
-    return float(_entropy_of_spectrum(spectrum, alpha))
+    """Renyi-alpha entropy of the Schmidt spectrum, alpha in [0, 1]."""
+    return _two_qubit_value(phi, MonotoneSpec("entropy", alpha=alpha))
 
 
 def concurrence_pure(phi: PureState) -> float:
     """2 sqrt(lam_min (1 - lam_min)) of a two-qubit pure state."""
-    return CONCURRENCE.eigenvalue_fn(_two_qubit_schmidt_min(phi))
+    return _two_qubit_value(phi, CONCURRENCE)
 
 
 # The G-concurrence 2 sqrt(det rho_A) of a two-qubit pure state is its concurrence.
@@ -212,25 +195,28 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-_CUTS = {"A|BC": (0,), "B|AC": (1,)}
+_CUTS = {"A|BC": 0, "B|AC": 1}
 
 
 def cut_entanglement(psi: PureState, cut: str, m: MonotoneSpec) -> float:
-    """Evaluate the monotone across a bipartite cut of a three-party pure state."""
+    """Evaluate the monotone across a bipartite cut of a 2 x 2 x n pure state."""
     if cut not in _CUTS:
         raise InputError(f"cut must be one of {sorted(_CUTS)}")
-    return m.eigenvalue_fn(_schmidt_min(psi, _CUTS[cut]))
+    if psi.dims[:2] != (2, 2) or psi.num_subsystems != 3:
+        raise InputError(f"cut entanglement is defined for 2 x 2 x n states, got dims {psi.dims}")
+    return m.eigenvalue_fn(_cut_minima(psi.tensor_view()[None])[0, _CUTS[cut]])
 
 
 def pure_cut_concurrence(psi: PureState, cut: str) -> float:
     """Concurrence of a single party versus the remaining two, 2 sqrt(det rho)."""
-    return CONCURRENCE.eigenvalue_fn(_schmidt_min(psi, _CUTS[cut]))
+    return cut_entanglement(psi, cut, CONCURRENCE)
 
 
 def _cut_minima(t: np.ndarray) -> np.ndarray:
     """Smallest squared Schmidt coefficients across A|BC and B|AC of each state
-    in the stack t (N, 2, 2, 2), as (N, 2); ``schmidt_decompose``'s SVD."""
-    cuts = np.stack([t, t.transpose(0, 2, 1, 3)], axis=1).reshape(-1, 2, 2, 4)
+    in the stack t (N, 2, 2, n), as (N, 2); ``schmidt_decompose``'s SVD.  A
+    two-qubit state is the n = 1 stack, both of whose cuts are A|B."""
+    cuts = np.stack([t, t.transpose(0, 2, 1, 3)], axis=1).reshape(-1, 2, 2, 2 * t.shape[-1])
     return np.linalg.svd(cuts, full_matrices=False)[1][..., -1] ** 2
 
 

@@ -236,13 +236,7 @@ def _verify_thm2(psi: PureState) -> MembershipResult:
     member = verdict.kind in ("lossless", "decoupled")
     cert = {"verdict": verdict.kind}
     if verdict.kind == "lossless":
-        cert.update(
-            {
-                k: v
-                for k, v in verdict.certificate.items()
-                if k in ("branch", "lambda_min", "weights", "basis")
-            }
-        )
+        cert.update(verdict.certificate)
     return MembershipResult(member=member, certificate=cert)
 
 

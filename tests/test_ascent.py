@@ -317,6 +317,9 @@ def test_search_scores_its_ends_with_the_objective(monkeypatch):
     ((bases, newton_ends),) = runs["newton"]
     ((climbed, ends),) = runs["ascent"]
     np.testing.assert_array_equal(_isometries(bases, 2), starts[:-1])
+    # No basis is climbed twice: the Theorem-1 basis of a commuting side is
+    # that side's basis, which the starts already hold.
+    assert all(not np.array_equal(a, b) for i, a in enumerate(bases) for b in bases[i + 1 :])
     scored = np.concatenate([starts, _isometries(newton_ends, 2), climbed, ends])
     assert val == _povm_value_grad(scored, psi_mat, ENTROPY_1)[0].max()
     assert val < _min_cut(psi, ENTROPY_1) - 1e-3

@@ -59,3 +59,19 @@ def test_analyze_report_keys_the_bench_reads():
     report = _cli_json(["analyze", "--family", "w", "--monotone", "e2", "--budget", "20"])
     for key in ("eoaNumeric", "eoaConstructive", "cutA", "cutB"):
         assert isinstance(report[key], float), key
+
+
+def test_oracle_qubit_calls_return_floats():
+    # The calls the oracle-qubit workload makes per unit, with its budget.
+    eoa3 = importlib.import_module("eoa3")
+    monotones = eoa3.monotones
+    budget = eoa3.SearchBudget(random_starts=1, max_evals=200)
+    for s in (0, 1):
+        for psi, m in (
+            (eoa3.qcore.haar_random_pure((2, 2, 2), s), monotones.E2),
+            (eoa3.states.generate(eoa3.states.FamilySpec(kind="thm2", seed=s)), monotones.ENTROPY_1),
+        ):
+            value, _ = eoa3.assistance.eoa_numeric(psi, m, budget)
+            assert isinstance(value, float)
+            for cut in ("A|BC", "B|AC"):
+                assert isinstance(monotones.cut_entanglement(psi, cut, m), float)

@@ -163,19 +163,18 @@ def test_lossy_report_is_the_full_search(monkeypatch):
         np.testing.assert_array_equal(got, ref)
 
 
-def test_takagi_failure_falls_through_to_the_search(monkeypatch):
-    def failed(tau):
-        raise ArithmeticError("Takagi selection failed to span the support")
-
-    monkeypatch.setattr(assistance, "_takagi", failed)
-    calls = _count_searches(monkeypatch)
-    psi = haar_random_pure((2, 2, 2), 3)
-    budget = SearchBudget(random_starts=2, max_evals=2000, seed=3)
-    rep = analyze(psi, CONCURRENCE, budget)
-    assert len(calls) == 1
-    ref_val, _ = _eoa_search(psi, CONCURRENCE, budget, _theorem1_candidate(psi, CONCURRENCE), _min_cut(psi, CONCURRENCE))
-    assert rep.eoa_numeric == ref_val
-    assert rep.eoa_constructive <= rep.eoa_numeric <= _trace_norm(psi) + 1e-12
+def test_takagi_spans_every_two_by_two_form():
+    # The search calls _takagi_basis without a fallback: on a 2 x 2 tau the
+    # first pick leaves three orthonormal eigenvectors e of the real
+    # embedding with sum (J z1 . e)^2 = 1, so at most one of them is cut
+    # below norm 0.5 and a second column is always found.
+    specials = [ghz_state(), w_state(), product_state(), generate(parse_family("bell_c", 0))]
+    taus = [np.zeros((2, 2), dtype=complex), np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)]
+    taus += [_ab_tau(psi) for psi in specials + [haar_random_pure((2, 2, 2), seed) for seed in range(200)]]
+    taus += [1e-9 * tau for tau in taus]
+    for tau in taus:
+        basis = _takagi_basis(tau)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
 
 
 def test_lossy_solve_builds_each_reduction_once(monkeypatch):
@@ -192,12 +191,13 @@ def test_lossy_solve_builds_each_reduction_once(monkeypatch):
 
 
 def test_informed_starts_reuse_the_theorem1_bases():
-    # The rows and their order are those the public commuting_charlie_basis gives.
+    # The rows and their order are those the public commuting_charlie_basis
+    # gives; a Haar state measures a commuting side, which is not added twice.
     for seed in range(20):
         psi = haar_random_pure((2, 2, 2), seed)
         got = _informed_starts(psi, _theorem1_candidate(psi, ENTROPY_1))
-        assert len(got) == 5
-        for g, side in zip(got[3:], ("A", "B")):
+        assert len(got) == 4
+        for g, side in zip(got[2:], ("A", "B")):
             np.testing.assert_array_equal(g, commuting_charlie_basis(psi, side).basis)
 
 

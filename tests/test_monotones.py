@@ -27,6 +27,7 @@ from eoa3.qcore import (
     haar_random_unitary,
     random_density_matrix,
     reduced_density,
+    schmidt_decompose,
 )
 from eoa3.states import bell_times_c, ghz_state, product_state, w_state
 
@@ -58,6 +59,10 @@ def test_entropy_alpha_values():
     assert entropy_alpha(BELL, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert entropy_alpha(two_qubit(1, 0, 0, 0), 0.5) == pytest.approx(0.0, abs=1e-12)
     assert entropy_alpha(TILTED, 0.0) == pytest.approx(1.0, abs=1e-12)
+    # The entropy family is a monotone for alpha in [0, 1] only, MonotoneSpec's domain.
+    for alpha in (-0.5, 2.0):
+        with pytest.raises(InputError):
+            entropy_alpha(TILTED, alpha)
 
 
 def test_concurrence_values():
@@ -303,3 +308,22 @@ def test_pure_cut_concurrence_matches_old_formula():
         for cut, party in (("A|BC", 0), ("B|AC", 1)):
             det = np.linalg.det(reduced_density(psi, (party,)).entries).real
             assert abs(pure_cut_concurrence(psi, cut) - 2.0 * np.sqrt(max(det, 0.0))) <= 1e-14
+
+
+@pytest.mark.parametrize("psi", [BELL, haar_random_pure((3, 2, 2), 0), haar_random_pure((2, 2, 2, 2), 0)])
+def test_cut_entanglement_rejects_states_that_are_not_2x2xn(psi):
+    for cut in ("A|BC", "B|AC"):
+        with pytest.raises(InputError):
+            cut_entanglement(psi, cut, E2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cut_entanglement_is_schmidt_decompose_through_f(n):
+    # The stacked kernel reads the same SVD as schmidt_decompose, bit for bit.
+    monotones = [MonotoneSpec.parse(x) for x in ("e2", "entropy:1", "entropy:0.5", "concurrence", "ek:2", "s0")]
+    for seed in range(50):
+        psi = haar_random_pure((2, 2, n), seed)
+        for cut, party in (("A|BC", 0), ("B|AC", 1)):
+            lam = schmidt_decompose(psi, cut=(party,)).coefficients[-1]
+            for m in monotones:
+                assert cut_entanglement(psi, cut, m) == m.eigenvalue_fn(lam)

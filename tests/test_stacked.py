@@ -222,12 +222,16 @@ def test_one_eigen_factorization_per_density_stack(monkeypatch):
     rhos = qcore.reduced_stack(haar_random_rows(8, range(20)).reshape(-1, 2, 2, 2), (0, 1))
     rank3 = random_density_matrix(4, 3, 11)
     mixed = mixed_marginal_densities(range(5))
+    rank2 = DensityMatrix.from_matrix(rhos[0])
+    hadamard = assistance.Measurement.projective(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
     calls = _four_by_four_eigen_calls(monkeypatch)
     for run in (
         lambda: assistance.eoa_densities(rhos),
         lambda: entangled_stack(mixed),
         lambda: ensembles.equal_concurrence_decomposition(rank3),
         lambda: ensembles.convex_roof_concurrence(rank3, starts=2, max_evals=20),
+        # The branches of a measurement on the purifier are read, not factored.
+        lambda: ensembles.hjw_ensemble(rank2, hadamard),
     ):
         calls.clear()
         run()
