@@ -22,6 +22,7 @@ directions +/-n produces conditional X-marginals with unnormalized Bloch parts
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ class VerificationError(Exception):
 
 @dataclass(frozen=True)
 class Measurement:
-    """Finite list of Kraus elements on one subsystem of a pure state."""
+    """Finite list of Kraus elements, one column per dimension of the measured subsystem."""
 
     elements: tuple
 
@@ -66,15 +67,17 @@ class Measurement:
         elements = tuple(np.asarray(m, dtype=complex) for m in self.elements)
         if not 1 <= len(elements) <= 4:
             raise InputError("measurement must have between 1 and 4 elements")
-        dim = elements[0].shape[0]
+        if any(m.ndim != 2 or m.size == 0 or m.shape[1] != elements[0].shape[1] for m in elements):
+            raise InputError("measurement elements must be nonempty matrices with the same number of columns")
         total = sum(m.conj().T @ m for m in elements)
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+        if np.max(np.abs(total - np.eye(len(total)))) > 1e-10:
             raise InputError("measurement elements do not satisfy completeness")
         object.__setattr__(self, "elements", elements)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        """The dimension of the measured subsystem: the elements' column count."""
+        return self.elements[0].shape[1]
 
     @staticmethod
     def projective(basis: np.ndarray) -> "Measurement":
@@ -134,10 +137,14 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.random_starts < 0 or self.max_evals < 0:
+        try:
+            bad = min(map(operator.index, (self.random_starts, self.max_evals, self.seed))) < 0
+        except TypeError:
+            bad = True
+        if bad:
             raise InputError(
-                f"search budget needs random_starts >= 0 and max_evals >= 0, "
-                f"got {self.random_starts} and {self.max_evals}"
+                f"search budget needs integers random_starts >= 0, max_evals >= 0 and seed >= 0, "
+                f"got {self.random_starts!r}, {self.max_evals!r} and {self.seed!r}"
             )
 
 
@@ -535,13 +542,12 @@ def eoa_numeric(psi: PureState, m: MonotoneSpec, budget: SearchBudget | None = N
     exact concurrence of assistance, and the search is skipped.  With a
     qubit Charlie the constructive bases first climb the Bloch sphere by
     Newton steps (``_bloch_newton``), and stop as soon as the weak-duality
-    bound of ``_dual_bound`` proves the first of them to become stationary
-    optimal among all POVMs to within 1e-12; failing that, the bound is
-    taken again at the best Newton end unless that is the basis already
-    bounded.  Only if no bound certifies are the random starts drawn, and
-    they climb the ascent with the Newton ends; a certified solve draws
-    none.  With a qubit Charlie the min-cut comes from the cut minima of the
-    Theorem-1 pass, not from factorizations of its own.
+    bound of ``_dual_bound``, taken once, proves the first of them to become
+    stationary optimal among all POVMs to within 1e-12.  Failing that, the
+    random starts climb the ascent with the Newton ends; a certified solve
+    draws none.  The measurement has the elements |0><w_k| of the best
+    isometry's nonzero columns.  With a qubit Charlie the min-cut is read
+    off the Theorem-1 pass's cut minima, not factorized again.
     """
     if psi.dims[:2] != (2, 2) or psi.dims[2] > 4:
         raise InputError("supported layouts are 2 x 2 x n with n <= 4")
@@ -565,8 +571,8 @@ def _takagi_basis(tau: np.ndarray) -> np.ndarray:
     return cols @ _HADAMARD
 
 
-# Value tolerance of the POVM search: the least gain of an accepted ascent
-# step, and the distance from the bound at which a candidate counts as optimal.
+# Value tolerance of the POVM search: the least gain of a Newton step, and the
+# distance from the bound at which a candidate counts as optimal.
 _SEARCH_FATOL = 1e-12
 
 
@@ -743,9 +749,8 @@ def _chart_derivatives(psi_mat: np.ndarray, bases: np.ndarray, m: MonotoneSpec):
 
 def _bloch_newton(psi_mat: np.ndarray, m: MonotoneSpec, bases: np.ndarray, max_evals: int, target: float):
     """Climb the value of each qubit-Charlie basis of bases (K, 2, 2) on
-    psi_mat (4, 2) over the Bloch sphere; return the end bases, whether the
-    dual bound certified one of them, and the basis (2, 2) it was taken at,
-    None where it was not taken.
+    psi_mat (4, 2) over the Bloch sphere; return the end bases and whether
+    the dual bound certified one of them.
 
     Each round moves every basis W to W R(z), with the gradient g and
     Hessian H of ``_chart_derivatives``: z is the Newton step -H^-1 g where H
@@ -758,30 +763,30 @@ def _bloch_newton(psi_mat: np.ndarray, m: MonotoneSpec, bases: np.ndarray, max_e
     the same point), when its radius times that norm is at most
     ``_SEARCH_FATOL``, or after ``max_evals`` evaluations; all stop once
     one scores ``target``.  In the first evaluation where a basis is
-    stationary below ``target``, ``_dual_bound`` is taken at the best such
-    basis, and if it certifies that basis every basis ends where it is.
+    stationary below ``target``, ``_dual_bound`` is taken, once, at the
+    best such basis, and if it certifies that basis every basis ends there.
     """
     ends = bases.copy()
     if max_evals < 1:
-        return ends, False, None
+        return ends, False
     w = bases
     value, grad, hess = _chart_derivatives(psi_mat, w, m)
     radius = np.full(len(w), _TRUST_RADIUS)
     ids = np.arange(len(w))
-    bounded = None
+    bounded = False
     for evals in range(1, max_evals + 1):
         norm2 = (grad * grad).sum(axis=1)
         stationary = norm2 <= 2.0 * (_GRAD_TOL * value) ** 2
         if value.max() >= target:
             break
-        if bounded is None and stationary.any():
+        if not bounded and stationary.any():
+            bounded = True
             k = np.flatnonzero(stationary)[np.argmax(value[stationary])]
-            bounded = w[k]
             best = _isometries(w[k : k + 1], 2)
             best_value, best_grad = _povm_value_grad(best, psi_mat, m)
             if _dual_bound(best[0], best_grad[0], psi_mat, m) <= best_value[0] + _SEARCH_FATOL:
                 ends[ids] = w
-                return ends, True, bounded
+                return ends, True
         going = ~stationary & (radius * radius * norm2 > _SEARCH_FATOL**2)
         if evals == max_evals or not going.any():
             break
@@ -807,7 +812,7 @@ def _bloch_newton(psi_mat: np.ndarray, m: MonotoneSpec, bases: np.ndarray, max_e
         value, grad = np.where(ok, t_value, value), np.where(ok[:, None], t_grad, grad)
         radius = np.where(ok, np.minimum(2.0 * radius, _TRUST_RADIUS), radius / 4.0)
     ends[ids] = w
-    return ends, False, bounded
+    return ends, False
 
 
 def _eoa_search(
@@ -824,7 +829,7 @@ def _eoa_search(
     once.  Otherwise the best certificate that gets that close is taken and
     ``_povm_search`` is skipped; without one it runs, from the informed
     starts, and stops once any start gets that close: the other starts could
-    add at most ``_SEARCH_FATOL``.  Certificates, starts, ends and the
+    add at most ``_SEARCH_FATOL``.  Certificates, searched POVMs and the
     Theorem-1 candidate are all scored by one kernel, ``_outcome_value_grad``,
     in one (K, n_c, 4) shape; the Theorem-1 candidate wins every tie.
     """
@@ -840,7 +845,7 @@ def _eoa_search(
     n_c = psi.dims[2]
     psi_mat = psi.amplitudes.reshape(4, n_c)
     candidates = _isometries(certificates, n_c)
-    values = _povm_value_grad(candidates, psi_mat, m)[0]
+    values = _outcome_value_grad(psi_mat.conj() @ candidates, m, grad=False)[0]
     target = bound - _SEARCH_FATOL
     if values.max(initial=-np.inf) < target:
         candidates, values = _povm_search(psi_mat, m, budget, _informed_starts(psi, theorem1), target)
@@ -853,19 +858,17 @@ def _eoa_search(
 
 def _povm_search(psi_mat: np.ndarray, m: MonotoneSpec, budget: SearchBudget, informed, target: float):
     """The POVMs (K, n_c, 4) that the search of ``_eoa_search`` scores on
-    psi_mat (4, n_c), and their values: each start, then its end, so the
-    first maximum is the first best POVM.  Every climb stops once a POVM
+    psi_mat (4, n_c), and their values.  Every climb stops once a POVM
     scores ``target``.
 
     With a qubit Charlie the informed bases climb the Bloch sphere by
     ``_bloch_newton``, which takes the weak-duality bound of
-    ``_dual_bound``, over every POVM, at the first of them to become
-    stationary, and stops there if it certifies.  Failing that, the bound
-    is taken again at the best Newton end, unless that end is the basis
-    already bounded, whose bound would refuse again.  A solve that reaches
-    ``target`` or is certified returns the Newton starts and ends alone;
-    otherwise the Newton ends and ``budget.random_starts`` random
-    isometries climb ``_stiefel_ascent`` together.
+    ``_dual_bound``, over every POVM, once, at the first of them to become
+    stationary, and stops there if it certifies.  A Newton step never loses
+    value, so only the ends are scored.  A solve that reaches ``target`` or
+    is certified returns them alone; otherwise they and
+    ``budget.random_starts`` random isometries climb ``_stiefel_ascent``
+    together, each start scored before its end.
     With a larger Charlie the informed bases and the random isometries, from
     the same draws, climb ``_stiefel_ascent`` together.
     """
@@ -876,36 +879,27 @@ def _povm_search(psi_mat: np.ndarray, m: MonotoneSpec, budget: SearchBudget, inf
         # drawn as its real parts, then its imaginary parts.
         draws = np.random.default_rng(budget.seed).standard_normal((budget.random_starts, 8 * n_c))
         w0 = np.concatenate([w0, _polar((draws[:, : 4 * n_c] + 1j * draws[:, 4 * n_c :]).reshape(-1, n_c, 4))])
-        ends = _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w0, budget.max_evals, _SEARCH_FATOL, target)
+        ends = _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w0, budget.max_evals, target)
         return np.stack([w0, ends], axis=1).reshape(-1, n_c, 4)
 
-    if n_c != 2:
+    if n_c == 2:
+        ends, certified = _bloch_newton(psi_mat, m, np.array(informed), budget.max_evals, target)
+        candidates = _isometries(ends, 2)
+        values = _outcome_value_grad(psi_mat.conj() @ candidates, m, grad=False)[0]
+        if certified or values.max() >= target:
+            return candidates, values
+        candidates = np.concatenate([candidates, climbed(candidates)])
+    else:
         candidates = climbed(_isometries(informed, n_c))
-        return candidates, _povm_value_grad(candidates, psi_mat, m)[0]
-    starts = np.array(informed)
-    ends, certified, bounded = _bloch_newton(psi_mat, m, starts, budget.max_evals, target)
-    candidates = _isometries(np.stack([starts, ends], axis=1).reshape(-1, 2, 2), 2)
-    values, grads = _povm_value_grad(candidates, psi_mat, m)
-    best = int(np.argmax(values))
-    settled = values[best] >= target or certified
-    if not settled and (bounded is None or not np.array_equal(candidates[best, :, :2], bounded)):
-        settled = _dual_bound(candidates[best], grads[best], psi_mat, m) <= values[best] + _SEARCH_FATOL
-    if settled:
-        return candidates, values
-    tail = climbed(candidates[1::2])
-    return np.concatenate([candidates, tail]), np.concatenate([values, _povm_value_grad(tail, psi_mat, m)[0]])
+    return candidates, _outcome_value_grad(psi_mat.conj() @ candidates, m, grad=False)[0]
 
 
 def _povm_measurement(w: np.ndarray) -> Measurement:
-    """The rank-1 POVM on Charlie whose vectors are the columns of the isometry w, its zero outcomes dropped."""
+    """The rank-1 POVM on Charlie with elements |0><w_k|, w_k the columns of the
+    isometry w of norm above 1e-7; W W^dag = I makes them complete."""
     n_c = w.shape[0]
     keep = [k for k in range(4) if np.vdot(w[:, k], w[:, k]).real > 1e-14]
-    elems = [np.outer(np.eye(n_c, dtype=complex)[:, 0], w[:, k].conj()) for k in keep]
-    # Restore exact completeness over the kept columns.
-    total = sum(e.conj().T @ e for e in elems)
-    evals, evecs = np.linalg.eigh(total)
-    fix = (evecs / np.sqrt(np.clip(evals, 1e-300, None))) @ evecs.conj().T
-    return Measurement(elements=tuple(e @ fix for e in elems))
+    return Measurement(elements=tuple(np.outer(np.eye(n_c, dtype=complex)[:, 0], w[:, k].conj()) for k in keep))
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +1085,7 @@ def swap_infidelity(psi: PureState) -> float:
     # exp(i x.sigma) = cos|x| I + i sin|x| (x.sigma) / |x|
     factors = np.cos(angle) * np.eye(2) + 1j * np.sinc(angle / np.pi) * np.einsum("sfi,ijk->sfjk", x, PAULI_BASIS[1:])
     z0 = np.concatenate([np.eye(6)[None], _block_diagonal([factors[:, f] for f in range(3)])])
-    z_end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, target), z0, _SWAP_EVALS, 1e-12, 1.0 - 1e-10)
+    z_end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, target), z0, _SWAP_EVALS, 1.0 - 1e-10)
     fidelity = _swap_fidelity_grad(np.concatenate([z0, z_end]), t, target)[0]
     return float(max(min(best, 1.0 - fidelity.max()), 0.0))
 

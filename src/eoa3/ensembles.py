@@ -477,6 +477,6 @@ def convex_roof_concurrence(rho: DensityMatrix, starts: int = 6, max_evals: int 
     psi = psi[:, :r]
     x0 = np.random.default_rng(seed).standard_normal((starts, 8 * r))
     w0 = _polar((x0[:, : 4 * r] + 1j * x0[:, 4 * r :]).reshape(-1, r, 4))
-    ends = _stiefel_ascent(lambda w: _roof_value_grad(w, psi), w0, max_evals, 1e-12, np.inf)
+    ends = _stiefel_ascent(lambda w: _roof_value_grad(w, psi), w0, max_evals, np.inf)
     eye = np.eye(r, 4, dtype=complex)[None]
     return float(-_roof_value_grad(np.vstack([eye, ends]), psi)[0].max())

@@ -406,14 +406,15 @@ def _block_diagonal(blocks) -> np.ndarray:
 
 
 # Armijo's sufficient-increase fraction, the weight of the past in the moving
-# average the ascent's steps must beat, and the gradient norm, relative to the
-# value, below which a start counts as stationary.
+# average the ascent's steps must beat, the gradient norm, relative to the
+# value, below which a start counts as stationary, and the least step gain.
 _ARMIJO = 1e-4
 _MEMORY = 0.85
 _GRAD_TOL = 1e-9
+_FATOL = 1e-12
 
 
-def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: float) -> np.ndarray:
+def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, target: float) -> np.ndarray:
     """Maximize ``fun``, which maps a stack to its values and Euclidean gradients
     (dF = Re tr(G^dag dW)), from every point of the stack w0 (K, n, d),
     W W^dag = I; return the end points.
@@ -423,7 +424,7 @@ def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: f
     until it beats a moving average of the start's past values by Armijo's
     share (a nonmonotone search after Zhang & Hager, as in Wen & Yin, Math.
     Program. 2013).  A start stops when its gradient norm falls below
-    ``_GRAD_TOL`` times its value, when a step too short to gain ``fatol``
+    ``_GRAD_TOL`` times its value, when a step too short to gain ``_FATOL``
     fails, or after ``max_evals`` evaluations, line-search trials included;
     all stop once one scores ``target``.  Zero columns of W stay zero.
     """
@@ -458,7 +459,7 @@ def _stiefel_ascent(fun, w0: np.ndarray, max_evals: int, fatol: float, target: f
         step = np.where(ok, np.where(curved, bb, 1.0 / np.sqrt(np.maximum(t_norm2, 1e-300))), 0.5 * step)
         long_step ^= ok
         top = max(top, value.max())
-        going = np.where(ok, norm2 > (_GRAD_TOL * value) ** 2, step * norm2 > fatol)
+        going = np.where(ok, norm2 > (_GRAD_TOL * value) ** 2, step * norm2 > _FATOL)
         if not going.all():
             end[ids[~going]] = w[~going]
             ids, w, value, grad, norm2 = ids[going], w[going], value[going], grad[going], norm2[going]

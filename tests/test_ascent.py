@@ -177,7 +177,7 @@ def test_ascent_keeps_projective_starts_projective(kind):
     m = MonotoneSpec.parse(kind)
     for psi, w in _edge_cases()[:-1]:
         psi_mat = psi.amplitudes.reshape(4, 2)
-        end = _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w, 200, 1e-12, np.inf)
+        end = _stiefel_ascent(lambda x: _povm_value_grad(x, psi_mat, m), w, 200, np.inf)
         assert np.all(np.isfinite(end))
         np.testing.assert_allclose(end @ end.conj().transpose(0, 2, 1), np.eye(2)[None], atol=1e-12)
         assert np.all(end[np.broadcast_to(np.all(w == 0, axis=1, keepdims=True), w.shape)] == 0)
@@ -197,7 +197,7 @@ def test_budget_counts_evaluations_per_start():
             rows.append(len(w))
             return _povm_value_grad(w, psi_mat, ENTROPY_1)
 
-        end = _stiefel_ascent(counted, w0, max_evals, 1e-12, np.inf)
+        end = _stiefel_ascent(counted, w0, max_evals, np.inf)
         assert len(rows) == max_evals and all(r <= 4 for r in rows)
         if max_evals <= 1:
             np.testing.assert_array_equal(end, w0)
@@ -214,7 +214,7 @@ def test_ascent_stops_every_start_at_the_target():
         calls.append(1)
         return _povm_value_grad(w, psi_mat, ENTROPY_1)
 
-    end = _stiefel_ascent(counted, w0, 200, 1e-12, start.max())
+    end = _stiefel_ascent(counted, w0, 200, start.max())
     assert len(calls) == 1
     np.testing.assert_array_equal(end, w0)
 
@@ -341,7 +341,7 @@ def test_random_starts_climb_when_the_dual_bound_does_not_fire(monkeypatch):
         np.testing.assert_array_equal(climbed, np.concatenate([_isometries(newton_ends, 2), starts[len(bases) :]]))
         monkeypatch.undo()
         joint = _stiefel_ascent(
-            lambda w: _povm_value_grad(w, psi_mat, ENTROPY_1), climbed, FAST_BUDGET.max_evals, 1e-12, _min_cut(psi, ENTROPY_1) - 1e-12
+            lambda w: _povm_value_grad(w, psi_mat, ENTROPY_1), climbed, FAST_BUDGET.max_evals, _min_cut(psi, ENTROPY_1) - 1e-12
         )
         np.testing.assert_array_equal(ends, joint)
         scored = np.concatenate([starts, climbed, joint])
@@ -369,6 +369,33 @@ def test_certified_solve_draws_no_random_starts(monkeypatch):
     assert polars == []
 
 
+def test_a_refused_dual_bound_is_not_taken_again(monkeypatch):
+    # product + 1e-2 z under entropy:1: the dual bound refuses at the first
+    # stationary Newton basis, and the best Newton end is another basis.  The
+    # solve bounds no second basis; the Newton ends climb with the random start.
+    rng = np.random.default_rng(2)
+    amps = product_state().amplitudes + 1e-2 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    psi = PureState((2, 2, 2), amps / np.linalg.norm(amps))
+    psi_mat = psi.amplitudes.reshape(4, 2)
+    runs = _recorded_climbs(monkeypatch)
+    bounds = []
+    dual_bound = assistance._dual_bound
+
+    def recorded(w, *args):
+        bounds.append((w, dual_bound(w, *args)))
+        return bounds[-1][1]
+
+    monkeypatch.setattr(assistance, "_dual_bound", recorded)
+    eoa_numeric(psi, ENTROPY_1, FAST_BUDGET)
+    ((w, u),) = bounds
+    assert np.isinf(u)
+    ((bases, newton_ends),) = runs["newton"]
+    ends = _isometries(newton_ends, 2)
+    assert _povm_value_grad(ends, psi_mat, ENTROPY_1)[0].max() > _povm_value_grad(w[None], psi_mat, ENTROPY_1)[0][0]
+    ((climbed, _),) = runs["ascent"]
+    np.testing.assert_array_equal(climbed, np.concatenate([ends, _starts(psi, ENTROPY_1, FAST_BUDGET)[len(bases) :]]))
+
+
 @pytest.mark.parametrize("n_c", [2, 3, 4])
 def test_search_measurement_scores_its_value(n_c):
     # The measurement the search returns is the POVM it scored: measured
@@ -380,3 +407,25 @@ def test_search_measurement_scores_its_value(n_c):
             val, meas = eoa_numeric(psi, m, FAST_BUDGET)
             assert meas.dim == n_c
             assert abs(average_post_measurement(psi, meas, m) - val) <= 1e-12
+
+
+@pytest.mark.parametrize("n_c", [2, 3, 4])
+def test_search_measurement_is_the_columns_of_its_isometry(monkeypatch, n_c):
+    # The elements are |0><w_k| for the nonzero columns w_k of the isometry
+    # the search picked, with no repair: W W^dag = I alone makes them
+    # complete.
+    picked = []
+    measurement = assistance._povm_measurement
+    monkeypatch.setattr(assistance, "_povm_measurement", lambda w: picked.append(w) or measurement(w))
+    for kind in ("entropy:0.5", "entropy:1"):
+        for seed in range(15):
+            picked.clear()
+            _, meas = eoa_numeric(haar_random_pure((2, 2, n_c), seed), MonotoneSpec.parse(kind), FAST_BUDGET)
+            (w,) = picked
+            kept = [k for k in range(4) if np.linalg.norm(w[:, k]) > 1e-7]
+            assert len(meas.elements) == len(kept)
+            for elem, k in zip(meas.elements, kept):
+                np.testing.assert_array_equal(elem[0], w[:, k].conj())
+                assert not elem[1:].any()
+            total = sum(e.conj().T @ e for e in meas.elements)
+            assert np.abs(total - np.eye(n_c)).max() <= 1e-14

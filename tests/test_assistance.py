@@ -66,6 +66,24 @@ def test_measurement_completeness_enforced():
     assert len(m.elements) == 2
 
 
+def test_measurement_dim_is_the_column_count():
+    # Elements of any height act on the dimension of their columns: 1 x 2
+    # rows measure a qubit, and 2 x 3 and 1 x 3 elements a qutrit, each in
+    # the computational basis.  Elements of unequal widths are refused.
+    qutrit = ([[1, 0, 0], [0, 0, 0]], [[0, 1, 0]], [[0, 0, 0], [0, 0, 1]])
+    for n_c, elements in ((2, ([[1, 0]], [[0, 1]])), (3, qutrit)):
+        meas = Measurement(elements=tuple(np.array(e) for e in elements))
+        assert meas.dim == n_c
+        z = Measurement.projective(np.eye(n_c, dtype=complex))
+        for seed in range(10):
+            psi = haar_random_pure((2, 2, n_c), seed)
+            for m in (E2, ENTROPY_1):
+                assert average_post_measurement(psi, meas, m) == pytest.approx(average_post_measurement(psi, z, m), abs=1e-15)
+    for elements in ((np.array([[1, 0]]), np.array([[0, 1, 0]])), (np.ones(2),), (np.zeros((2, 0)),)):
+        with pytest.raises(InputError):
+            Measurement(elements=elements)
+
+
 def test_commuting_basis_ghz():
     res = commuting_charlie_basis(ghz_state(), "A")
     assert res.residual <= 1e-9
@@ -404,6 +422,11 @@ def test_search_budget_rejects_negative_values():
     with pytest.raises(InputError):
         SearchBudget(max_evals=-3)
     assert SearchBudget(random_starts=0, max_evals=0).max_evals == 0
+    # Fractions and negative seeds are refused up front, not where a
+    # fallback first draws or counts with them.
+    for fields in ({"max_evals": 2.5}, {"random_starts": 1.5}, {"seed": -1}):
+        with pytest.raises(InputError):
+            SearchBudget(**fields)
 
 
 def test_eoa_numeric_w_entropy_gap():
@@ -486,7 +509,7 @@ def test_swap_search_keeps_its_blocks_apart():
     rng = np.random.default_rng(4)
     z0 = _block_diagonal([_polar(rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))) for _ in range(3)])
     blocks = np.kron(np.eye(3), np.ones((2, 2))).astype(bool)
-    end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, t.transpose(1, 0, 2)), z0, 600, 1e-12, 1.0 - 1e-10)
+    end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, t.transpose(1, 0, 2)), z0, 600, 1.0 - 1e-10)
     assert np.all(end[:, ~blocks] == 0)
     np.testing.assert_allclose(end @ end.conj().transpose(0, 2, 1), np.broadcast_to(np.eye(6), end.shape), atol=1e-12)
 

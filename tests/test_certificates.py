@@ -6,8 +6,8 @@ C_a = ||tau||_1, tau = V^T (sy x sy) V (Laustsen, Verstraete & van Enk, QIC
 2003), and the Takagi basis of tau reaches it.  On lossless states the
 classifier's marginal-preserving basis reaches the min-cut.  With a qubit
 Charlie, weak duality bounds every POVM by tr Lam + 2 max_c (phi(c) -
-c^dag Lam c), Lam read off the best informed POVM; where that bound meets the
-informed value the random starts are scored but not climbed.
+c^dag Lam c), Lam read off the first stationary Newton basis; where that bound
+meets the basis's value the random starts are not drawn.
 """
 
 import numpy as np
@@ -250,8 +250,8 @@ def test_dual_bound_is_sound_near_special_states(family, seed, kind, log_eps, z_
     with pytest.MonkeyPatch.context() as patch:
         bounds = _recorded_bounds(patch)
         certified = search()
-    # One bound at the Newton climb's first stationary basis, one at its best end.
-    assert len(bounds) <= 2
+    # One bound, at the Newton climb's first stationary basis.
+    assert len(bounds) <= 1
     climbed = _without_dual_bound(search)
     for u, informed in bounds:
         assert climbed <= u + 1e-12
@@ -306,7 +306,6 @@ def test_certified_newton_evaluates_less_on_lossy_haar_states(monkeypatch):
             lambda w: calls.append(1) or _povm_value_grad(w, psi_mat, ENTROPY_1),
             w0,
             budget.max_evals,
-            _SEARCH_FATOL,
             _min_cut(psi, ENTROPY_1) - _SEARCH_FATOL,
         )
         ascended += len(calls)
@@ -349,8 +348,7 @@ def test_w_under_entropy_half_takes_the_fallback(monkeypatch):
         bounds.clear()
         calls.clear()
         analyze(generate(parse_family("w", seed)), m, SearchBudget(random_starts=2, max_evals=2000, seed=seed))
-        # One bound, at the first stationary basis: the best Newton end is
-        # that basis, and a second bound there would refuse again.
+        # One bound, at the first stationary basis, and it refuses.
         ((u, _),) = bounds
         assert np.isinf(u)
         assert len(calls) == 1

@@ -68,14 +68,15 @@ def test_hjw_reconstruction_random():
 
 
 def test_hjw_reads_rank_one_kraus_elements_of_any_height():
-    # Elements 2 x 2 and 1 x 2 leave the z-basis branches; a full-rank
-    # element on a rank-2 purifier leaves a mixed one.
+    # Elements 2 x 2 and 1 x 2, or both 1 x 2, leave the z-basis branches; a
+    # full-rank element on a rank-2 purifier leaves a mixed one.
     rho = random_density_matrix(4, 2, 7)
     z = hjw_ensemble(rho, Measurement.projective(np.eye(2, dtype=complex)))
-    got = hjw_ensemble(rho, Measurement(elements=(np.array([[1, 0], [0, 0]]), np.array([[0, 1]]))))
-    for (w, s), (w_z, s_z) in zip(got.elements, z.elements, strict=True):
-        assert w == pytest.approx(w_z, abs=1e-15)
-        assert abs(np.vdot(s.amplitudes, s_z.amplitudes)) == pytest.approx(1.0, abs=1e-15)
+    for first in ([[1, 0], [0, 0]], [[1, 0]]):
+        got = hjw_ensemble(rho, Measurement(elements=(np.array(first), np.array([[0, 1]]))))
+        for (w, s), (w_z, s_z) in zip(got.elements, z.elements, strict=True):
+            assert w == pytest.approx(w_z, abs=1e-15)
+            assert abs(np.vdot(s.amplitudes, s_z.amplitudes)) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(InputError):
         hjw_ensemble(rho, Measurement(elements=(np.eye(2),)))
 
