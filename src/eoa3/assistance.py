@@ -22,6 +22,8 @@ directions +/-n produces conditional X-marginals with unnormalized Bloch parts
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -35,12 +37,10 @@ from .qcore import (
     InputError,
     PureState,
     _GRAD_TOL,
-    _block_diagonal,
     _complex_pairs,
     _density_factors,
     _polar,
     _stiefel_ascent,
-    _unchecked_states,
     min_marginal_eigenvalue,
     pauli_coefficients,
     reduced_stack,
@@ -163,10 +163,18 @@ def _ab_purities(t: np.ndarray) -> np.ndarray:
 
 
 def _pauli_stack(t: np.ndarray, side: str):
-    """(a, b, T) of the two-qubit reductions rho^{XC}, X = A or B, of each
-    state in the stack t (N, 2, 2, 2): (N, 3), (N, 3) and (N, 3, 3)."""
-    r = pauli_coefficients(reduced_stack(t, (0, 2) if side == "A" else (1, 2)))
+    """(a, b, T) of the two-qubit reductions rho^{XC}, X = A or B, or of
+    rho^{AB} for side "AB", of each state in the stack t (N, 2, 2, 2): (N, 3),
+    (N, 3) and (N, 3, 3)."""
+    r = pauli_coefficients(reduced_stack(t, {"A": (0, 2), "B": (1, 2), "AB": (0, 1)}[side]))
     return r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+
+
+def _checked_tol(tol) -> float:
+    """``tol`` as a float, once it is checked to be a finite real >= 0."""
+    if not isinstance(tol, numbers.Real) or not math.isfinite(tol) or tol < 0.0:
+        raise InputError(f"tol must be a finite real number >= 0, got {tol!r}")
+    return float(tol)
 
 
 def _antipodal_bases(n: np.ndarray) -> np.ndarray:
@@ -916,6 +924,7 @@ class Theorem1Report:
 
 def verify_theorem1(psi: PureState, tol: float) -> Theorem1Report:
     """Check the constructive measurement saturates the min-cut E2 bound."""
+    tol = _checked_tol(tol)
     _, th = _theorem1(psi)
     avg = float(th.average[0])
     cut_a, cut_b = (float(c) for c in E2.eigenvalue_values(th.minima[0]))
@@ -964,6 +973,7 @@ def lossless_classifiers(states, cut: str, tol: float = 1e-9) -> LosslessStack:
     """
     if cut not in ("A|BC", "B|AC"):
         raise InputError("cut must be 'A|BC' or 'B|AC'")
+    tol = _checked_tol(tol)
     t = three_qubit_stack(states)
     return _classify(t, cut, tol, _ab_purities(t) > 1.0 - _AB_PURE_TOL, _cut_minima(t))
 
@@ -1060,86 +1070,133 @@ def unital_fixed_point_checks(h: np.ndarray, probs: np.ndarray, unitaries: np.nd
 # Corollary checks
 
 
-# The random starts of ``swap_infidelity`` and the evaluations of each.
-_SWAP_STARTS = 24
-_SWAP_EVALS = 600
-
-
 def swap_infidelity(psi: PureState) -> float:
-    """Best found infidelity between SWAP_AB |psi> and (U x V x W)|psi>.
+    """1 - |<SWAP_AB psi|U x V x W|psi>|^2 for the best local unitary U x V x W
+    that ``_swap_infidelities`` builds: the N = 1 call, with no tolerance."""
+    return float(_swap_infidelities(psi.tensor_view()[None], 0.0)[0])
 
-    The identity is tried first.  Failing it, ``_stiefel_ascent`` climbs the
-    fidelity over (U, V, W) in U(2)^3, held as one 6x6 block-diagonal unitary
-    (``_swap_fidelity_grad``), from the identity and ``_SWAP_STARTS`` random
-    points exp(i x.sigma), x uniform in [-pi, pi]^3 per factor, drawn with
-    seed 0; ``_SWAP_EVALS`` evaluations each, and all stop once one is
-    within 1e-10 of fidelity 1.
+
+def _swap_fidelities(t: np.ndarray, u=None, v=None) -> np.ndarray:
+    """max_W |<SWAP_AB psi|U x V x W|psi>|^2 over unitaries W on C, for each
+    state of the stack t (N, 2, 2, 2) and its pair U, V (N, 2, 2), or U = V =
+    I: the squared trace norm ||m||_F^2 + 2 |det m| of the 2 x 2 C-overlap m
+    of the two states, so W is never built."""
+    moved = t if u is None else np.einsum("nai,nbj,nijc->nabc", u, v, t)
+    m = np.einsum("nbac,nabd->ncd", t.conj(), moved)
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    return (m.real**2 + m.imag**2).sum(axis=(1, 2)) + 2.0 * np.abs(det)
+
+
+def _su2(o: np.ndarray) -> np.ndarray:
+    """A unitary U (N, 2, 2) with U sigma_j U^dag = sum_i O_ij sigma_i for each
+    rotation O of the stack o (N, 3, 3): the Choi matrix (1/2) (I + sum_ij
+    O_ij sigma_i x conj(sigma_j)) is vec(U) vec(U)^dag, and U is its largest
+    column, normalized."""
+    turned = np.einsum("nmv,mij,vkl->nikjl", o, PAULI_BASIS[1:], PAULI_BASIS[1:].conj())
+    choi = 0.5 * (np.eye(4) + turned.reshape(-1, 4, 4))
+    rows = np.arange(len(o))
+    col = np.argmax(np.einsum("nii->ni", choi).real, axis=1)
+    return (choi[rows, :, col] / np.sqrt(choi[rows, col, col].real)[:, None]).reshape(-1, 2, 2)
+
+
+# The partitions of T's three descending singular values into runs of equal
+# values, each run as its (start, stop) indices.
+_RUNS = (((0, 1), (1, 2), (2, 3)), ((0, 2), (2, 3)), ((0, 1), (1, 3)), ((0, 3),))
+
+
+def _run_rotations(x: np.ndarray, y: np.ndarray, sign: np.ndarray, runs) -> np.ndarray:
+    """An orthogonal P (N, 3, 3), block-diagonal over ``runs``, that swaps x
+    and y where that is possible, with det P = sign (N,).
+
+    On each run P maximizes y.Px + x.Py = tr(P^T S) for S = y x^T + x y^T,
+    which the polar factor W Z^T of S = W diag(s) Z^T does (orthogonal
+    Procrustes).  Where det P comes out wrong, the run with the least
+    smallest s reflects its last pair of singular directions, P - 2 w z^T:
+    the best P of the right determinant (Kabsch's correction)."""
+    p = np.zeros((len(x), 3, 3))
+    least = np.empty((len(x), len(runs)))
+    flips = []
+    for k, (i, j) in enumerate(runs):
+        s = y[:, i:j, None] * x[:, None, i:j]
+        w, sv, zt = np.linalg.svd(s + s.swapaxes(1, 2))
+        p[:, i:j, i:j] = w @ zt
+        least[:, k] = sv[:, -1]
+        flips.append(2.0 * w[:, :, -1, None] * zt[:, None, -1])
+    wrong = np.linalg.det(p) * sign < 0.0
+    at = np.argmin(least, axis=1)
+    for k, (i, j) in enumerate(runs):
+        p[wrong & (at == k), i:j, i:j] -= flips[k][wrong & (at == k)]
+    return p
+
+
+def _swap_infidelities(t: np.ndarray, tol: float) -> np.ndarray:
+    """``swap_infidelity`` of each state of the validated stack t (N, 2, 2, 2):
+    the identity is tried on the whole stack, and the states whose
+    infidelity under it exceeds ``tol`` take the normal form below.
+
+    C is a qubit, so psi ~ SWAP_AB psi under U x V x W iff U x V maps rho_AB
+    to SWAP rho_AB SWAP (two purifications of one state on a qubit differ by
+    a unitary on C): in Pauli data (a, b, T) of rho_AB, iff rotations O_A,
+    O_B in SO(3) have O_A a = b, O_B b = a and O_A T O_B^T = T^T.  With T =
+    U1 diag(s) V1^T, x = U1^T a and y = V1^T b, that is O_A = V1 P U1^T and
+    O_B = U1 Q V1^T for orthogonal P and Q, block-diagonal over the runs of
+    equal s, with Q = P on every run of positive s, P x = y, Q y = x and
+    det P = det Q = det U1 det V1.  ``_run_rotations`` builds P, taken as Q
+    on every run (on a null run of T, Q could differ).  Each partition of s
+    into runs gives one candidate, lifted to SU(2) by ``_su2`` and scored by
+    ``_swap_fidelities``; the best counts, so no threshold decides the runs.
+    Each candidate is an actual local unitary: the infidelity is never below
+    the true minimum, nor above the identity's.
     """
-    t = psi.tensor_view()
-    target = t.transpose(1, 0, 2)
-    best = 1.0 - abs(np.vdot(target, t)) ** 2
-    if best < 1e-10:
-        return float(max(best, 0.0))
-    x = np.random.default_rng(0).uniform(-np.pi, np.pi, (_SWAP_STARTS, 3, 3))
-    angle = np.linalg.norm(x, axis=-1)[..., None, None]
-    # exp(i x.sigma) = cos|x| I + i sin|x| (x.sigma) / |x|
-    factors = np.cos(angle) * np.eye(2) + 1j * np.sinc(angle / np.pi) * np.einsum("sfi,ijk->sfjk", x, PAULI_BASIS[1:])
-    z0 = np.concatenate([np.eye(6)[None], _block_diagonal([factors[:, f] for f in range(3)])])
-    z_end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, target), z0, _SWAP_EVALS, 1.0 - 1e-10)
-    fidelity = _swap_fidelity_grad(np.concatenate([z0, z_end]), t, target)[0]
-    return float(max(min(best, 1.0 - fidelity.max()), 0.0))
-
-
-def _swap_fidelity_grad(z: np.ndarray, t: np.ndarray, target: np.ndarray):
-    """F = |a|^2, a = <target|U x V x W|t>, for each block-diagonal unitary
-    U + V + W of the stack z (K, 6, 6), and its Euclidean gradient (K, 6, 6),
-    dF = Re tr(G^dag dZ): 2 a conj(da/dX) in the block of each factor X, zero
-    off the blocks."""
-    u, v, w = (z[:, 2 * f : 2 * f + 2, 2 * f : 2 * f + 2] for f in range(3))
-    tc = target.conj()
-    da_du = np.einsum("abc,sbj,scl,ijl->sai", tc, v, w, t)
-    da_dv = np.einsum("abc,sai,scl,ijl->sbj", tc, u, w, t)
-    da_dw = np.einsum("abc,sai,sbj,ijl->scl", tc, u, v, t)
-    a = np.einsum("sai,sai->s", da_du, u)
-    grad = np.zeros_like(z)
-    for f, da in enumerate((da_du, da_dv, da_dw)):
-        grad[:, 2 * f : 2 * f + 2, 2 * f : 2 * f + 2] = 2.0 * a[:, None, None] * da.conj()
-    return (a * a.conj()).real, grad
+    fid = _swap_fidelities(t)
+    rows = np.flatnonzero(1.0 - fid > tol)
+    if rows.size:
+        tr = t[rows]
+        a, b, T = _pauli_stack(tr, "AB")
+        u1, _, v1t = np.linalg.svd(T)
+        x = np.einsum("nji,nj->ni", u1, a)
+        y = np.einsum("nij,nj->ni", v1t, b)
+        sign = np.linalg.det(u1) * np.linalg.det(v1t)
+        best = fid[rows]
+        for runs in _RUNS:
+            p = _run_rotations(x, y, sign, runs)
+            u, v = _su2(v1t.swapaxes(1, 2) @ p @ u1.swapaxes(1, 2)), _su2(u1 @ p @ v1t)
+            best = np.maximum(best, _swap_fidelities(tr, u, v))
+        fid[rows] = best
+    return np.maximum(1.0 - fid, 0.0)
 
 
 @dataclass(frozen=True)
 class CorollaryReport:
     i: bool
-    ii: bool | None
+    ii: bool
     iii: bool
-    swap_infidelity: float | None
+    swap_infidelity: float
 
 
-def corollary_check(psi: PureState, tol: float, check_swap: bool = True) -> CorollaryReport:
+def corollary_check(psi: PureState, tol: float) -> CorollaryReport:
     """Check the cut-symmetry equivalences on a three-qubit state."""
-    return corollary_checks([psi], tol, check_swap)[0]
+    return corollary_checks([psi], tol)[0]
 
 
-def corollary_checks(states, tol: float, check_swap: bool = True) -> list:
+def corollary_checks(states, tol: float) -> list:
     """``corollary_check`` for each of a sequence of three-qubit states (or
     their (N, 8) amplitude rows): (i) equal E2 across A|BC and B|AC, (ii) a
-    local-unitary SWAP symmetry, searched state by state, (iii) equal AC and
-    BC concurrences, each within ``tol``."""
+    local-unitary SWAP symmetry, by ``_swap_infidelities`` over the stack,
+    (iii) equal AC and BC concurrences, each within ``tol``."""
+    tol = _checked_tol(tol)
     t = three_qubit_stack(states)
     cuts, pairs = _corollary_values(t)
-    psis = _unchecked_states(t) if check_swap else []
-    reports = []
-    for row in range(len(t)):
-        infid = swap_infidelity(psis[row]) if check_swap else None
-        reports.append(
-            CorollaryReport(
-                i=bool(abs(cuts[row, 0] - cuts[row, 1]) <= tol),
-                ii=None if infid is None else infid <= tol,
-                iii=bool(abs(pairs[row, 0] - pairs[row, 1]) <= tol),
-                swap_infidelity=infid,
-            )
+    infid = _swap_infidelities(t, tol)
+    return [
+        CorollaryReport(
+            i=bool(abs(cuts[row, 0] - cuts[row, 1]) <= tol),
+            ii=bool(infid[row] <= tol),
+            iii=bool(abs(pairs[row, 0] - pairs[row, 1]) <= tol),
+            swap_infidelity=float(infid[row]),
         )
-    return reports
+        for row in range(len(t))
+    ]
 
 
 def _corollary_values(t: np.ndarray):

@@ -392,19 +392,6 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kij->k", a.conj(), b).real
 
 
-def _block_diagonal(blocks) -> np.ndarray:
-    """The stacks of blocks (K, r_i, c_i) as one stack (K, sum r_i, sum c_i) of
-    block-diagonal matrices: a point of a product of Stiefel manifolds, which
-    ``_stiefel_ascent`` climbs as one isometry whose gradient, steps and polar
-    retraction all keep the off-diagonal blocks 0."""
-    out = np.zeros((len(blocks[0]), sum(b.shape[1] for b in blocks), sum(b.shape[2] for b in blocks)), dtype=complex)
-    row = col = 0
-    for b in blocks:
-        out[:, row : row + b.shape[1], col : col + b.shape[2]] = b
-        row, col = row + b.shape[1], col + b.shape[2]
-    return out
-
-
 # Armijo's sufficient-increase fraction, the weight of the past in the moving
 # average the ascent's steps must beat, the gradient norm, relative to the
 # value, below which a start counts as stationary, and the least step gain.

@@ -10,6 +10,9 @@ Family conventions:
 * ``corollary_symmetric``: sqrt(p)|Phi+>|0> + sqrt(1-p)|phi>|1> where phi is a
   two-qubit state satisfying SWAP|phi> = (U x U*)|phi>; such phi always exist
   because |Phi+> is a fixed point of (U^dag x U^T) SWAP for every unitary U.
+
+``verify_family_membership`` decides membership up to local unitaries: ``eq21``
+iff sigma_max(T) = 1 for T of rho_AB, ``thm2`` iff the classifier finds no loss.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .qcore import (
     haar_random_pure,
     haar_random_unitaries,
     haar_random_unitary,
-    schmidt_decompose,
+    three_qubit_stack,
 )
 
 _FAMILY_KINDS = (
@@ -37,6 +40,9 @@ _FAMILY_KINDS = (
     "thm2",
     "corollary_symmetric",
 )
+
+# 1 - sigma_max(T) of rho_AB at or below which a state is an Eq. 21 state.
+_EQ21_GAP = 1e-12
 
 # SWAP of the two system qubits in the computational basis.
 _SWAP4 = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -225,7 +231,14 @@ def verify_family_membership(psi: PureState, kind: str) -> MembershipResult:
     if kind == "thm2":
         return _verify_thm2(psi)
     if kind == "eq21":
-        return _verify_eq21(psi)
+        from .assistance import _pauli_stack
+
+        # psi is an Eq. 21 state iff rho_AB lives on the +1 space of some
+        # (u.sigma) x (v.sigma), spanned by the locally orthogonal products
+        # |u+>|v+> and |u->|v->: iff sigma_max(T) = 1, as |T| <= 1.
+        _, _, corr = _pauli_stack(three_qubit_stack([psi]), "AB")
+        gap = 1.0 - float(np.linalg.svd(corr[0], compute_uv=False)[0])
+        return MembershipResult(member=gap <= _EQ21_GAP, certificate={"gap": gap})
     raise InputError(f"membership checks support 'thm2' and 'eq21', not {kind!r}")
 
 
@@ -238,69 +251,6 @@ def _verify_thm2(psi: PureState) -> MembershipResult:
     if verdict.kind == "lossless":
         cert.update(verdict.certificate)
     return MembershipResult(member=member, certificate=cert)
-
-
-def _verify_eq21(psi: PureState) -> MembershipResult:
-    """Membership iff the AB support is spanned by two locally orthogonal products."""
-    sf = schmidt_decompose(psi, cut=(0, 1))
-    if sf.coefficients[-1] < 1e-10:
-        # Helper decoupled: the p -> {0, 1} or overlap -> 1 edge of the family.
-        return MembershipResult(member=True, certificate={"degenerate_edge": True})
-    m1 = sf.left_basis[:, 0].reshape(2, 2)
-    m2 = sf.left_basis[:, 1].reshape(2, 2)
-    products = _product_states_in_span(m1, m2)
-    if len(products) != 2:
-        return MembershipResult(member=False, certificate={"products_found": len(products)})
-    (a1, b1), (a2, b2) = products
-    ortho = abs(np.vdot(a1, a2)) < 1e-6 and abs(np.vdot(b1, b2)) < 1e-6
-    return MembershipResult(
-        member=bool(ortho),
-        certificate={"products_found": 2, "locally_orthogonal": bool(ortho)},
-    )
-
-
-def _product_states_in_span(m1: np.ndarray, m2: np.ndarray):
-    """Product states m1 + t m2 (including t = infinity), as (a, b) factor pairs.
-
-    det(m1 + t m2) is quadratic in t, so the span of a rank-2 support holds at
-    most two product states up to scale (or a continuum in degenerate cases,
-    which still surfaces as two roots here).
-    """
-    d1 = np.linalg.det(m1)
-    d2 = np.linalg.det(m2)
-    c = np.linalg.det(m1 + m2) - d1 - d2
-    candidates = []
-    if abs(d2) < 1e-12:
-        candidates.append(m2)  # t = infinity root
-        if abs(c) > 1e-12:
-            candidates.append(m1 + (-d1 / c) * m2)
-        elif abs(d1) < 1e-12:
-            candidates.append(m1)
-    else:
-        disc = np.sqrt(c * c - 4.0 * d1 * d2 + 0j)
-        for root in ((-c + disc) / (2.0 * d2), (-c - disc) / (2.0 * d2)):
-            candidate = m1 + root * m2
-            if abs(np.linalg.det(candidate)) < 1e-8 * max(
-                1.0, np.linalg.norm(candidate) ** 2
-            ):
-                candidates.append(candidate)
-    pairs = []
-    for mat in candidates:
-        if np.linalg.norm(mat) < 1e-10:
-            continue
-        u, s, vh = np.linalg.svd(mat)
-        if s[1] > 1e-6 * s[0]:
-            continue  # not actually a product state
-        pairs.append((u[:, 0], vh[0].conj()))
-    # Deduplicate coinciding factor pairs.
-    unique = []
-    for a, b in pairs:
-        if all(
-            abs(np.vdot(a, a2)) * abs(np.vdot(b, b2)) < 1.0 - 1e-8
-            for a2, b2 in unique
-        ):
-            unique.append((a, b))
-    return unique
 
 
 def parse_family(name: str, seed: int = 0) -> FamilySpec:

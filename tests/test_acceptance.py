@@ -122,7 +122,7 @@ def test_criterion_07_ckw_and_cut_symmetry():
     ]
     ok = ok and all(rep.i and rep.ii and rep.iii for rep in corollary_checks(symmetric, 1e-6))
     haar = [haar_random_pure((2, 2, 2), 80_000 + seed) for seed in range(1000)]
-    ok = ok and all(rep.i == rep.iii for rep in corollary_checks(haar, 1e-6, check_swap=False))
+    ok = ok and all(rep.i == rep.iii for rep in corollary_checks(haar, 1e-6))
     report(7, "monogamy relations and cut-symmetry equivalences", ok)
 
 

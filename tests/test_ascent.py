@@ -24,7 +24,6 @@ from eoa3.assistance import (
     _min_cut,
     _povm_value_grad,
     _rotations,
-    _swap_fidelity_grad,
     _theorem1_candidate,
     average_post_measurement,
     eoa_numeric,
@@ -33,7 +32,6 @@ from eoa3.ensembles import _roof_value_grad, purification
 from eoa3.monotones import E2, ENTROPY_1, MonotoneSpec
 from eoa3.qcore import (
     PureState,
-    _block_diagonal,
     _inner,
     _polar,
     _riemannian_gradient,
@@ -82,30 +80,6 @@ def test_riemannian_gradient_matches_central_differences(kind, n_c):
             numeric = (up - down) / (2 * h)
             scale = np.sqrt(_inner(grad, grad) * _inner(z, z))
             assert abs(numeric - _inner(grad, z))[0] <= 1e-6 * scale[0]
-
-
-def _random_blocks(rng, shapes):
-    """Four block-diagonal isometries with random blocks of the given shapes."""
-    return _block_diagonal([_polar(rng.standard_normal((4,) + sh) + 1j * rng.standard_normal((4,) + sh)) for sh in shapes])
-
-
-def _assert_gradient_matches_central_differences(fun, z, rng):
-    h = 1e-5
-    grad = _riemannian_gradient(z, fun(z)[1])
-    on_blocks = z != 0
-    raw = rng.standard_normal((2,) + z.shape) + 1j * rng.standard_normal((2,) + z.shape)
-    for d in [grad, _riemannian_gradient(z, raw[0] * on_blocks), _riemannian_gradient(z, raw[1] * on_blocks)]:
-        numeric = (fun(_polar(z + h * d))[0] - fun(_polar(z - h * d))[0]) / (2 * h)
-        scale = np.sqrt(_inner(grad, grad) * _inner(d, d))
-        assert np.all(np.abs(numeric - _inner(grad, d)) <= 1e-6 * scale)
-
-
-def test_swap_fidelity_gradient_matches_central_differences():
-    rng = np.random.default_rng(9)
-    for seed in range(4):
-        t = haar_random_pure((2, 2, 2), seed).tensor_view()
-        z = _random_blocks(rng, [(2, 2), (2, 2), (2, 2)])
-        _assert_gradient_matches_central_differences(lambda x: _swap_fidelity_grad(x, t, t.transpose(1, 0, 2)), z, rng)
 
 
 @pytest.mark.parametrize("kind", ["e2", "entropy:1", "entropy:0.5", "concurrence", "ek:2"])

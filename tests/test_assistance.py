@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eoa3 import assistance as assistance_module
 from eoa3.assistance import (
     Measurement,
     SearchBudget,
@@ -13,7 +14,7 @@ from eoa3.assistance import (
     _min_cut,
     _pauli_stack,
     _povm_value_grad,
-    _swap_fidelity_grad,
+    _su2,
     _theorem1_candidate,
     analyze,
     average_post_measurement,
@@ -24,6 +25,7 @@ from eoa3.assistance import (
     eoa_density,
     eoa_numeric,
     lossless_classifier,
+    lossless_classifiers,
     swap_infidelity,
     theorem1_measurement,
     theorem1_stack,
@@ -32,13 +34,12 @@ from eoa3.assistance import (
 )
 from eoa3.monotones import CONCURRENCE, E2, ENTROPY_1, MonotoneSpec, cut_entanglement
 from eoa3.qcore import (
+    PAULI_BASIS,
     PAULIS,
     DensityMatrix,
     InputError,
     PureState,
-    _block_diagonal,
     _polar,
-    _stiefel_ascent,
     haar_random_pure,
     haar_random_unitary,
     reduced_density,
@@ -484,34 +485,153 @@ def _locally_moved(psi, seed):
     return PureState((2, 2, 2), np.einsum("ai,bj,ck,ijk->abc", *us, psi.tensor_view()).reshape(8))
 
 
-def test_swap_search_finds_hidden_symmetry():
-    # Eq. 21 states are SWAP_AB-symmetric; random local unitaries hide that
-    # from the identity, and the search over U(2)^3 finds it again.
-    for seed in range(6):
-        psi = _locally_moved(generate(parse_family("eq21", seed)), 100 + 3 * seed)
-        t = psi.tensor_view()
-        assert 1.0 - abs(np.vdot(t.transpose(1, 0, 2), t)) ** 2 > 1e-3
-        assert swap_infidelity(psi) <= 1e-10
-        assert corollary_check(psi, 1e-6).ii
-
-
 def test_swap_search_stays_below_the_identity_on_haar_states():
-    for seed in range(80_000, 80_004):
+    for seed in range(80_000, 80_200):
         psi = haar_random_pure((2, 2, 2), seed)
         t = psi.tensor_view()
         assert 0.0 <= swap_infidelity(psi) <= 1.0 - abs(np.vdot(t.transpose(1, 0, 2), t)) ** 2
 
 
-def test_swap_search_keeps_its_blocks_apart():
-    # The ascent's steps keep (U, V, W) block-diagonal: the off-diagonal
-    # blocks of every end point are exactly 0.
-    t = haar_random_pure((2, 2, 2), 80_001).tensor_view()
-    rng = np.random.default_rng(4)
-    z0 = _block_diagonal([_polar(rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))) for _ in range(3)])
-    blocks = np.kron(np.eye(3), np.ones((2, 2))).astype(bool)
-    end = _stiefel_ascent(lambda z: _swap_fidelity_grad(z, t, t.transpose(1, 0, 2)), z0, 600, 1.0 - 1e-10)
-    assert np.all(end[:, ~blocks] == 0)
-    np.testing.assert_allclose(end @ end.conj().transpose(0, 2, 1), np.broadcast_to(np.eye(6), end.shape), atol=1e-12)
+def _symmetric_or_antisymmetric_state(seed):
+    """A random state whose C = |0> branch is SWAP_AB-symmetric and whose
+    C = |1> branch is the antisymmetric singlet, so SWAP_AB psi = (I x I x Z)
+    psi; the singlet's weight is uniform in [0, 1/2]."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros((2, 2, 2), dtype=complex)
+    sym = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    t[:, :, 0] = (sym + sym.T) / np.linalg.norm(sym + sym.T)
+    t[:, :, 1] = np.array([[0, 1], [-1, 0]]) / np.sqrt(2)
+    weight = rng.uniform(0, 0.5)
+    t *= np.sqrt([1.0 - weight, weight])
+    return PureState((2, 2, 2), (t / np.linalg.norm(t)).reshape(8))
+
+
+def _near_degenerate_states(delta):
+    """W and GHZ plus delta times a SWAP_AB-symmetric tensor, normalized and
+    moved by random local unitaries: marginals and T within delta of
+    degenerate."""
+    out = []
+    for k, base in enumerate([w_state(), ghz_state()]):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+            amps = base.tensor_view() + delta * (z + z.transpose(1, 0, 2))
+            out.append(_locally_moved(PureState((2, 2, 2), (amps / np.linalg.norm(amps)).reshape(8)), 900 + 3 * seed + k))
+    return out
+
+
+def _hidden_symmetry_sets():
+    named = [ghz_state(), w_state(), product_state(), bell_times_c()]
+    sets = {
+        "eq21": [_locally_moved(generate(parse_family("eq21", s)), 100 + 3 * s) for s in range(200)],
+        "p = 1/2": [
+            _locally_moved(generate(FamilySpec(kind="eq21", p=0.5, overlap=0.9 * np.cos(s))), 2_000 + 3 * s)
+            for s in range(50)
+        ],
+        "swap-symmetric": [_swap_symmetric_state(s) for s in range(100)],
+        "swap-symmetric moved": [_locally_moved(_swap_symmetric_state(s), 3_000 + 3 * s) for s in range(100)],
+        "(anti)symmetric moved": [
+            _locally_moved(_symmetric_or_antisymmetric_state(s), 4_000 + 3 * s) for s in range(500)
+        ],
+        "named moved": [_locally_moved(psi, 6_000 + 3 * k) for k, psi in enumerate(named * 5)],
+    }
+    sets.update({f"W/GHZ + {d:g}": _near_degenerate_states(d) for d in (1e-3, 1e-6, 1e-9, 1e-12)})
+    return sets
+
+
+def test_swap_search_finds_hidden_symmetry():
+    # Eq. 21 and swap-symmetric states are SWAP_AB-symmetric; random local
+    # unitaries hide that from the identity, and the Pauli normal form of
+    # rho_AB finds it again to rounding, near-degenerate marginals and T
+    # included.
+    for name, psis in _hidden_symmetry_sets().items():
+        t = three_qubit_stack(psis)
+        identity = 1.0 - np.abs(np.einsum("nbac,nabc->n", t.conj(), t)) ** 2
+        if name != "swap-symmetric":
+            assert np.median(identity) > 1e-3, name
+        reps = corollary_checks(psis, 1e-13)
+        assert max(rep.swap_infidelity for rep in reps) <= 1e-13, name
+        assert all(rep.ii for rep in reps), name
+        assert swap_infidelity(psis[0]) <= 1e-13
+
+
+def _purity_gap(amps):
+    """tr rho_A^2 - tr rho_B^2 of a three-qubit amplitude vector."""
+    t = amps.reshape(2, 2, 2)
+    ra, rb = np.einsum("abc,dbc->ad", t, t.conj()), np.einsum("abc,adc->bd", t, t.conj())
+    return float(np.vdot(ra, ra).real - np.vdot(rb, rb).real)
+
+
+def _equal_cut_state(seed):
+    """A state with equal A and B marginal spectra: the root, by bisection
+    in the angle, of the purity gap on the great circle from Haar state
+    ``seed`` to the first Haar state of the opposite sign."""
+    a0 = haar_random_pure((2, 2, 2), seed).amplitudes
+    k = 1
+    while _purity_gap(a0) * _purity_gap(a1 := haar_random_pure((2, 2, 2), seed + 10**6 * k).amplitudes) >= 0:
+        k += 1
+    lo, hi = 0.0, np.pi / 2
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        amps = np.cos(mid) * a0 + np.sin(mid) * a1
+        amps /= np.linalg.norm(amps)
+        if (_purity_gap(amps) > 0) == (_purity_gap(a0) > 0):
+            lo = mid
+        else:
+            hi = mid
+    return PureState((2, 2, 2), amps)
+
+
+def test_equal_cuts_imply_swap_symmetry():
+    # Corollary, (i) => (ii), beyond any family: generic states with equal
+    # cuts are LU-equivalent to their A <-> B swap.
+    psis = [_equal_cut_state(seed) for seed in range(100)]
+    reps = corollary_checks(psis, 1e-12)
+    assert all(rep.i and rep.iii for rep in reps)
+    assert max(rep.swap_infidelity for rep in reps) <= 1e-13
+
+
+def test_corollary_checks_neither_search_nor_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corollary path must not search or draw")
+
+    psis = [haar_random_pure((2, 2, 2), s) for s in range(3)]
+    psis += [_locally_moved(generate(parse_family("eq21", 1)), 7)]
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(assistance_module, "_stiefel_ascent", refuse)
+    reps = corollary_checks(psis, 1e-9)
+    assert [rep.ii for rep in reps] == [False, False, False, True]
+
+
+def test_su2_lift_rotates_the_paulis():
+    rng = np.random.default_rng(3)
+    o = np.linalg.qr(rng.standard_normal((50, 3, 3)))[0]
+    o *= np.sign(np.linalg.det(o))[:, None, None]
+    o = np.concatenate([o, np.eye(3)[None], np.diag([1.0, -1.0, -1.0])[None], np.diag([-1.0, -1.0, 1.0])[None]])
+    u = _su2(o)
+    np.testing.assert_allclose(u @ u.conj().swapaxes(1, 2), np.broadcast_to(np.eye(2), u.shape), atol=1e-14)
+    turned = np.einsum("nab,jbc,ndc->njad", u, PAULI_BASIS[1:], u.conj())
+    np.testing.assert_allclose(turned, np.einsum("nij,iad->njad", o, PAULI_BASIS[1:]), atol=1e-14)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12, "1e-9", None])
+def test_public_checks_reject_a_bad_tol(tol):
+    psi = ghz_state()
+    for check in (
+        lambda: verify_theorem1(psi, tol),
+        lambda: lossless_classifier(psi, "A|BC", tol),
+        lambda: lossless_classifiers([psi], "B|AC", tol),
+        lambda: corollary_check(psi, tol),
+        lambda: corollary_checks([psi], tol),
+    ):
+        with pytest.raises(InputError):
+            check()
+
+
+def test_public_checks_take_a_zero_tol():
+    assert verify_theorem1(product_state(), 0.0).gap == 0.0
+    assert lossless_classifier(bell_times_c(), "A|BC", 0.0).kind == "decoupled"
+    assert corollary_check(product_state(), 0.0).i
 
 
 @pytest.mark.parametrize("family", ["ghz", "thm2", "eq21", "product", "bell_c"])

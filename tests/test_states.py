@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from eoa3.assistance import theorem1_stack
 from eoa3.monotones import wootters_concurrence
-from eoa3.qcore import InputError, PureState, fidelity, reduced_density
+from eoa3.qcore import InputError, PureState, fidelity, haar_random_pure, haar_random_unitary, reduced_density
 from eoa3.states import (
     FamilySpec,
     bell_times_c,
@@ -109,9 +110,50 @@ def test_membership_examples():
     assert verify_family_membership(ghz_state(), "thm2").member
     assert not verify_family_membership(w_state(), "thm2").member
     res = verify_family_membership(product_state(), "eq21")
-    assert res.member and res.certificate.get("degenerate_edge")
+    assert res.member and abs(res.certificate["gap"]) <= 1e-15
     assert verify_family_membership(ghz_state(), "eq21").member
     assert not verify_family_membership(w_state(), "eq21").member
+
+
+def _locally_moved(psi, seed):
+    us = [haar_random_unitary(2, seed + f) for f in range(3)]
+    return PureState((2, 2, 2), np.einsum("ai,bj,ck,ijk->abc", *us, psi.tensor_view()).reshape(8))
+
+
+def test_eq21_membership_under_local_unitaries():
+    # GHZ and the p = 1/2 members have I/2 marginals on A and B, where no
+    # Schmidt frame is fixed; sigma_max(T) = 1 needs none.
+    rng = np.random.default_rng(2)
+    halves = [generate(FamilySpec(kind="eq21", p=0.5, overlap=complex(rng.uniform(-0.9, 0.9)))) for _ in range(50)]
+    for k, psi in enumerate([ghz_state()] * 50 + halves):
+        res = verify_family_membership(_locally_moved(psi, 100 + 3 * k), "eq21")
+        assert res.member and abs(res.certificate["gap"]) <= 1e-14
+    for k in range(20):
+        res = verify_family_membership(_locally_moved(w_state(), 500 + 3 * k), "eq21")
+        assert not res.member and res.certificate["gap"] == pytest.approx(1.0 / 3.0, abs=1e-14)
+
+
+def test_eq21_membership_gap_grows_quadratically_off_the_family():
+    rng = np.random.default_rng(4)
+    psi = _locally_moved(generate(parse_family("eq21", 9)), 40)
+    z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    gaps = []
+    for eps in (1e-2, 1e-3, 1e-4):
+        amps = psi.amplitudes + eps * z / np.linalg.norm(z)
+        gaps.append(verify_family_membership(PureState((2, 2, 2), amps / np.linalg.norm(amps)), "eq21").certificate["gap"])
+    assert gaps[2] > 1e-12
+    assert 50.0 < gaps[0] / gaps[1] < 200.0 and 50.0 < gaps[1] / gaps[2] < 200.0
+
+
+def test_theorem1_eq21_branch_implies_membership():
+    psis = [_locally_moved(generate(parse_family("eq21", s)), 1_000 + 3 * s) for s in range(100)]
+    psis += [_locally_moved(generate(parse_family("thm2", s)), 2_000 + 3 * s) for s in range(100)]
+    psis += [haar_random_pure((2, 2, 2), 3_000 + s) for s in range(100)]
+    branch = theorem1_stack(psis).branch
+    assert np.sum(branch == "eq21") >= 100
+    for psi, b in zip(psis, branch):
+        if b == "eq21":
+            assert verify_family_membership(psi, "eq21").member
 
 
 def test_membership_round_trip_eq21():
